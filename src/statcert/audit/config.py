@@ -9,7 +9,7 @@ report so a reader never has to guess what a missing key meant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -38,6 +38,27 @@ def _require_keys(node: Mapping, allowed: set[str], required: set[str], where: s
     missing = required - set(node)
     if missing:
         raise ConfigInvalid(f"{where}: missing keys {sorted(missing)}")
+
+
+def _plain(value):
+    """Report form of a settings value: paths as strings, sequences as
+    lists, mappings sorted by key."""
+    if isinstance(value, Path):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return dict(sorted(value.items()))
+    if isinstance(value, _Section):
+        return value.as_plain()
+    return value
+
+
+class _Section:
+    """A config section whose report form is its fields, in order."""
+
+    def as_plain(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -75,7 +96,7 @@ class MprRequirement:
 
 
 @dataclass(frozen=True)
-class FairnessRequirement:
+class FairnessRequirement(_Section):
     name: str
     dataset: str
     metric: str
@@ -83,19 +104,9 @@ class FairnessRequirement:
     alpha_share: float
     n_bootstrap: int = 2000
 
-    def as_plain(self) -> dict:
-        return {
-            "name": self.name,
-            "dataset": self.dataset,
-            "metric": self.metric,
-            "max_violation": self.max_violation,
-            "alpha_share": self.alpha_share,
-            "n_bootstrap": self.n_bootstrap,
-        }
-
 
 @dataclass(frozen=True)
-class LeakageSettings:
+class LeakageSettings(_Section):
     enabled: bool = True
     train: str = "train"
     test: str = "test"
@@ -104,58 +115,31 @@ class LeakageSettings:
     temporal_check: bool = False
     proxy_screen: bool = False
 
-    def as_plain(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "train": self.train,
-            "test": self.test,
-            "duplicate_key": self.duplicate_key,
-            "group_check": self.group_check,
-            "temporal_check": self.temporal_check,
-            "proxy_screen": self.proxy_screen,
-        }
-
 
 @dataclass(frozen=True)
-class DriftSettings:
+class DriftSettings(_Section):
     reference: str
     method: str = "mmd_permutation"
     alpha: float = 0.05
     n_permutations: int = 1000
     categorical_dims: tuple[int, ...] = ()
 
-    def as_plain(self) -> dict:
-        return {
-            "reference": self.reference,
-            "method": self.method,
-            "alpha": self.alpha,
-            "n_permutations": self.n_permutations,
-            "categorical_dims": list(self.categorical_dims),
-        }
-
 
 @dataclass(frozen=True)
-class UncertaintySettings:
+class UncertaintySettings(_Section):
     ensembles: Path
     abstain_thresholds: dict[str, float] = field(default_factory=dict)
 
-    def as_plain(self) -> dict:
-        return {"ensembles": str(self.ensembles),
-                "abstain_thresholds": dict(sorted(self.abstain_thresholds.items()))}
-
 
 @dataclass(frozen=True)
-class OodScenario:
+class OodScenario(_Section):
     name: str
     path: Path
     narrative: str
 
-    def as_plain(self) -> dict:
-        return {"name": self.name, "path": str(self.path), "narrative": self.narrative}
-
 
 @dataclass(frozen=True)
-class OodSettings:
+class OodSettings(_Section):
     method: str
     reference: str
     validation: str
@@ -163,35 +147,15 @@ class OodSettings:
     params: dict = field(default_factory=dict)
     scenarios: tuple[OodScenario, ...] = ()
 
-    def as_plain(self) -> dict:
-        return {
-            "method": self.method,
-            "reference": self.reference,
-            "validation": self.validation,
-            "target_tpr": self.target_tpr,
-            "params": dict(sorted(self.params.items())),
-            "scenarios": [s.as_plain() for s in self.scenarios],
-        }
-
 
 @dataclass(frozen=True)
-class RobustnessSettings:
+class RobustnessSettings(_Section):
     dataset: str
     epsilon: float
     norm: str = "linf"
     attack: str = "coordinate_descent"
     budget: int = 1000
     predictor_command: tuple[str, ...] = ()
-
-    def as_plain(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "epsilon": self.epsilon,
-            "norm": self.norm,
-            "attack": self.attack,
-            "budget": self.budget,
-            "predictor_command": list(self.predictor_command),
-        }
 
 
 @dataclass(frozen=True)
@@ -243,12 +207,12 @@ class AuditConfig:
             "datasets": {k: v.as_plain() for k, v in sorted(self.datasets.items())},
             "family": self.family_snapshot(),
             "mprs": [r.as_plain() for r in self.mprs],
-            "fairness": [r.as_plain() for r in self.fairness],
-            "leakage": self.leakage.as_plain(),
-            "drift": self.drift.as_plain() if self.drift else None,
-            "uncertainty": self.uncertainty.as_plain() if self.uncertainty else None,
-            "ood": self.ood.as_plain() if self.ood else None,
-            "robustness": self.robustness.as_plain() if self.robustness else None,
+            "fairness": _plain(self.fairness),
+            "leakage": _plain(self.leakage),
+            "drift": _plain(self.drift),
+            "uncertainty": _plain(self.uncertainty),
+            "ood": _plain(self.ood),
+            "robustness": _plain(self.robustness),
             "ledger": str(self.ledger_path),
             "report": str(self.report_path),
         }
@@ -361,7 +325,7 @@ def load_config(path: str | Path) -> AuditConfig:
                       {"name", "dataset", "metric", "max_violation", "alpha_share"},
                       where)
         binding = _need_dataset(str(node["dataset"]), datasets, where)
-        _need_roles(binding, ("group_attribute", "label", "prediction"), where)
+        _need_roles(binding, ("group", "label", "prediction"), where)
         metric = str(node["metric"])
         if metric not in ("statistical_parity", "equal_opportunity", "equalized_odds"):
             raise ConfigInvalid(f"{where}: unknown fairness metric {metric!r}")

@@ -10,7 +10,6 @@ allocation forward only if it demonstrated its requirement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime, timezone
 import json
 import math
@@ -19,6 +18,7 @@ from typing import Iterable, Mapping
 
 from ..core import canonical_json, sha256_hex
 from ..errors import LedgerCorrupt
+from ..multiplicity import FallbackState
 
 ALPHA_TOL = 1e-12
 
@@ -35,17 +35,18 @@ def entry_hash(entry: Mapping) -> str:
     return sha256_hex(canonical_json(body))
 
 
-@dataclass(frozen=True)
-class FallbackState:
-    """Replay position: how many test-bearing entries exist and what alpha
-    they carried forward."""
-
-    tests_done: int
-    carry: float
-
-    def next_alpha(self, family_alpha: float, weights: tuple[float, ...]) -> float:
-        w = weights[self.tests_done] if self.tests_done < len(weights) else 0.0
-        return self.carry + family_alpha * w
+def _parse(path: Path) -> tuple[list[dict], int | None]:
+    """Entries up to the first line that is not valid JSON, and that line's
+    number (None when every line parses). Blank lines are skipped."""
+    entries = []
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            entries.append(json.loads(line))
+        except json.JSONDecodeError:
+            return entries, lineno
+    return entries, None
 
 
 class AuditLedger:
@@ -56,18 +57,9 @@ class AuditLedger:
         self.path = Path(path)
         self._entries: list[dict] = []
         if self.path.exists():
-            self._entries = self._load()
-
-    def _load(self) -> list[dict]:
-        entries = []
-        for lineno, line in enumerate(self.path.read_text().splitlines()):
-            if not line.strip():
-                continue
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                raise LedgerCorrupt(f"{self.path}:{lineno + 1}: not valid JSON") from e
-        return entries
+            self._entries, bad_line = _parse(self.path)
+            if bad_line is not None:
+                raise LedgerCorrupt(f"{self.path}:{bad_line}: not valid JSON")
 
     @property
     def entries(self) -> tuple[dict, ...]:
@@ -80,12 +72,11 @@ class AuditLedger:
         return self._entries[0]["family"] if self._entries else None
 
     def replay_state(self) -> FallbackState:
-        tests, carry = 0, 0.0
+        state = FallbackState(0, 0.0)
         for e in self._entries:
             if e.get("test_bearing"):
-                carry = e["alpha_allocated"] if e.get("demonstrated") else 0.0
-                tests += 1
-        return FallbackState(tests, carry)
+                state = state.advance(e["alpha_allocated"], bool(e.get("demonstrated")))
+        return state
 
     def prior_gating_hashes(self) -> set[str]:
         hashes: set[str] = set()
@@ -141,19 +132,13 @@ def verify_ledger(ledger: AuditLedger | str | Path) -> dict:
         if not path.exists():
             return {"consistent": False, "first_inconsistency": None,
                     "detail": f"ledger file not found: {path}", "n_entries": 0}
-        entries = []
-        n = 0
-        for lineno, line in enumerate(path.read_text().splitlines()):
-            if not line.strip():
-                continue
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError:
-                n = len(entries)
-                return bad(len(entries), f"line {lineno + 1} is not valid JSON")
+        entries, bad_line = _parse(path)
+        n = len(entries)
+        if bad_line is not None:
+            return bad(n, f"line {bad_line} is not valid JSON")
     else:
         entries = list(ledger.entries)
-    n = len(entries)
+        n = len(entries)
 
     family = None
     state = FallbackState(0, 0.0)
@@ -188,10 +173,9 @@ def verify_ledger(ledger: AuditLedger | str | Path) -> dict:
             expect = state.next_alpha(alpha, weights)
             if not math.isclose(allocated, expect, abs_tol=ALPHA_TOL):
                 return bad(i, f"allocated alpha {allocated} != replayed {expect}")
-            expect_out = allocated if e["demonstrated"] else 0.0
-            if not math.isclose(carried_out, expect_out, abs_tol=ALPHA_TOL):
-                return bad(i, f"carried-out alpha {carried_out} != replayed {expect_out}")
-            state = FallbackState(state.tests_done + 1, expect_out)
+            state = state.advance(allocated, bool(e["demonstrated"]))
+            if not math.isclose(carried_out, state.carry, abs_tol=ALPHA_TOL):
+                return bad(i, f"carried-out alpha {carried_out} != replayed {state.carry}")
         else:
             if allocated != 0.0:
                 return bad(i, "non-test entry spent alpha")

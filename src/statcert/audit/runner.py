@@ -27,6 +27,7 @@ from ..errors import (ConfigInvalid, DataLoadError, FamilyAlphaExhausted,
 from ..fairness import GroupedOutcomes, fairness_mpr_check
 from ..leakage import (duplicate_check, group_leakage_check, target_proxy_screen,
                        temporal_split_check)
+from ..multiplicity import FallbackState
 from ..robustness import (SubprocessPredictor, calibrate_threshold, evaluate_ood,
                           fit_ood_scorer, robust_accuracy)
 from ..sampling import splitmix64
@@ -34,7 +35,7 @@ from ..stattest import evaluate_mpr
 from ..uncertainty import (decompose, evaluate_uncertainty_quality, load_ensembles,
                            uncertainty_fallback)
 from .config import AuditConfig, load_config
-from .ledger import AuditLedger, FallbackState, verify_ledger
+from .ledger import AuditLedger, verify_ledger
 from .report import SCHEMA_VERSION, AuditReport
 
 
@@ -66,6 +67,12 @@ def _leakage_section(config: AuditConfig, datasets: dict[str, Dataset]):
                     "reports": [r.as_plain() for r in reports]}
 
 
+def _decision(name: str, test) -> dict:
+    """The ledger's record of one requirement test."""
+    return {"name": name, "p_value": test.p_value, "alpha_used": test.alpha_used,
+            "decision": test.decision}
+
+
 def _requirement_sections(config: AuditConfig, datasets: dict[str, Dataset],
                           entry_alpha: float):
     """Run every gating requirement at its share of the entry alpha."""
@@ -88,8 +95,7 @@ def _requirement_sections(config: AuditConfig, datasets: dict[str, Dataset],
             "demonstrated": demonstrated,
             "test": test.as_plain(),
         })
-        decisions.append({"name": req.name, "p_value": test.p_value,
-                          "alpha_used": test.alpha_used, "decision": test.decision})
+        decisions.append(_decision(req.name, test))
     for j, req in enumerate(config.fairness):
         alpha_j = entry_alpha * req.alpha_share
         outcomes = GroupedOutcomes.from_dataset(datasets[req.dataset])
@@ -109,8 +115,7 @@ def _requirement_sections(config: AuditConfig, datasets: dict[str, Dataset],
             "demonstrated": demonstrated,
             "test": test.as_plain(),
         })
-        decisions.append({"name": req.name, "p_value": test.p_value,
-                          "alpha_used": test.alpha_used, "decision": test.decision})
+        decisions.append(_decision(req.name, test))
     return all_demonstrated, mpr_rows, fairness_rows, decisions
 
 
@@ -239,6 +244,66 @@ def _certification_pass(config: AuditConfig, datasets: dict[str, Dataset],
     return checks, ("pass" if all_demonstrated else "fail"), all_demonstrated, decisions
 
 
+def _open(ledger: AuditLedger, config: AuditConfig, *,
+          need_entries: bool) -> FallbackState:
+    """Check the ledger can take an entry under this config; return its
+    replayed fallback state."""
+    integrity = verify_ledger(ledger)
+    if not integrity["consistent"]:
+        raise LedgerCorrupt(
+            f"entry {integrity['first_inconsistency']}: {integrity['detail']}")
+    if len(ledger) == 0:
+        if need_entries:
+            raise ConfigInvalid("ledger is empty; run the initial certification first")
+    elif ledger.family() != config.family_snapshot():
+        raise FamilyMismatch("requirement family differs from the one frozen at "
+                             "ledger entry 0")
+    return ledger.replay_state()
+
+
+def _allocate(state: FallbackState, config: AuditConfig) -> float:
+    """The alpha the fallback recurrence gives the next test-bearing entry."""
+    alpha = state.next_alpha(config.family_alpha, config.family_weights)
+    if alpha <= 0.0:
+        raise FamilyAlphaExhausted(
+            f"fallback allocates zero alpha to test {state.tests_done}; its family "
+            "weight is zero and nothing was carried forward")
+    return alpha
+
+
+def _commit(ledger: AuditLedger, config: AuditConfig, state: FallbackState, *,
+            kind: str, alpha: float, demonstrated: bool | None,
+            dataset_hashes: dict, gating_hashes, decisions: list[dict],
+            verdict: str) -> dict:
+    """Append the entry. demonstrated=None marks an entry that tested
+    nothing: it spends no alpha, gates no data, and passes the carry on."""
+    test_bearing = demonstrated is not None
+    return ledger.append(
+        kind=kind,
+        model_id=config.model_id,
+        family=config.family_snapshot(),
+        dataset_hashes=dataset_hashes,
+        gating_hashes=gating_hashes if test_bearing else [],
+        seed=config.seed,
+        test_bearing=test_bearing,
+        alpha_allocated=alpha if test_bearing else 0.0,
+        alpha_carried_in=state.carry,
+        alpha_carried_out=(state.advance(alpha, demonstrated).carry if test_bearing
+                           else state.carry),
+        decisions=decisions,
+        demonstrated=demonstrated,
+        verdict=verdict,
+    )
+
+
+def _as_ledger(ledger: AuditLedger | str | Path) -> AuditLedger:
+    return ledger if isinstance(ledger, AuditLedger) else AuditLedger(ledger)
+
+
+def _as_config(config: AuditConfig | str | Path) -> AuditConfig:
+    return config if isinstance(config, AuditConfig) else load_config(config)
+
+
 def run_audit(config: AuditConfig | str | Path) -> AuditReport:
     """Initial certification: evaluate everything, write ledger entry 0.
 
@@ -247,54 +312,29 @@ def run_audit(config: AuditConfig | str | Path) -> AuditReport:
     appended and no alpha is re-spent); anything else is an error, because
     entry 0 is already taken — subsequent evidence goes through recertify.
     """
-    if not isinstance(config, AuditConfig):
-        config = load_config(config)
-    datasets = _load_bound_datasets(config)
+    config = _as_config(config)
     ledger = AuditLedger(config.ledger_path)
-    family = config.family_snapshot()
+    _open(ledger, config, need_entries=False)
+    state = FallbackState(0, 0.0)  # a rerun regenerates entry 0
+    datasets = _load_bound_datasets(config)
     dataset_hashes = {k: d.content_hash for k, d in datasets.items()}
+    rerun = len(ledger) > 0
+    if rerun and ledger.entries[0]["dataset_hashes"] != dict(sorted(dataset_hashes.items())):
+        raise ConfigInvalid("ledger already holds an initial certification on "
+                            "different data; use recertify")
 
-    rerun = False
-    if len(ledger):
-        integrity = verify_ledger(ledger)
-        if not integrity["consistent"]:
-            raise LedgerCorrupt(
-                f"entry {integrity['first_inconsistency']}: {integrity['detail']}")
-        if ledger.family() != family:
-            raise FamilyMismatch("requirement family differs from the one frozen "
-                                 "at ledger entry 0")
-        if ledger.entries[0]["dataset_hashes"] != dict(sorted(dataset_hashes.items())):
-            raise ConfigInvalid("ledger already holds an initial certification on "
-                                "different data; use recertify")
-        rerun = True
-
-    entry_alpha = FallbackState(0, 0.0).next_alpha(config.family_alpha,
-                                                   config.family_weights)
-    if entry_alpha <= 0.0:
-        raise FamilyAlphaExhausted("first family weight allocates zero alpha")
-
+    entry_alpha = _allocate(state, config)
     checks, verdict, demonstrated, decisions = _certification_pass(
         config, datasets, entry_alpha)
-    test_bearing = demonstrated is not None
     if not rerun:
-        ledger.append(
-            kind="certification",
-            model_id=config.model_id,
-            family=family,
-            dataset_hashes=dataset_hashes,
-            gating_hashes=[datasets[n].content_hash
-                           for n in config.gating_dataset_names()] if test_bearing else [],
-            seed=config.seed,
-            test_bearing=test_bearing,
-            alpha_allocated=entry_alpha if test_bearing else 0.0,
-            alpha_carried_in=0.0,
-            alpha_carried_out=entry_alpha if (test_bearing and demonstrated) else 0.0,
-            decisions=decisions,
-            demonstrated=demonstrated,
-            verdict=verdict,
-        )
+        _commit(ledger, config, state, kind="certification", alpha=entry_alpha,
+                demonstrated=demonstrated, dataset_hashes=dataset_hashes,
+                gating_hashes=[datasets[n].content_hash
+                               for n in config.gating_dataset_names()],
+                decisions=decisions, verdict=verdict)
     payload = _build_payload(config, verdict, checks, dataset_hashes,
-                             entry_index=0, entry_alpha=entry_alpha, carried_in=0.0)
+                             entry_index=0, entry_alpha=entry_alpha,
+                             carried_in=state.carry)
     return AuditReport(payload)
 
 
@@ -307,20 +347,9 @@ def recertify(ledger: AuditLedger | str | Path, config: AuditConfig | str | Path
     it replaces every gating dataset binding; otherwise the bindings are
     reloaded from disk.
     """
-    if not isinstance(config, AuditConfig):
-        config = load_config(config)
-    if not isinstance(ledger, AuditLedger):
-        ledger = AuditLedger(ledger)
-    integrity = verify_ledger(ledger)
-    if not integrity["consistent"]:
-        raise LedgerCorrupt(
-            f"entry {integrity['first_inconsistency']}: {integrity['detail']}")
-    if len(ledger) == 0:
-        raise ConfigInvalid("ledger is empty; run the initial certification first")
-    family = config.family_snapshot()
-    if ledger.family() != family:
-        raise FamilyMismatch("requirement family differs from the one frozen at "
-                             "ledger entry 0")
+    config = _as_config(config)
+    ledger = _as_ledger(ledger)
+    state = _open(ledger, config, need_entries=True)
 
     datasets = _load_bound_datasets(config)
     if updated_model_data is not None:
@@ -333,34 +362,14 @@ def recertify(ledger: AuditLedger | str | Path, config: AuditConfig | str | Path
         raise StaleDataReuse("gating data reuses content already consumed by a "
                              f"prior entry: {sorted(h[:12] for h in stale)}")
 
-    state = ledger.replay_state()
-    entry_alpha = state.next_alpha(config.family_alpha, config.family_weights)
-    if entry_alpha <= 0.0:
-        raise FamilyAlphaExhausted(
-            f"fallback allocates zero alpha to test {state.tests_done}; family "
-            "weights are spent and nothing was carried forward")
-
+    entry_alpha = _allocate(state, config)
     checks, verdict, demonstrated, decisions = _certification_pass(
         config, datasets, entry_alpha)
-    test_bearing = demonstrated is not None
-    ledger.append(
-        kind="recertification",
-        model_id=config.model_id,
-        family=family,
-        dataset_hashes=dataset_hashes,
-        gating_hashes=sorted(gating_hashes) if test_bearing else [],
-        seed=config.seed,
-        test_bearing=test_bearing,
-        alpha_allocated=entry_alpha if test_bearing else 0.0,
-        alpha_carried_in=state.carry,
-        alpha_carried_out=(entry_alpha if demonstrated else 0.0) if test_bearing
-        else state.carry,
-        decisions=decisions,
-        demonstrated=demonstrated,
-        verdict=verdict,
-    )
+    entry = _commit(ledger, config, state, kind="recertification", alpha=entry_alpha,
+                    demonstrated=demonstrated, dataset_hashes=dataset_hashes,
+                    gating_hashes=gating_hashes, decisions=decisions, verdict=verdict)
     payload = _build_payload(config, verdict, checks, dataset_hashes,
-                             entry_index=len(ledger) - 1, entry_alpha=entry_alpha,
+                             entry_index=entry["index"], entry_alpha=entry_alpha,
                              carried_in=state.carry)
     return AuditReport(payload), ledger
 
@@ -400,20 +409,9 @@ def monitor_step(ledger: AuditLedger | str | Path, config: AuditConfig | str | P
     shift_benign or shift_malignant; that entry is test-bearing and consumes
     family alpha like a recertification.
     """
-    if not isinstance(config, AuditConfig):
-        config = load_config(config)
-    if not isinstance(ledger, AuditLedger):
-        ledger = AuditLedger(ledger)
-    integrity = verify_ledger(ledger)
-    if not integrity["consistent"]:
-        raise LedgerCorrupt(
-            f"entry {integrity['first_inconsistency']}: {integrity['detail']}")
-    if len(ledger) == 0:
-        raise ConfigInvalid("ledger is empty; run the initial certification first")
-    family = config.family_snapshot()
-    if ledger.family() != family:
-        raise FamilyMismatch("requirement family differs from the one frozen at "
-                             "ledger entry 0")
+    config = _as_config(config)
+    ledger = _as_ledger(ledger)
+    state = _open(ledger, config, need_entries=True)
     if config.drift is None:
         raise NoReferenceBatch("config declares no drift section, so no reference "
                                "batch is registered")
@@ -431,25 +429,17 @@ def monitor_step(ledger: AuditLedger | str | Path, config: AuditConfig | str | P
         seed=config.seed, n_perm=config.drift.n_permutations,
         categorical_dims=config.drift.categorical_dims)
 
-    state = ledger.replay_state()
-    classification = None
-    decisions: list[dict] = []
     dataset_hashes = {"reference": datasets[config.drift.reference].content_hash,
                       "window": window_hash}
+    classification, demonstrated, entry_alpha = None, None, 0.0
+    gating: list[str] = []
+    decisions: list[dict] = []
     if shift.aggregate == "no_shift":
         verdict = "ok"
-        test_bearing, demonstrated = False, None
-        entry_alpha, carried_out = 0.0, state.carry
-        gating: list[str] = []
     elif point_check is None:
         verdict = "shift_unclassified"
-        test_bearing, demonstrated = False, None
-        entry_alpha, carried_out = 0.0, state.carry
-        gating = []
     else:
-        entry_alpha = state.next_alpha(config.family_alpha, config.family_weights)
-        if entry_alpha <= 0.0:
-            raise FamilyAlphaExhausted("no alpha available for a point check")
+        entry_alpha = _allocate(state, config)
         if point_check.content_hash in ledger.prior_gating_hashes():
             raise StaleDataReuse("point-check data reuses content already consumed "
                                  "by a prior entry")
@@ -458,29 +448,12 @@ def monitor_step(ledger: AuditLedger | str | Path, config: AuditConfig | str | P
             shift, point_check, primary.spec, entry_alpha,
             seed=splitmix64(config.seed, 3000 + len(ledger)))
         verdict = "shift_benign" if classification.label == "benign" else "shift_malignant"
-        test_bearing = True
         demonstrated = classification.test.rejected
-        carried_out = entry_alpha if demonstrated else 0.0
         gating = [point_check.content_hash]
         dataset_hashes["point_check"] = point_check.content_hash
-        decisions.append({"name": primary.name,
-                          "p_value": classification.test.p_value,
-                          "alpha_used": classification.test.alpha_used,
-                          "decision": classification.test.decision})
+        decisions = [_decision(primary.name, classification.test)]
 
-    entry = ledger.append(
-        kind="monitor",
-        model_id=config.model_id,
-        family=family,
-        dataset_hashes=dataset_hashes,
-        gating_hashes=gating,
-        seed=config.seed,
-        test_bearing=test_bearing,
-        alpha_allocated=entry_alpha if test_bearing else 0.0,
-        alpha_carried_in=state.carry,
-        alpha_carried_out=carried_out,
-        decisions=decisions,
-        demonstrated=demonstrated,
-        verdict=verdict,
-    )
+    entry = _commit(ledger, config, state, kind="monitor", alpha=entry_alpha,
+                    demonstrated=demonstrated, dataset_hashes=dataset_hashes,
+                    gating_hashes=gating, decisions=decisions, verdict=verdict)
     return MonitorOutcome(verdict, shift, classification, entry)

@@ -11,22 +11,28 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 import click
 
-from .audit.config import load_config
+from .audit.config import AuditConfig, load_config
 from .audit.ledger import AuditLedger, verify_ledger
 from .audit.report import AuditReport, SCHEMA_VERSION, render_markdown
-from .audit.runner import monitor_step, recertify, run_audit
+from .audit.runner import MonitorOutcome, monitor_step, recertify, run_audit
 from .core import canonical_json, load_dataset
-from .errors import (ConfigInvalid, DataLoadError, FamilyAlphaExhausted,
-                     LedgerCorrupt, StatcertError)
+from .errors import FamilyAlphaExhausted, LedgerCorrupt, NoReferenceBatch, StatcertError
 
 EXIT_PASS = 0
 EXIT_NOT_DEMONSTRATED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_LEDGER_INTEGRITY = 3
+
+# first match wins: StatcertError catches everything not named before it
+_EXIT_CODES = (
+    (LedgerCorrupt, EXIT_LEDGER_INTEGRITY),
+    (FamilyAlphaExhausted, EXIT_NOT_DEMONSTRATED),
+    (StatcertError, EXIT_INVALID_INPUT),
+)
 
 
 def _fail(code: int, message: str) -> NoReturn:
@@ -43,6 +49,33 @@ def _inconclusive_report(config, reason: str) -> AuditReport:
     })
 
 
+def _execute(config_path: str, action: Callable[[AuditConfig], object], *,
+             report_inconclusive: bool) -> tuple[AuditConfig, object]:
+    """Load the config and run `action` on it, exiting through _EXIT_CODES
+    on a toolkit error. With report_inconclusive, an exhausted family still
+    writes a report, whose verdict is inconclusive."""
+    config = None
+    try:
+        config = load_config(config_path)
+        return config, action(config)
+    except StatcertError as e:
+        code = next(code for kind, code in _EXIT_CODES if isinstance(e, kind))
+        if report_inconclusive and isinstance(e, FamilyAlphaExhausted):
+            _inconclusive_report(config, str(e)).write(config.report_path)
+            click.echo(f"inconclusive: {e}")
+            sys.exit(code)
+        _fail(code, str(e))
+
+
+def _report_verdict(config: AuditConfig, report: AuditReport, *lines: str) -> NoReturn:
+    report.write(config.report_path)
+    click.echo(f"verdict: {report.verdict}")
+    click.echo(f"report: {config.report_path}")
+    for line in lines:
+        click.echo(line)
+    sys.exit(EXIT_PASS if report.verdict == "pass" else EXIT_NOT_DEMONSTRATED)
+
+
 @click.group()
 def main() -> None:
     """Statistical certification audits for ML systems."""
@@ -52,28 +85,8 @@ def main() -> None:
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 def run_cmd(config_path: str) -> None:
     """Initial certification from a config file."""
-    try:
-        config = load_config(config_path)
-    except ConfigInvalid as e:
-        _fail(EXIT_INVALID_INPUT, str(e))
-    try:
-        report = run_audit(config)
-    except FamilyAlphaExhausted as e:
-        report = _inconclusive_report(config, str(e))
-        report.write(config.report_path)
-        click.echo(f"inconclusive: {e}")
-        sys.exit(EXIT_NOT_DEMONSTRATED)
-    except (ConfigInvalid, DataLoadError) as e:
-        _fail(EXIT_INVALID_INPUT, str(e))
-    except LedgerCorrupt as e:
-        _fail(EXIT_LEDGER_INTEGRITY, str(e))
-    except StatcertError as e:
-        _fail(EXIT_INVALID_INPUT, str(e))
-    report.write(config.report_path)
-    click.echo(f"verdict: {report.verdict}")
-    click.echo(f"report: {config.report_path}")
-    click.echo(f"ledger: {config.ledger_path}")
-    sys.exit(EXIT_PASS if report.verdict == "pass" else EXIT_NOT_DEMONSTRATED)
+    config, report = _execute(config_path, run_audit, report_inconclusive=True)
+    _report_verdict(config, report, f"ledger: {config.ledger_path}")
 
 
 @main.command("recertify")
@@ -83,27 +96,10 @@ def run_cmd(config_path: str) -> None:
               help="Existing certification ledger to extend.")
 def recertify_cmd(config_path: str, ledger_path: str) -> None:
     """Test an updated model at the next fallback alpha."""
-    try:
-        config = load_config(config_path)
-    except ConfigInvalid as e:
-        _fail(EXIT_INVALID_INPUT, str(e))
-    try:
-        report, _ = recertify(AuditLedger(ledger_path), config)
-    except FamilyAlphaExhausted as e:
-        report = _inconclusive_report(config, str(e))
-        report.write(config.report_path)
-        click.echo(f"inconclusive: {e}")
-        sys.exit(EXIT_NOT_DEMONSTRATED)
-    except LedgerCorrupt as e:
-        _fail(EXIT_LEDGER_INTEGRITY, str(e))
-    except (ConfigInvalid, DataLoadError) as e:
-        _fail(EXIT_INVALID_INPUT, str(e))
-    except StatcertError as e:
-        _fail(EXIT_INVALID_INPUT, str(e))
-    report.write(config.report_path)
-    click.echo(f"verdict: {report.verdict}")
-    click.echo(f"report: {config.report_path}")
-    sys.exit(EXIT_PASS if report.verdict == "pass" else EXIT_NOT_DEMONSTRATED)
+    config, (report, _) = _execute(
+        config_path, lambda cfg: recertify(AuditLedger(ledger_path), cfg),
+        report_inconclusive=True)
+    _report_verdict(config, report)
 
 
 @main.command("monitor")
@@ -117,27 +113,18 @@ def recertify_cmd(config_path: str, ledger_path: str) -> None:
 def monitor_cmd(config_path: str, window_path: str,
                 point_check_path: str | None) -> None:
     """One monitoring cycle against the registered reference batch."""
-    try:
-        config = load_config(config_path)
-    except ConfigInvalid as e:
-        _fail(EXIT_INVALID_INPUT, str(e))
-    try:
+    def monitor(config: AuditConfig) -> MonitorOutcome:
         if config.drift is None:
-            _fail(EXIT_INVALID_INPUT, "config declares no drift section")
-        ref_binding = config.datasets[config.drift.reference]
-        window = load_dataset(window_path, ref_binding.feature_columns())
+            raise NoReferenceBatch("config declares no drift section")
+        window = load_dataset(window_path,
+                              config.datasets[config.drift.reference].feature_columns())
         point_check = None
         if point_check_path is not None:
             primary = config.datasets[config.mprs[0].dataset]
             point_check = load_dataset(point_check_path, primary.columns)
-        outcome = monitor_step(AuditLedger(config.ledger_path), config,
-                               window, point_check)
-    except LedgerCorrupt as e:
-        _fail(EXIT_LEDGER_INTEGRITY, str(e))
-    except FamilyAlphaExhausted as e:
-        _fail(EXIT_NOT_DEMONSTRATED, str(e))
-    except StatcertError as e:
-        _fail(EXIT_INVALID_INPUT, str(e))
+        return monitor_step(AuditLedger(config.ledger_path), config, window, point_check)
+
+    _, outcome = _execute(config_path, monitor, report_inconclusive=False)
     click.echo(canonical_json(outcome.as_plain()))
     ok = outcome.verdict in ("ok", "shift_benign")
     sys.exit(EXIT_PASS if ok else EXIT_NOT_DEMONSTRATED)

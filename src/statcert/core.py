@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -118,21 +118,6 @@ class Schema:
         return [[c.name, c.role] for c in self.columns]
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """Row view of a dataset. Optional fields are None when the dataset
-    does not carry the corresponding column."""
-
-    features: tuple
-    label: float | int | None
-    prediction: float | int | None
-    scores: tuple[float, ...] | None
-    group_attribute: int | None
-    group_id: str | None
-    timestamp: int | None
-    split_tag: str | None
-
-
 class Dataset:
     """Immutable column-oriented dataset with a content hash.
 
@@ -220,30 +205,6 @@ class Dataset:
         if not names:
             raise MissingColumn("no score columns")
         return np.column_stack([self._data[n].astype(float) for n in names])
-
-    def row(self, i: int) -> LabeledSample:
-        def get(role):
-            names = self.schema.names_for(role)
-            return self._data[names[0]][i].item() if names else None
-
-        feat = tuple(self._data[n][i].item() for n in self.schema.names_for("feature"))
-        score_names = self.schema.names_for("score")
-        scores = tuple(float(self._data[n][i]) for n in score_names) if score_names else None
-        gid = get("group_id")
-        return LabeledSample(
-            features=feat,
-            label=get("label"),
-            prediction=get("prediction"),
-            scores=scores,
-            group_attribute=get("group"),
-            group_id=str(gid) if gid is not None else None,
-            timestamp=get("timestamp"),
-            split_tag=get("split"),
-        )
-
-    def samples(self) -> Iterator[LabeledSample]:
-        for i in range(self.n_rows):
-            yield self.row(i)
 
     def subset(self, indices: Sequence[int], note: str = "") -> "Dataset":
         idx = np.asarray(indices, dtype=int)

@@ -149,10 +149,6 @@ class DegenerateScores(StatcertError):
     """Score separation metrics need both populations non-degenerate."""
 
 
-class MissingScenarioData(StatcertError):
-    """An OOD scenario references data that was not supplied."""
-
-
 # robustness
 
 class BudgetZero(StatcertError):

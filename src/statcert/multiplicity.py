@@ -123,25 +123,47 @@ def fixed_sequence_test(family: HypothesisFamily) -> SequentialDecision:
     return SequentialDecision("fixed_sequence", tuple(decisions))
 
 
+@dataclass(frozen=True)
+class FallbackState:
+    """Position in the fallback recurrence: how many hypotheses have been
+    tested and the alpha carried into the next one.
+
+    This is the one statement of the rule that the procedure, the
+    simulator, and the certification ledger all replay. The carry may be a
+    numpy array to advance many independent sequences at once.
+    """
+
+    tests_done: int
+    carry: float
+
+    def next_alpha(self, family_alpha: float, weights) -> float:
+        """alpha_i = carry + alpha * w_i, with w_i = 0 past the last weight."""
+        w = weights[self.tests_done] if self.tests_done < len(weights) else 0.0
+        return self.carry + family_alpha * w
+
+    def advance(self, allocated, rejected) -> "FallbackState":
+        """A rejection passes its whole allocation forward; a failure passes
+        nothing."""
+        return FallbackState(self.tests_done + 1, allocated * rejected)
+
+
 def fallback_test(family: HypothesisFamily) -> SequentialDecision:
     """Weighted sequential testing with alpha carryover.
 
-    alpha_1 = alpha * w_1; alpha_i = alpha_{i-1} + alpha * w_i when the
-    previous hypothesis was rejected, alpha * w_i otherwise. Rejection uses
+    Each hypothesis is tested at FallbackState.next_alpha and rejected when
     p_i <= alpha_i (ties reject). The trace records what each failure lost.
     """
     weights = family.weights()
-    alpha = family.family_alpha
-    carry = 0.0
+    state = FallbackState(0, 0.0)
     decisions = []
-    for h, w in zip(family.hypotheses, weights):
-        allocated = carry + alpha * w
+    for h in family.hypotheses:
+        allocated = state.next_alpha(family.family_alpha, weights)
         rejected = h.p_value <= allocated
-        carry = allocated if rejected else 0.0
+        state = state.advance(allocated, rejected)
         decisions.append(HypothesisDecision(
             h.hypothesis_id, allocated,
             "reject_H0" if rejected else "fail_to_reject",
-            carry,
+            state.carry,
         ))
     return SequentialDecision("fallback", tuple(decisions))
 
@@ -202,12 +224,11 @@ def simulate_fwer(procedure: str, true_null: list[bool], family_alpha: float,
         reject = np.logical_and.accumulate(p <= family_alpha, axis=1)
     else:
         reject = np.zeros((trials, m), dtype=bool)
-        carry = np.zeros(trials)
+        state = FallbackState(0, np.zeros(trials))
         for i in range(m):
-            allocated = carry + family_alpha * weights[i]
-            hit = p[:, i] <= allocated
-            reject[:, i] = hit
-            carry = np.where(hit, allocated, 0.0)
+            allocated = state.next_alpha(family_alpha, weights)
+            reject[:, i] = p[:, i] <= allocated
+            state = state.advance(allocated, reject[:, i])
 
     if null_mask.any():
         false_rejection = reject[:, null_mask].any(axis=1)

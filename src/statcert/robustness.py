@@ -25,7 +25,6 @@ from .errors import (
     DegenerateScores,
     EmptyValidation,
     MethodParamInvalid,
-    MissingScenarioData,
     PredictorProtocolError,
     ValidationError,
 )
@@ -203,29 +202,6 @@ def evaluate_ood(scorer: OodScorer, id_test: Dataset, ood_test: Dataset) -> OodE
     correct = int(np.sum(id_scores <= thr)) + int(np.sum(ood_scores > thr))
     det_acc = correct / (len(id_scores) + len(ood_scores))
     return OodEvaluation(auroc, fpr95, det_acc, thr)
-
-
-def describe_ood_scenarios(scenarios: Sequence[Mapping[str, object]]) -> dict[str, dict]:
-    """Validate declared OOD scenarios and bind each to an evaluation slot.
-
-    Each scenario needs a unique name, a dataset path, and a narrative of
-    why the data is out of domain.
-    """
-    registry: dict[str, dict] = {}
-    for sc in scenarios:
-        name = str(sc.get("name", "")).strip()
-        if not name:
-            raise ValidationError("scenario without a name")
-        if name in registry:
-            raise ValidationError(f"duplicate scenario name {name!r}")
-        if not sc.get("path"):
-            raise MissingScenarioData(f"scenario {name!r} has no dataset path")
-        registry[name] = {
-            "name": name,
-            "path": str(sc["path"]),
-            "narrative": str(sc.get("narrative", "")),
-        }
-    return registry
 
 
 class SubprocessPredictor:

@@ -18,7 +18,7 @@ from statcert.audit.config import load_config
 from statcert.audit.ledger import AuditLedger, FallbackState, entry_hash, verify_ledger
 from statcert.audit.report import AuditReport, payload_hash
 from statcert.audit.runner import monitor_step, recertify, run_audit
-from statcert.core import load_dataset
+from statcert.core import canonical_json, load_dataset
 from statcert.errors import (
     ConfigInvalid,
     FamilyAlphaExhausted,
@@ -106,6 +106,53 @@ def mutate_yaml(src: Path, transform, name="mutated.yaml") -> Path:
     dst = src.parent / name
     dst.write_text(yaml.safe_dump(raw))
     return dst
+
+
+def write_grouped_csv(path: Path, n: int, seed: int) -> None:
+    """n rows in two alternating groups, every prediction correct."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 2))
+    labels = rng.integers(0, 2, size=n)
+    lines = ["x0,x1,group,label,prediction"]
+    lines += [f"{x[i, 0]:.6f},{x[i, 1]:.6f},{i % 2},{labels[i]},{labels[i]}"
+              for i in range(n)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def add_fairness(root: Path, raw: dict) -> None:
+    """Give the test data a group column and split the entry alpha evenly
+    between the accuracy MPR and a statistical-parity requirement."""
+    write_grouped_csv(root / "data" / "test.csv", 400, seed=503)
+    raw["datasets"]["test"]["columns"]["group"] = "group"
+    raw["mprs"][0]["alpha_share"] = 0.5
+    raw["fairness"] = [{"name": "parity", "dataset": "test",
+                        "metric": "statistical_parity", "max_violation": 0.3,
+                        "alpha_share": 0.5, "n_bootstrap": 1000}]
+
+
+def build_full_workspace(root: Path) -> Path:
+    """build_workspace plus every optional section, fairness included."""
+    path = build_workspace(root)
+    data = root / "data"
+    (data / "ensembles.jsonl").write_text(
+        '{"members": [[0.9, 0.1], [0.7, 0.3]], "correct": true}\n'
+        '{"members": [[0.4, 0.6], [0.6, 0.4]], "correct": false}\n')
+    write_labeled_csv(data / "ood_far.csv", 50, 50, seed=9)
+
+    def transform(raw):
+        add_fairness(root, raw)
+        raw["leakage"]["proxy_screen"] = True
+        raw["drift"] = {"reference": "test", "n_permutations": 200,
+                        "categorical_dims": [1]}
+        raw["uncertainty"] = {"ensembles": "data/ensembles.jsonl",
+                              "abstain_thresholds": {"total": 0.5, "epistemic": 0.2}}
+        raw["ood"] = {"method": "distance_knn", "reference": "train",
+                      "validation": "test", "params": {"k": 3},
+                      "scenarios": [{"name": "far", "path": "data/ood_far.csv",
+                                     "narrative": "sensors out of range"}]}
+        raw["robustness"] = {"dataset": "test", "epsilon": 0.1, "budget": 50,
+                             "predictor": {"command": ["predict.py", "--fast"]}}
+    return mutate_yaml(path, transform, name="full.yaml")
 
 
 class TestConfig:
@@ -197,6 +244,51 @@ class TestConfig:
         assert snap == {"alpha": 0.05, "weights": [1.0], "procedure": "fallback",
                         "shares": {"accuracy_floor": 1.0}}
 
+    def test_as_plain_of_every_section(self, tmp_path):
+        # the resolved config echoed into reports; paths made relative
+        cfg = load_config(build_full_workspace(tmp_path))
+        plain = canonical_json(cfg.as_plain()).replace(f"{tmp_path.resolve()}/", "")
+        assert plain == FULL_CONFIG_PLAIN
+
+    def test_fairness_section_loads_with_group_role(self, tmp_path):
+        cfg = load_config(mutate_yaml(build_workspace(tmp_path),
+                                      lambda raw: add_fairness(tmp_path, raw)))
+        assert [r.name for r in cfg.fairness] == ["parity"]
+        assert cfg.family_snapshot()["shares"] == {"accuracy_floor": 0.5,
+                                                   "parity": 0.5}
+
+
+# build_full_workspace's config as the hand-written as_plain methods
+# rendered it, with the workspace prefix removed from paths
+FULL_CONFIG_PLAIN = (
+    '{"datasets":{"test":{"columns":{"group":"group","label":"label",'
+    '"prediction":"prediction","x0":"feature","x1":"feature"},'
+    '"path":"data/test.csv"},"train":{"columns":{"label":"label",'
+    '"x0":"feature","x1":"feature"},"path":"data/train.csv"}},'
+    '"drift":{"alpha":0.05,"categorical_dims":[1],'
+    '"method":"mmd_permutation","n_permutations":200,"reference":"test"},'
+    '"fairness":[{"alpha_share":0.5,"dataset":"test","max_violation":0.3,'
+    '"metric":"statistical_parity","n_bootstrap":1000,"name":"parity"}],'
+    '"family":{"alpha":0.05,"procedure":"fallback",'
+    '"shares":{"accuracy_floor":0.5,"parity":0.5},"weights":[1.0]},'
+    '"leakage":{"duplicate_key":"exact_features","enabled":true,'
+    '"group_check":false,"proxy_screen":true,"temporal_check":false,'
+    '"test":"test","train":"train"},"ledger":"ledger.jsonl",'
+    '"model_id":"synthetic","mprs":[{"alpha_share":0.5,"dataset":"test",'
+    '"direction":"at_least","metric":"accuracy","name":"accuracy_floor",'
+    '"test":"exact_binomial","threshold":0.9}],'
+    '"ood":{"method":"distance_knn","params":{"k":3},"reference":"train",'
+    '"scenarios":[{"name":"far","narrative":"sensors out of range",'
+    '"path":"data/ood_far.csv"}],"target_tpr":0.95,"validation":"test"},'
+    '"report":"report.json","robustness":{"attack":"coordinate_descent",'
+    '"budget":50,"dataset":"test","epsilon":0.1,"norm":"linf",'
+    '"predictor_command":["predict.py","--fast"]},'
+    '"sadd":{"operating_context":"synthetic bench",'
+    '"sampling_descriptor":{},"sampling_strategy":"simple random sample",'
+    '"technical_requirements":"two features, binary label","version":1},'
+    '"seed":42,"uncertainty":{"abstain_thresholds":{"epistemic":0.2,'
+    '"total":0.5},"ensembles":"data/ensembles.jsonl"}}'
+)
 
 FAMILY = {"alpha": 0.05, "weights": [0.4, 0.3, 0.3], "procedure": "fallback",
           "shares": {"acc": 1.0}}
@@ -229,7 +321,6 @@ def seed_ledger(path: Path) -> AuditLedger:
 
 
 def rewrite(path: Path, entries: list[dict]) -> None:
-    from statcert.core import canonical_json
     path.write_text("".join(canonical_json(e) + "\n" for e in entries))
 
 
@@ -438,6 +529,18 @@ class TestRunAudit:
                                     "alpha_carried_in": 0.0}
         assert set(payload["dataset_hashes"]) == {"train", "test"}
         assert payload["checks"]["drift"]["n_reference"] == 200
+
+    def test_fairness_requirement_tested_at_its_share(self, tmp_path):
+        cfg = load_config(mutate_yaml(build_workspace(tmp_path),
+                                      lambda raw: add_fairness(tmp_path, raw)))
+        report = run_audit(cfg)
+        row = report.payload["checks"]["fairness"][0]
+        assert row["name"] == "parity"
+        assert row["test"]["alpha_used"] == pytest.approx(0.05 * 0.5)
+        assert row["demonstrated"] is True
+        assert report.verdict == "pass"
+        entry = AuditLedger(cfg.ledger_path).entries[0]
+        assert [d["name"] for d in entry["decisions"]] == ["accuracy_floor", "parity"]
 
     def test_zero_first_weight_exhausts_family(self, tmp_path):
         path = build_workspace(tmp_path, weights=(0.0, 1.0))

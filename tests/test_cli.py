@@ -1,0 +1,163 @@
+"""Exit-code contract of the certifying commands, driven in process.
+
+Every outcome is checked for `run`, `recertify` and `monitor` alike: bad
+input exits 2, a broken ledger 3, an exhausted alpha budget 1. An exhausted
+family still leaves a report behind for `run` and `recertify`, whose
+verdict is inconclusive; `monitor` writes no report.
+"""
+
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+import yaml
+from click.testing import CliRunner
+
+from statcert.cli import main
+from statcert.core import canonical_json
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "example"
+COMMANDS = ("run", "recertify", "monitor")
+
+
+@pytest.fixture
+def ws(tmp_path):
+    dst = tmp_path / "example"
+    shutil.copytree(EXAMPLE, dst)
+    return dst
+
+
+def invoke(*args):
+    return CliRunner().invoke(main, [str(a) for a in args])
+
+
+def command(name, ws, config="audit.yaml", point_check=None):
+    """Argument list of `name` against the config's own ledger."""
+    raw = yaml.safe_load((ws / config).read_text())
+    args = [name, ws / config]
+    if name == "recertify":
+        args += ["--ledger", ws / raw.get("ledger", "audit_ledger.jsonl")]
+    if name == "monitor":
+        window = "window_shift.csv" if point_check else "window.csv"
+        args += ["--window", ws / "data" / window]
+        if point_check:
+            args += ["--point-check", ws / "data" / point_check]
+    return args
+
+
+def certify(ws, config="audit.yaml"):
+    result = invoke("run", ws / config)
+    assert result.exit_code in (0, 1), result.output
+    return result
+
+
+def mutate(ws, transform, src="audit.yaml", name="mutated.yaml"):
+    raw = yaml.safe_load((ws / src).read_text())
+    transform(raw)
+    (ws / name).write_text(yaml.safe_dump(raw))
+    return name
+
+
+def refresh_test_data(ws, name="test_pass.csv"):
+    """New content for a consumed test file: drop its last row."""
+    path = ws / "data" / name
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+def tamper_ledger(ws):
+    path = ws / "audit_ledger.jsonl"
+    entries = [json.loads(line) for line in path.read_text().splitlines()]
+    entries[0]["verdict"] = "fail"  # content no longer matches its hash
+    path.write_text("".join(canonical_json(e) + "\n" for e in entries))
+
+
+def break_test_data(ws):
+    (ws / "data" / "test_pass.csv").write_text("unrelated,header\n1,2\n")
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_invalid_config_exits_2(ws, name):
+    (ws / "audit_ledger.jsonl").touch()  # recertify needs an existing file
+    config = mutate(ws, lambda raw: raw.update(surprise=1))
+    result = invoke(*command(name, ws, config))
+    assert result.exit_code == 2
+    assert "unknown keys" in result.stderr
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_unreadable_dataset_exits_2(ws, name):
+    if name != "run":
+        certify(ws)
+    break_test_data(ws)
+    result = invoke(*command(name, ws))
+    assert result.exit_code == 2
+    assert "declared columns absent" in result.stderr
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_tampered_ledger_exits_3(ws, name):
+    certify(ws)
+    tamper_ledger(ws)
+    result = invoke(*command(name, ws))
+    assert result.exit_code == 3
+    assert "entry 0: entry hash does not match content" in result.stderr
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_ledger_is_checked_before_data_is_read(ws, name):
+    # `run` used to read its data first and exit 2 here
+    certify(ws)
+    tamper_ledger(ws)
+    break_test_data(ws)
+    result = invoke(*command(name, ws))
+    assert result.exit_code == 3
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_family_mismatch_exits_2(ws, name):
+    certify(ws)
+    refresh_test_data(ws)
+    config = mutate(ws, lambda raw: raw["family"].update(alpha=0.01))
+    result = invoke(*command(name, ws, config))
+    assert result.exit_code == 2
+    assert "requirement family differs" in result.stderr
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_stale_gating_data_exits_2(ws, name):
+    certify(ws)
+    if name == "run":
+        # entry 0 is spent: a second initial certification on other data
+        refresh_test_data(ws)
+        expected = "use recertify"
+    else:
+        expected = "reuses content already consumed"
+    result = invoke(*command(name, ws, point_check="test_pass.csv"))
+    assert result.exit_code == 2
+    assert expected in result.stderr
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_exhausted_family_exits_1(ws, name):
+    def failing_test_data(raw):
+        raw["datasets"]["test"]["path"] = "data/test_fail.csv"
+        if name == "run":
+            raw["family"]["weights"] = [0.0, 1.0]
+
+    config = mutate(ws, failing_test_data)
+    report = ws / "audit_report.json"
+    if name != "run":
+        # the only weight is spent on a failed test: nothing is carried
+        assert certify(ws, config).exit_code == 1
+        refresh_test_data(ws, "test_fail.csv")
+    before = report.read_bytes() if report.exists() else None
+    result = invoke(*command(name, ws, config, point_check="point_check.csv"))
+    assert result.exit_code == 1
+    if name == "monitor":
+        assert result.stdout == ""  # refused, not a malignant-shift verdict
+        assert result.stderr.startswith("error: ")
+        assert report.read_bytes() == before
+    else:
+        assert result.stdout.startswith("inconclusive: ")
+        assert json.loads(report.read_text())["verdict"] == "inconclusive"

@@ -16,7 +16,6 @@ from statcert.errors import (
     DegenerateScores,
     EmptyValidation,
     MethodParamInvalid,
-    MissingScenarioData,
     PredictorProtocolError,
     ValidationError,
 )
@@ -24,7 +23,6 @@ from statcert.robustness import (
     OodScorer,
     SubprocessPredictor,
     calibrate_threshold,
-    describe_ood_scenarios,
     evaluate_ood,
     fit_ood_scorer,
     robust_accuracy,
@@ -208,30 +206,6 @@ class TestEvaluateOod:
             evaluate_ood(ColumnScorer(), empty, full)
         with pytest.raises(DegenerateScores):
             evaluate_ood(ColumnScorer(), full, empty)
-
-
-class TestScenarioRegistry:
-    def test_two_scenarios_bound(self):
-        registry = describe_ood_scenarios([
-            {"name": "winter", "path": "data/winter.csv", "narrative": "season shift"},
-            {"name": "sensor_b", "path": "data/b.csv"},
-        ])
-        assert set(registry) == {"winter", "sensor_b"}
-        assert registry["winter"]["path"] == "data/winter.csv"
-        assert registry["sensor_b"]["narrative"] == ""
-
-    def test_missing_path_rejected(self):
-        with pytest.raises(MissingScenarioData):
-            describe_ood_scenarios([{"name": "nopath"}])
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValidationError):
-            describe_ood_scenarios([{"name": "a", "path": "p"},
-                                    {"name": "a", "path": "q"}])
-
-    def test_unnamed_scenario_rejected(self):
-        with pytest.raises(ValidationError):
-            describe_ood_scenarios([{"path": "p"}])
 
 
 class TestSubprocessPredictor:
