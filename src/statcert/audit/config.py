@@ -388,6 +388,10 @@ def load_config(path: str | Path) -> AuditConfig:
         )
         if drift.method not in ("mmd_permutation", "univariate_bonferroni"):
             raise ConfigInvalid(f"drift.method: unknown method {drift.method!r}")
+        if not 0.0 < drift.alpha < 1.0:
+            raise ConfigInvalid("drift.alpha must be in (0, 1)")
+        if drift.n_permutations < 1:
+            raise ConfigInvalid("drift.n_permutations must be >= 1")
 
     uncertainty = None
     if raw.get("uncertainty") is not None:

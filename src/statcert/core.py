@@ -255,13 +255,16 @@ def load_csv(path: str | Path, roles: Mapping[str, str], provenance: str | None 
     """Ingest a CSV file with a header row. Only columns named in `roles`
     are kept; numbers are parsed as decimal, all-integer columns as ints."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataLoadError(f"{path}: empty file")
-        rows = [r for r in reader if r]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataLoadError(f"{path}: empty file")
+            rows = [r for r in reader if r]
+    except UnicodeDecodeError as e:
+        raise DataLoadError(f"{path}: not UTF-8 text: {e}") from e
     missing = [name for name in roles if name not in header]
     if missing:
         raise DataLoadError(f"{path}: declared columns absent from header: {missing}")
@@ -281,15 +284,18 @@ def load_jsonl(path: str | Path, roles: Mapping[str, str], provenance: str | Non
     """Ingest a JSONL file, one sample object per line."""
     path = Path(path)
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                raise DataLoadError(f"{path}:{lineno}: invalid JSON") from e
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as e:
+                    raise DataLoadError(f"{path}:{lineno}: invalid JSON") from e
+    except UnicodeDecodeError as e:
+        raise DataLoadError(f"{path}: not UTF-8 text: {e}") from e
     columns: dict[str, list] = {name: [] for name in roles}
     for lineno, rec in enumerate(records, 1):
         for name in roles:

@@ -183,24 +183,105 @@ def chi2_two_sample(x: np.ndarray, y: np.ndarray, alpha: float = 0.05) -> TestRe
     )
 
 
+# One row block of the pooled distance matrix holds about this many cells
+# (8 MiB of float64); no function here holds more than one block at a time.
+_BLOCK_CELLS = 1 << 20
+_MAGNITUDE = np.int64(np.iinfo(np.int64).max)  # every bit but the sign
+
+
+def _row_blocks(total: int):
+    rows = max(1, _BLOCK_CELLS // total)
+    for lo in range(0, total, rows):
+        yield lo, min(lo + rows, total)
+
+
+def _sq_distance_rows(pooled: np.ndarray, norms: np.ndarray, lo: int,
+                      hi: int) -> np.ndarray:
+    """Squared Euclidean distances from rows lo:hi of `pooled` to every row,
+    given the squared row norms: |a|^2 + |b|^2 - 2 a.b, clipped at 0.
+
+    Whole rows keep BLAS's column tiling that of the full (N x N) product,
+    so nearly every cell is the same double it would be there."""
+    gram = pooled[lo:hi] @ pooled.T
+    gram *= 2.0
+    out = norms[lo:hi, None] + norms[None, :]
+    out -= gram
+    return np.maximum(out, 0.0, out=out)
+
+
+def _pair_distance_bits(pooled: np.ndarray, norms: np.ndarray):
+    """The squared distances of all pairs i < j, one row block at a time,
+    as int64 bit patterns with the sign bit cleared (so -0.0 reads as 0.0).
+    Non-negative doubles order exactly as these integers do."""
+    total = len(pooled)
+    for lo, hi in _row_blocks(total):
+        upper = np.arange(total) > np.arange(lo, hi)[:, None]
+        yield _sq_distance_rows(pooled, norms, lo, hi)[upper].view(np.int64) & _MAGNITUDE
+
+
+def _select_pair_sq_distances(pooled: np.ndarray, norms: np.ndarray,
+                              ranks: list[int], count: int, prefix: int = 0,
+                              shift: int = 63) -> list[float]:
+    """The squared distances at `ranks` (ascending) among the `count` pairs
+    whose bit patterns satisfy bits >> shift == prefix (at shift 63: all).
+
+    Exact radix selection, one pass over the pairs per call. A set that
+    fits in one block is collected and sorted. A larger one is histogrammed
+    on its next 16 bits (2^16 bins) and each rank recurses into its bin;
+    if every value in the set is equal, that value is the answer. Typical
+    and heavily tied data take two passes; no rank takes more than four.
+    """
+    def chosen(bits):
+        return bits if shift == 63 else bits[(bits >> shift) == prefix]
+
+    if shift == 0:  # one bit pattern left
+        return [float(np.int64(prefix).view(np.float64))] * len(ranks)
+    if count <= _BLOCK_CELLS:
+        values = np.concatenate([chosen(b) for b in _pair_distance_bits(pooled, norms)])
+        values.sort()
+        return [float(values[r].view(np.float64)) for r in ranks]
+    width = min(16, shift)
+    hist = np.zeros(1 << width, np.int64)
+    lo, hi = int(_MAGNITUDE), -1
+    for bits in _pair_distance_bits(pooled, norms):
+        sel = chosen(bits)
+        if sel.size:
+            hist += np.bincount((sel >> (shift - width)) & ((1 << width) - 1),
+                                minlength=1 << width)
+            lo, hi = min(lo, int(sel.min())), max(hi, int(sel.max()))
+    if lo == hi:
+        return [float(np.int64(lo).view(np.float64))] * len(ranks)
+    below = np.cumsum(hist) - hist
+    digits = np.searchsorted(below, ranks, side="right") - 1
+    out = []
+    for digit in sorted(set(digits.tolist())):
+        within = [r - int(below[digit]) for r, d in zip(ranks, digits) if d == digit]
+        out += _select_pair_sq_distances(pooled, norms, within, int(hist[digit]),
+                                         (prefix << width) | digit, shift - width)
+    return out
+
+
 def median_heuristic_bandwidth(pooled: np.ndarray) -> float:
     """Median pairwise Euclidean distance over the pooled sample.
 
-    Falls back to 1.0 when every pair coincides, so the kernel stays
-    defined on degenerate data.
+    The median of the squared distances is found by exact selection: it is
+    the same double np.median of all of them gives, but no more than one row
+    block of the distance matrix is held at a time. Time O(N^2) (two passes
+    on typical data), memory O(N + block) for N pooled rows. Falls back to
+    1.0 when every pair coincides, so the kernel stays defined on
+    degenerate data.
     """
-    sq = _pairwise_sq_distances(pooled, pooled)
-    off = sq[np.triu_indices_from(sq, k=1)]
-    if len(off) == 0:
+    pooled = np.atleast_2d(np.asarray(pooled, dtype=float))
+    if not np.all(np.isfinite(pooled)):
+        raise ValidationError("non-finite entries in pooled sample")
+    pairs = len(pooled) * (len(pooled) - 1) // 2
+    if pairs == 0:
         return 1.0
-    med = float(np.sqrt(np.median(off)))
+    # np.median's two middle ranks (one when odd), averaged as it does
+    middle = _select_pair_sq_distances(pooled, np.sum(pooled * pooled, axis=1),
+                                       sorted({(pairs - 1) // 2, pairs // 2}), pairs)
+    med = float(np.sqrt(np.mean(np.array(middle))))
     return med if med > 0 else 1.0
-
-
-def _pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
 
 
 def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
@@ -210,9 +291,11 @@ def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
 
     Kernel k(a, b) = exp(-|a-b|^2 / (2 h^2)) with h the pooled median
     heuristic unless given. The permutation null recomputes the U-statistic
-    under random relabelings of the pooled rows; all permutations reduce to
-    one matrix product against a 0/1 assignment matrix, since with unit
-    kernel diagonal the statistic is a function of v'Kv and 1'Kv alone.
+    under random relabelings of the pooled rows; with unit kernel diagonal
+    the statistic is a function of v'Kv and 1'Kv alone, so all permutations
+    reduce to one product of the kernel with a 0/1 assignment matrix. The
+    kernel is built and used one row block at a time and never held whole:
+    time O((n+m)^2 * n_perm), memory O((n+m) * (block + n_perm)).
     p-value = (r + 1) / (n_perm + 1).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -222,13 +305,36 @@ def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
         raise TooFewSamples("MMD needs >= 2 rows per batch")
     if x.shape[1] != y.shape[1]:
         raise DimensionMismatch(f"{x.shape[1]} vs {y.shape[1]} columns")
+    if n_perm < 1:
+        raise ValidationError("n_perm must be >= 1")
     pooled = np.vstack([x, y])
     total = n + m
     h = bandwidth if bandwidth is not None else median_heuristic_bandwidth(pooled)
-    kernel = np.exp(-_pairwise_sq_distances(pooled, pooled) / (2.0 * h * h))
 
-    ksum = float(kernel.sum())
-    colsum = kernel.sum(axis=0)
+    rng = np.random.default_rng(seed)
+    keys = rng.random((total, n_perm))
+    take = np.argpartition(keys, n - 1, axis=0)[:n]  # n random rows per column
+    del keys
+    assign = np.zeros((total, n_perm))
+    np.put_along_axis(assign, take, 1.0, axis=0)
+    del take
+    v = np.zeros(total)
+    v[:n] = 1.0
+
+    norms = np.sum(pooled * pooled, axis=1)
+    ksum = 0.0
+    colsum = np.zeros(total)
+    v_k = np.zeros(total)  # v'K, the kernel summed over the rows labelled x
+    v_kv = np.zeros(n_perm)
+    for lo, hi in _row_blocks(total):
+        kb = _sq_distance_rows(pooled, norms, lo, hi)
+        np.negative(kb, out=kb)
+        kb /= 2.0 * h * h
+        np.exp(kb, out=kb)
+        ksum += float(kb.sum())  # per block: one block sums exactly as K.sum()
+        colsum += kb.sum(axis=0)
+        v_k += v[lo:hi] @ kb
+        v_kv += np.einsum("ij,ij->j", assign[lo:hi], kb @ assign)
 
     def stat_from(v_kv: np.ndarray, s_v: np.ndarray) -> np.ndarray:
         sxx = v_kv - n
@@ -236,19 +342,8 @@ def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
         sxy = s_v - v_kv
         return sxx / (n * (n - 1)) + syy / (m * (m - 1)) - 2.0 * sxy / (n * m)
 
-    v = np.zeros(total)
-    v[:n] = 1.0
-    observed = float(stat_from(np.array([v @ kernel @ v]), np.array([colsum @ v]))[0])
-
-    rng = np.random.default_rng(seed)
-    keys = rng.random((total, n_perm))
-    take = np.argpartition(keys, n - 1, axis=0)[:n]  # n random rows per column
-    assign = np.zeros((total, n_perm))
-    np.put_along_axis(assign, take, 1.0, axis=0)
-    q = kernel @ assign
-    v_kv = np.einsum("ij,ij->j", assign, q)
-    s_v = colsum @ assign
-    null_stats = stat_from(v_kv, s_v)
+    observed = float(stat_from(np.array([v_k @ v]), np.array([colsum @ v]))[0])
+    null_stats = stat_from(v_kv, colsum @ assign)
 
     r = int(np.sum(null_stats >= observed))
     p_value = (r + 1) / (n_perm + 1)

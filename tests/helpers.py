@@ -12,6 +12,7 @@ from statcert.drift import (
     tv_equality_witness,
 )
 from statcert.sampling import splitmix64
+from statcert.stattest import TestResult
 
 
 def mmd_rejection_rate(reps, n_per_batch, dim, shift, alpha=0.05,
@@ -32,6 +33,69 @@ def mmd_rejection_rate(reps, n_per_batch, dim, shift, alpha=0.05,
                                       alpha=alpha)
         rejections += int(result.rejected)
     return rejections / reps
+
+
+def _full_sq_distances(a, b):
+    aa = np.sum(a * a, axis=1)[:, None]
+    bb = np.sum(b * b, axis=1)[None, :]
+    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+
+
+def full_matrix_bandwidth(pooled):
+    """Median heuristic over the whole (N x N) distance matrix at once:
+    the reference the blocked selection in `drift` must match exactly."""
+    sq = _full_sq_distances(pooled, pooled)
+    off = sq[np.triu_indices_from(sq, k=1)]
+    if len(off) == 0:
+        return 1.0
+    med = float(np.sqrt(np.median(off)))
+    return med if med > 0 else 1.0
+
+
+def full_matrix_mmd_test(x, y, n_perm=1000, seed=0, alpha=0.05, bandwidth=None):
+    """MMD permutation test holding the whole (n+m)^2 kernel: the reference
+    for the blocked `mmd_permutation_test` (same RNG stream and assignment)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    n, m = len(x), len(y)
+    pooled = np.vstack([x, y])
+    total = n + m
+    h = bandwidth if bandwidth is not None else full_matrix_bandwidth(pooled)
+    kernel = np.exp(-_full_sq_distances(pooled, pooled) / (2.0 * h * h))
+
+    ksum = float(kernel.sum())
+    colsum = kernel.sum(axis=0)
+
+    def stat_from(v_kv, s_v):
+        sxx = v_kv - n
+        syy = ksum - 2.0 * s_v + v_kv - m
+        sxy = s_v - v_kv
+        return sxx / (n * (n - 1)) + syy / (m * (m - 1)) - 2.0 * sxy / (n * m)
+
+    v = np.zeros(total)
+    v[:n] = 1.0
+    observed = float(stat_from(np.array([v @ kernel @ v]), np.array([colsum @ v]))[0])
+
+    rng = np.random.default_rng(seed)
+    keys = rng.random((total, n_perm))
+    take = np.argpartition(keys, n - 1, axis=0)[:n]
+    assign = np.zeros((total, n_perm))
+    np.put_along_axis(assign, take, 1.0, axis=0)
+    q = kernel @ assign
+    null_stats = stat_from(np.einsum("ij,ij->j", assign, q), colsum @ assign)
+
+    r = int(np.sum(null_stats >= observed))
+    p_value = (r + 1) / (n_perm + 1)
+    return TestResult(
+        test_id="mmd_permutation",
+        statistic=observed,
+        p_value=p_value,
+        conf_bound=float(np.quantile(null_stats, 1.0 - alpha)),
+        alpha_used=alpha,
+        decision="reject_H0" if p_value <= alpha else "fail_to_reject",
+        n=total,
+        params={"bandwidth": h, "n_perm": n_perm, "seed": seed, "n_x": n, "n_y": m},
+    )
 
 
 def binomial_interval_95(n, p):

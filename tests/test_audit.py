@@ -229,6 +229,20 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match="alpha"):
             load_config(mutate_yaml(example_copy / "audit.yaml", transform))
 
+    def test_drift_needs_a_permutation(self, example_copy):
+        # 0 used to load, and `audit monitor` then died inside np.quantile
+        def transform(raw):
+            raw["drift"]["n_permutations"] = 0
+        with pytest.raises(ConfigInvalid, match="n_permutations"):
+            load_config(mutate_yaml(example_copy / "audit.yaml", transform))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_drift_alpha_range(self, example_copy, alpha):
+        def transform(raw):
+            raw["drift"]["alpha"] = alpha
+        with pytest.raises(ConfigInvalid, match="drift.alpha"):
+            load_config(mutate_yaml(example_copy / "audit.yaml", transform))
+
     def test_defaults_are_materialized(self, tmp_path):
         cfg = load_config(build_workspace(tmp_path))
         plain = cfg.as_plain()

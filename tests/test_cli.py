@@ -161,3 +161,26 @@ def test_exhausted_family_exits_1(ws, name):
     else:
         assert result.stdout.startswith("inconclusive: ")
         assert json.loads(report.read_text())["verdict"] == "inconclusive"
+
+
+@pytest.mark.parametrize("setting", [("n_permutations", 0), ("alpha", 1.5)])
+@pytest.mark.parametrize("name", ("run", "monitor"))
+def test_bad_drift_setting_exits_2(ws, name, setting):
+    # `monitor` used to crash with exit 1 on the first, `run` to pass the second
+    key, value = setting
+    config = mutate(ws, lambda raw: raw["drift"].update({key: value}))
+    result = invoke(*command(name, ws, config))
+    assert result.exit_code == 2
+    assert f"drift.{key}" in result.stderr
+
+
+@pytest.mark.parametrize("option", ["--window", "--point-check"])
+def test_non_utf8_monitor_file_exits_2(ws, option):
+    certify(ws)
+    bad = ws / "data" / "not_utf8.csv"
+    bad.write_bytes(b"\xff\xfe\x00")
+    args = command("monitor", ws, point_check="point_check.csv")
+    args[args.index(option) + 1] = bad
+    result = invoke(*args)
+    assert result.exit_code == 2
+    assert "not UTF-8" in result.stderr

@@ -1,6 +1,7 @@
 """Shift detection, total-variation bound, and shift classification."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from statcert import drift
 from statcert.core import MprSpec
 from statcert.drift import (
     DiscreteDistribution,
@@ -36,6 +38,8 @@ from statcert.sampling import splitmix64
 from conftest import counts_to_rows, feature_dataset, labeled
 from helpers import (
     binomial_interval_95,
+    full_matrix_bandwidth,
+    full_matrix_mmd_test,
     mmd_rejection_rate,
     random_tv_bound_violations,
     witness_equality_error,
@@ -179,6 +183,17 @@ class TestMmd:
         with pytest.raises(TooFewSamples):
             mmd_permutation_test(np.zeros((1, 2)), np.zeros((5, 2)))
 
+    def test_needs_a_permutation(self, rng):
+        with pytest.raises(ValidationError, match="n_perm"):
+            mmd_permutation_test(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)),
+                                 n_perm=0)
+
+    def test_non_finite_rows_rejected(self):
+        x = np.zeros((5, 2))
+        x[3, 1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            mmd_permutation_test(x, np.ones((5, 2)))
+
     @pytest.mark.slow
     def test_null_calibration_five_dims(self):
         reps = 500
@@ -192,6 +207,61 @@ class TestMmd:
         rate = mmd_rejection_rate(reps=200, n_per_batch=200, dim=2,
                                   shift=1.0, base_seed=222)
         assert rate >= 0.9
+
+
+class TestBlockedMatchesFullMatrix:
+    """The blocked kernel and the streaming median against the full-matrix
+    implementation they replace (`helpers.full_matrix_*`)."""
+
+    @pytest.mark.parametrize("total,d", [(2, 1), (3, 2), (4001, 8)])
+    def test_bandwidth_exact(self, total, d):
+        pooled = np.random.default_rng(total).normal(size=(total, d))
+        assert median_heuristic_bandwidth(pooled) == full_matrix_bandwidth(pooled)
+
+    @pytest.mark.parametrize("decimals", [0, 1, 2])
+    def test_bandwidth_exact_on_ties(self, decimals):
+        # rounded data: most of the pairs share a handful of distances
+        pooled = np.round(np.random.default_rng(decimals).normal(size=(2500, 3)), decimals)
+        assert median_heuristic_bandwidth(pooled) == full_matrix_bandwidth(pooled)
+
+    @pytest.mark.parametrize("total", [2, 3, 1500])
+    def test_all_equal_rows_give_unit_bandwidth(self, total):
+        pooled = np.full((total, 4), 2.5)
+        assert median_heuristic_bandwidth(pooled) == 1.0
+        assert full_matrix_bandwidth(pooled) == 1.0
+
+    @pytest.mark.parametrize("n,m,d,shift", [
+        (2, 3, 1, 0.0), (3, 2, 2, 0.5), (7, 5, 3, 0.0), (20, 31, 1, 0.4),
+        (60, 45, 4, 0.0), (150, 100, 8, 0.3), (301, 500, 2, 0.0), (512, 512, 3, 0.2),
+        (777, 1000, 5, 0.1), (1500, 1201, 6, 0.0), (2500, 900, 7, 0.05),
+    ])
+    def test_permutation_test_matches(self, n, m, d, shift):
+        g = np.random.default_rng(n * 1000 + m)
+        x = g.normal(size=(n, d))
+        y = g.normal(size=(m, d)) + shift
+        n_perm = 200 if n + m > 1000 else 500
+        got = mmd_permutation_test(x, y, n_perm=n_perm, seed=n + d)
+        want = full_matrix_mmd_test(x, y, n_perm=n_perm, seed=n + d)
+        assert got.p_value == want.p_value
+        assert got.decision == want.decision
+        assert got.params == want.params
+        np.testing.assert_allclose(got.statistic, want.statistic, rtol=1e-9)
+        np.testing.assert_allclose(got.conf_bound, want.conf_bound, rtol=1e-9)
+        if (n + m) ** 2 <= drift._BLOCK_CELLS:
+            assert got == want  # one block: the same floating-point operations
+
+    def test_memory_below_half_a_kernel(self):
+        # the full-matrix version peaks near 305 MiB here
+        n = 2000
+        g = np.random.default_rng(77)
+        x, y = g.normal(size=(n, 8)), g.normal(size=(n, 8))
+        tracemalloc.start()
+        try:
+            mmd_permutation_test(x, y, n_perm=200, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * n) ** 2 * 8 / 2
 
 
 class TestMultivariateShiftTest:
