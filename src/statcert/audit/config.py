@@ -2,42 +2,122 @@
 
 One YAML file describes everything an audit run needs: dataset bindings,
 the requirement family with its alpha budget, and the optional check
-sections. Parsing is strict: unknown keys are rejected, every default is
-materialized at load time, and the fully resolved tree is echoed into the
-report so a reader never has to guess what a missing key meant.
+sections. Parsing is strict: unknown keys are rejected, every value is
+converted to its field's type (a wrong type is ConfigInvalid naming the
+key), every default is materialized at load time, and the fully resolved
+tree is echoed into the report so a reader never has to guess what a
+missing key meant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from collections import abc
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, get_args, get_origin, get_type_hints
 
 import yaml
 
-from ..core import ROLES, MprSpec, SaddRecord
-from ..errors import ConfigInvalid
+from ..core import METRICS, ROLES, MprSpec, SaddRecord
+from ..errors import ConfigInvalid, ValidationError
 
 SHARE_TOL = 1e-9
 
-_ROLE_NEEDS = {
-    "accuracy": ("label", "prediction"),
-    "precision": ("label", "prediction"),
-    "recall": ("label", "prediction"),
-    "mse": ("label", "prediction"),
-    "rmse": ("label", "prediction"),
+# YAML keys of the blocks whose keys are not their dataclass's field names
+_SADD_KEYS = {
+    "operating_context": "part1_context",
+    "technical_requirements": "part2_technical",
+    "sampling_strategy": "part3_sampling",
+    "sampling_descriptor": "sampling_descriptor",
+    "version": "version",
+}
+_MPR_KEYS = {
+    "metric": "metric_id",
+    "threshold": "threshold",
+    "direction": "direction",
+    "test": "test_kind",
+    "alpha_share": "alpha_share",
 }
 
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number",
+             str: "a string", Path: "a file path", tuple: "a list", dict: "a mapping",
+             abc.Mapping: "a mapping"}
 
-def _require_keys(node: Mapping, allowed: set[str], required: set[str], where: str) -> None:
+
+def _require_keys(node, allowed: set[str], required: set[str], where: str) -> dict:
+    """node without its null entries, which count as absent, once its keys
+    are checked."""
     if not isinstance(node, Mapping):
         raise ConfigInvalid(f"{where}: expected a mapping")
     unknown = set(node) - allowed
     if unknown:
-        raise ConfigInvalid(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(node)
+        raise ConfigInvalid(f"{where}: unknown keys {sorted(map(str, unknown))}")
+    given = {k: v for k, v in node.items() if v is not None}
+    missing = required - set(given)
     if missing:
         raise ConfigInvalid(f"{where}: missing keys {sorted(missing)}")
+    return given
+
+
+def _convert(value, kind, where: str, base: Path | None = None):
+    """value read as the annotated type `kind`, or ConfigInvalid naming
+    `where`. A Path is an existing file relative to `base`; a dataclass is
+    built by _build."""
+    if is_dataclass(kind):
+        return _build(kind, value, where, base)
+    origin, args = get_origin(kind) or kind, get_args(kind)
+    if origin is tuple and isinstance(value, list):
+        return tuple(_convert(v, args[0], f"{where}[{i}]", base)
+                     for i, v in enumerate(value))
+    if origin in (dict, abc.Mapping) and isinstance(value, Mapping):
+        if not args:
+            return dict(value)
+        return {_convert(k, args[0], where): _convert(v, args[1], f"{where}.{k}")
+                for k, v in value.items()}
+    if kind is object or (kind is bool and isinstance(value, bool)):
+        return value
+    scalar = isinstance(value, (str, int, float)) and not isinstance(value, bool)
+    if scalar and kind is str:
+        return str(value)
+    if scalar and kind is Path:
+        path = (base / str(value)).resolve()
+        if not path.is_file():
+            raise ConfigInvalid(f"{where}: file not found: {path}")
+        return path
+    # a float never becomes an int silently; a string is parsed, because
+    # YAML reads a number like 1e-3 as text
+    if scalar and kind in (int, float) and not (kind is int and isinstance(value, float)):
+        try:
+            number = kind(value)
+            if math.isfinite(number):
+                return number
+        except (ValueError, OverflowError):
+            pass
+    raise ConfigInvalid(f"{where}: expected {_EXPECTED[origin]}, got {value!r}")
+
+
+def _build(cls, node, where: str, base: Path | None = None,
+           keys: Mapping[str, str] | None = None, **given):
+    """An instance of dataclass `cls` from its YAML mapping, which is the one
+    statement of the mapping's keys, defaults and types: each key names a
+    field (through `keys` where the names differ), a field without a default
+    is required, an absent or null key takes the field's default, and each
+    value is converted to its field's type. `given` holds fields whose YAML
+    form is not a key of the mapping."""
+    hints = get_type_hints(cls)
+    declared = {f.name: f for f in fields(cls) if f.name not in given}
+    keys = keys or {name: name for name in declared}
+    required = {key for key, name in keys.items()
+                if declared[name].default is MISSING
+                and declared[name].default_factory is MISSING}
+    node = _require_keys(node, set(keys), required, where)
+    values = {keys[k]: _convert(v, hints[keys[k]], f"{where}.{k}", base)
+              for k, v in node.items()}
+    try:
+        return cls(**values, **given)
+    except ValidationError as e:
+        raise ConfigInvalid(f"{where}: {e}") from e
 
 
 def _plain(value):
@@ -55,7 +135,8 @@ def _plain(value):
 
 
 class _Section:
-    """A config section whose report form is its fields, in order."""
+    """A config section: its fields are its YAML keys (see _build), and its
+    report form is its fields, in order."""
 
     def as_plain(self) -> dict:
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
@@ -135,7 +216,7 @@ class UncertaintySettings(_Section):
 class OodScenario(_Section):
     name: str
     path: Path
-    narrative: str
+    narrative: str = ""
 
 
 @dataclass(frozen=True)
@@ -218,19 +299,17 @@ class AuditConfig:
         }
 
 
-def _binding(name: str, node: Mapping, base: Path) -> DatasetBinding:
+def _binding(name: str, node, base: Path) -> DatasetBinding:
     where = f"datasets.{name}"
-    _require_keys(node, {"path", "columns"}, {"path", "columns"}, where)
-    columns = node["columns"]
-    if not isinstance(columns, Mapping) or not columns:
+    node = _require_keys(node, {"path", "columns"}, {"path", "columns"}, where)
+    columns = _convert(node["columns"], dict[str, str], f"{where}.columns")
+    if not columns:
         raise ConfigInvalid(f"{where}.columns: expected a non-empty mapping")
     for col, role in columns.items():
         if role not in ROLES:
             raise ConfigInvalid(f"{where}.columns.{col}: unknown role {role!r}")
-    path = (base / str(node["path"])).resolve()
-    if not path.is_file():
-        raise ConfigInvalid(f"{where}: file not found: {path}")
-    return DatasetBinding(name, path, dict(columns))
+    path = _convert(node["path"], Path, f"{where}.path", base)
+    return DatasetBinding(name, path, columns)
 
 
 def _need_roles(binding: DatasetBinding, roles: tuple[str, ...], where: str) -> None:
@@ -252,92 +331,55 @@ def load_config(path: str | Path) -> AuditConfig:
         raw = yaml.safe_load(path.read_text())
     except (OSError, yaml.YAMLError) as e:
         raise ConfigInvalid(f"cannot read config {path}: {e}") from e
-    if not isinstance(raw, Mapping):
-        raise ConfigInvalid("config root must be a mapping")
     base = path.parent
 
-    top_allowed = {"version", "seed", "model_id", "sadd", "datasets", "family",
-                   "mprs", "fairness", "leakage", "drift", "uncertainty", "ood",
-                   "robustness", "ledger", "report"}
-    _require_keys(raw, top_allowed, {"sadd", "datasets", "family", "mprs"}, "config")
-    if raw.get("version", 1) != 1:
-        raise ConfigInvalid(f"unsupported config version {raw.get('version')!r}")
+    raw = _require_keys(raw, {"version", "seed", "model_id", "sadd", "datasets", "family",
+                              "mprs", "fairness", "leakage", "drift", "uncertainty", "ood",
+                              "robustness", "ledger", "report"},
+                        {"sadd", "datasets", "family", "mprs"}, "config")
+    if _convert(raw.get("version", 1), int, "version") != 1:
+        raise ConfigInvalid(f"unsupported config version {raw['version']!r}")
 
-    sadd_node = raw["sadd"]
-    _require_keys(sadd_node,
-                  {"operating_context", "technical_requirements", "sampling_strategy",
-                   "sampling_descriptor", "version"},
-                  {"operating_context", "technical_requirements", "sampling_strategy"},
-                  "sadd")
-    try:
-        sadd = SaddRecord(
-            part1_context=str(sadd_node["operating_context"]),
-            part2_technical=str(sadd_node["technical_requirements"]),
-            part3_sampling=str(sadd_node["sampling_strategy"]),
-            sampling_descriptor=dict(sadd_node.get("sampling_descriptor", {})),
-            version=int(sadd_node.get("version", 1)),
-        )
-    except Exception as e:
-        raise ConfigInvalid(f"sadd: {e}") from e
+    sadd = _build(SaddRecord, raw["sadd"], "sadd", keys=_SADD_KEYS)
+    datasets = {str(k): _binding(str(k), v, base)
+                for k, v in _convert(raw["datasets"], dict, "datasets").items()}
 
-    datasets = {str(k): _binding(str(k), v, base) for k, v in raw["datasets"].items()}
-
-    fam = raw["family"]
-    _require_keys(fam, {"alpha", "weights"}, {"alpha"}, "family")
-    alpha = float(fam["alpha"])
+    fam = _require_keys(raw["family"], {"alpha", "weights"}, {"alpha"}, "family")
+    alpha = _convert(fam["alpha"], float, "family.alpha")
     if not 0.0 < alpha < 1.0:
         raise ConfigInvalid("family.alpha must be in (0, 1)")
-    weights = tuple(float(w) for w in fam.get("weights", [1.0]))
+    weights = _convert(fam.get("weights", [1.0]), tuple[float, ...], "family.weights")
     if not weights or any(w < 0 for w in weights):
         raise ConfigInvalid("family.weights must be non-negative")
     if abs(sum(weights) - 1.0) > SHARE_TOL:
         raise ConfigInvalid("family.weights must sum to 1")
 
     mprs: list[MprRequirement] = []
-    for i, node in enumerate(raw["mprs"] or []):
+    for i, node in enumerate(_convert(raw["mprs"], tuple[dict, ...], "mprs")):
         where = f"mprs[{i}]"
-        _require_keys(node, {"name", "dataset", "metric", "direction", "threshold",
-                             "test", "alpha_share"},
-                      {"name", "dataset", "metric", "threshold"}, where)
-        binding = _need_dataset(str(node["dataset"]), datasets, where)
-        metric = str(node["metric"])
-        _need_roles(binding, _ROLE_NEEDS.get(metric, ("label", "prediction")), where)
-        try:
-            spec = MprSpec(
-                metric_id=metric,
-                threshold=float(node["threshold"]),
-                direction=str(node.get("direction", "at_least")),
-                alpha_share=float(node.get("alpha_share", 1.0)),
-                test_kind=str(node.get("test", "exact_binomial")),
-            )
-        except Exception as e:
-            raise ConfigInvalid(f"{where}: {e}") from e
-        mprs.append(MprRequirement(str(node["name"]), binding.name, spec))
+        node = _require_keys(node, {"name", "dataset", *_MPR_KEYS}, {"name", "dataset"},
+                             where)
+        binding = _need_dataset(_convert(node.pop("dataset"), str, f"{where}.dataset"),
+                                datasets, where)
+        _need_roles(binding, ("label", "prediction"), where)
+        name = _convert(node.pop("name"), str, f"{where}.name")
+        spec = _build(MprSpec, node, where, keys=_MPR_KEYS)
+        if spec.metric_id not in METRICS:
+            raise ConfigInvalid(f"{where}.metric: unknown metric {spec.metric_id!r}, "
+                                f"expected one of {sorted(METRICS)}")
+        mprs.append(MprRequirement(name, binding.name, spec))
     if not mprs:
         raise ConfigInvalid("at least one MPR is required")
-    names = [m.name for m in mprs]
 
-    fairness: list[FairnessRequirement] = []
-    for i, node in enumerate(raw.get("fairness") or []):
+    fairness = _convert(raw.get("fairness", []), tuple[FairnessRequirement, ...],
+                        "fairness")
+    for i, req in enumerate(fairness):
         where = f"fairness[{i}]"
-        _require_keys(node, {"name", "dataset", "metric", "max_violation",
-                             "alpha_share", "n_bootstrap"},
-                      {"name", "dataset", "metric", "max_violation", "alpha_share"},
-                      where)
-        binding = _need_dataset(str(node["dataset"]), datasets, where)
-        _need_roles(binding, ("group", "label", "prediction"), where)
-        metric = str(node["metric"])
-        if metric not in ("statistical_parity", "equal_opportunity", "equalized_odds"):
-            raise ConfigInvalid(f"{where}: unknown fairness metric {metric!r}")
-        fairness.append(FairnessRequirement(
-            name=str(node["name"]),
-            dataset=binding.name,
-            metric=metric,
-            max_violation=float(node["max_violation"]),
-            alpha_share=float(node["alpha_share"]),
-            n_bootstrap=int(node.get("n_bootstrap", 2000)),
-        ))
-        names.append(fairness[-1].name)
+        _need_roles(_need_dataset(req.dataset, datasets, where),
+                    ("group", "label", "prediction"), where)
+        if req.metric not in ("statistical_parity", "equal_opportunity", "equalized_odds"):
+            raise ConfigInvalid(f"{where}: unknown fairness metric {req.metric!r}")
+    names = [m.name for m in mprs] + [f.name for f in fairness]
     if len(set(names)) != len(names):
         raise ConfigInvalid("requirement names must be unique")
 
@@ -347,19 +389,7 @@ def load_config(path: str | Path) -> AuditConfig:
         raise ConfigInvalid(
             f"alpha shares across requirements must sum to 1, got {share_sum}")
 
-    leak_node = raw.get("leakage") or {}
-    _require_keys(leak_node, {"enabled", "train", "test", "duplicate_key",
-                              "group_check", "temporal_check", "proxy_screen"},
-                  set(), "leakage")
-    leakage = LeakageSettings(
-        enabled=bool(leak_node.get("enabled", True)),
-        train=str(leak_node.get("train", "train")),
-        test=str(leak_node.get("test", "test")),
-        duplicate_key=str(leak_node.get("duplicate_key", "exact_features")),
-        group_check=bool(leak_node.get("group_check", False)),
-        temporal_check=bool(leak_node.get("temporal_check", False)),
-        proxy_screen=bool(leak_node.get("proxy_screen", False)),
-    )
+    leakage = _build(LeakageSettings, raw.get("leakage", {}), "leakage")
     if leakage.enabled:
         _need_dataset(leakage.train, datasets, "leakage.train")
         _need_dataset(leakage.test, datasets, "leakage.test")
@@ -373,19 +403,10 @@ def load_config(path: str | Path) -> AuditConfig:
             _need_roles(datasets[leakage.train], ("label",), "leakage.proxy_screen")
 
     drift = None
-    if raw.get("drift") is not None:
-        node = raw["drift"]
-        _require_keys(node, {"reference", "method", "alpha", "n_permutations",
-                             "categorical_dims"}, {"reference"}, "drift")
-        binding = _need_dataset(str(node["reference"]), datasets, "drift.reference")
-        _need_roles(binding, ("feature",), "drift")
-        drift = DriftSettings(
-            reference=binding.name,
-            method=str(node.get("method", "mmd_permutation")),
-            alpha=float(node.get("alpha", 0.05)),
-            n_permutations=int(node.get("n_permutations", 1000)),
-            categorical_dims=tuple(int(d) for d in node.get("categorical_dims", [])),
-        )
+    if "drift" in raw:
+        drift = _build(DriftSettings, raw["drift"], "drift")
+        _need_roles(_need_dataset(drift.reference, datasets, "drift.reference"),
+                    ("feature",), "drift")
         if drift.method not in ("mmd_permutation", "univariate_bonferroni"):
             raise ConfigInvalid(f"drift.method: unknown method {drift.method!r}")
         if not 0.0 < drift.alpha < 1.0:
@@ -394,88 +415,58 @@ def load_config(path: str | Path) -> AuditConfig:
             raise ConfigInvalid("drift.n_permutations must be >= 1")
 
     uncertainty = None
-    if raw.get("uncertainty") is not None:
-        node = raw["uncertainty"]
-        _require_keys(node, {"ensembles", "abstain_thresholds"}, {"ensembles"},
-                      "uncertainty")
-        ens_path = (base / str(node["ensembles"])).resolve()
-        if not ens_path.is_file():
-            raise ConfigInvalid(f"uncertainty.ensembles: file not found: {ens_path}")
-        thresholds = {str(k): float(v)
-                      for k, v in (node.get("abstain_thresholds") or {}).items()}
-        for k in thresholds:
+    if "uncertainty" in raw:
+        uncertainty = _build(UncertaintySettings, raw["uncertainty"], "uncertainty",
+                             base)
+        for k in uncertainty.abstain_thresholds:
             if k not in ("total", "aleatoric", "epistemic"):
                 raise ConfigInvalid(f"uncertainty.abstain_thresholds: unknown component {k!r}")
-        uncertainty = UncertaintySettings(ens_path, thresholds)
 
     ood = None
-    if raw.get("ood") is not None:
-        node = raw["ood"]
-        _require_keys(node, {"method", "reference", "validation", "target_tpr",
-                             "params", "scenarios"},
-                      {"method", "reference", "validation"}, "ood")
-        ref = _need_dataset(str(node["reference"]), datasets, "ood.reference")
-        val = _need_dataset(str(node["validation"]), datasets, "ood.validation")
-        method = str(node["method"])
-        if method == "distance_centroid":
+    if "ood" in raw:
+        ood = _build(OodSettings, raw["ood"], "ood", base)
+        ref = _need_dataset(ood.reference, datasets, "ood.reference")
+        val = _need_dataset(ood.validation, datasets, "ood.validation")
+        if ood.method == "distance_centroid":
             _need_roles(ref, ("label",), "ood")
-        if method == "max_softmax":
+        if ood.method == "max_softmax":
             _need_roles(val, ("score",), "ood")
-        scenarios = []
-        for i, sc in enumerate(node.get("scenarios") or []):
-            where = f"ood.scenarios[{i}]"
-            _require_keys(sc, {"name", "path", "narrative"}, {"name", "path"}, where)
-            sc_path = (base / str(sc["path"])).resolve()
-            if not sc_path.is_file():
-                raise ConfigInvalid(f"{where}: file not found: {sc_path}")
-            scenarios.append(OodScenario(str(sc["name"]), sc_path,
-                                         str(sc.get("narrative", ""))))
-        if len({s.name for s in scenarios}) != len(scenarios):
+        if len({s.name for s in ood.scenarios}) != len(ood.scenarios):
             raise ConfigInvalid("ood.scenarios: duplicate names")
-        ood = OodSettings(
-            method=method, reference=ref.name, validation=val.name,
-            target_tpr=float(node.get("target_tpr", 0.95)),
-            params=dict(node.get("params") or {}),
-            scenarios=tuple(scenarios),
-        )
 
     robustness = None
-    if raw.get("robustness") is not None:
-        node = raw["robustness"]
-        _require_keys(node, {"dataset", "epsilon", "norm", "attack", "budget",
-                             "predictor"},
-                      {"dataset", "epsilon", "predictor"}, "robustness")
-        binding = _need_dataset(str(node["dataset"]), datasets, "robustness.dataset")
-        _need_roles(binding, ("feature", "label"), "robustness")
-        pred = node["predictor"]
-        _require_keys(pred, {"command"}, {"command"}, "robustness.predictor")
-        command = tuple(str(c) for c in pred["command"])
+    if "robustness" in raw:
+        node = dict(_convert(raw["robustness"], dict, "robustness"))
+        # robustness.predictor.command is the predictor_command field
+        predictor = _require_keys(node.pop("predictor", None), {"command"}, {"command"},
+                                  "robustness.predictor")
+        command = _convert(predictor["command"], tuple[str, ...],
+                           "robustness.predictor.command")
         if not command:
             raise ConfigInvalid("robustness.predictor.command must be non-empty")
-        robustness = RobustnessSettings(
-            dataset=binding.name,
-            epsilon=float(node["epsilon"]),
-            norm=str(node.get("norm", "linf")).lower(),
-            attack=str(node.get("attack", "coordinate_descent")),
-            budget=int(node.get("budget", 1000)),
-            predictor_command=command,
-        )
+        robustness = _build(RobustnessSettings, node, "robustness",
+                            predictor_command=command)
+        robustness = replace(robustness, norm=robustness.norm.lower())
+        _need_roles(_need_dataset(robustness.dataset, datasets, "robustness.dataset"),
+                    ("feature", "label"), "robustness")
 
     return AuditConfig(
         base_dir=base,
-        seed=int(raw.get("seed", 0)),
-        model_id=str(raw.get("model_id", "unnamed-model")),
+        seed=_convert(raw.get("seed", 0), int, "seed"),
+        model_id=_convert(raw.get("model_id", "unnamed-model"), str, "model_id"),
         sadd=sadd,
         datasets=datasets,
         family_alpha=alpha,
         family_weights=weights,
         mprs=tuple(mprs),
-        fairness=tuple(fairness),
+        fairness=fairness,
         leakage=leakage,
         drift=drift,
         uncertainty=uncertainty,
         ood=ood,
         robustness=robustness,
-        ledger_path=(base / str(raw.get("ledger", "audit_ledger.jsonl"))).resolve(),
-        report_path=(base / str(raw.get("report", "audit_report.json"))).resolve(),
+        ledger_path=(base / _convert(raw.get("ledger", "audit_ledger.jsonl"), str,
+                                     "ledger")).resolve(),
+        report_path=(base / _convert(raw.get("report", "audit_report.json"), str,
+                                     "report")).resolve(),
     )

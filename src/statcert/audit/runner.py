@@ -18,9 +18,9 @@ import numpy as np
 import scipy
 
 from .. import __version__
-from ..core import Dataset, canonical_json, load_dataset, sha256_hex
-from ..drift import (EncodedBatch, ShiftClassification, ShiftVerdict,
-                     batch_from_dataset, classify_shift, multivariate_shift_test)
+from ..core import Dataset, load_dataset
+from ..drift import (ShiftClassification, ShiftVerdict, batch_from_dataset,
+                     classify_shift, multivariate_shift_test)
 from ..errors import (ConfigInvalid, DataLoadError, FamilyAlphaExhausted,
                       FamilyMismatch, LedgerCorrupt, NoReferenceBatch,
                       StaleDataReuse, StatcertError)
@@ -192,14 +192,16 @@ def _aux_sections(config: AuditConfig, datasets: dict[str, Dataset]) -> dict:
 
 
 def _correctness_flags(path: Path) -> list[bool] | None:
+    # lines as load_ensembles splits them: a JSON string may hold U+2028
     flags = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        value = json.loads(line).get("correct")
-        if not isinstance(value, bool):
-            return None
-        flags.append(value)
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            value = json.loads(line).get("correct")
+            if not isinstance(value, bool):
+                return None
+            flags.append(value)
     return flags or None
 
 
@@ -393,13 +395,8 @@ class MonitorOutcome:
         return out
 
 
-def _batch_hash(batch: EncodedBatch) -> str:
-    return sha256_hex(canonical_json({"data": batch.data.tolist(),
-                                      "source": batch.source}))
-
-
 def monitor_step(ledger: AuditLedger | str | Path, config: AuditConfig | str | Path,
-                 production_window: Dataset | EncodedBatch,
+                 production_window: Dataset,
                  point_check: Dataset | None = None) -> MonitorOutcome:
     """One monitoring cycle: shift test, then optional labeled point check.
 
@@ -418,19 +415,14 @@ def monitor_step(ledger: AuditLedger | str | Path, config: AuditConfig | str | P
 
     datasets = _load_bound_datasets(config)
     reference = batch_from_dataset(datasets[config.drift.reference], "reference")
-    if isinstance(production_window, EncodedBatch):
-        window = production_window
-        window_hash = _batch_hash(window)
-    else:
-        window = batch_from_dataset(production_window, "production")
-        window_hash = production_window.content_hash
+    window = batch_from_dataset(production_window, "production")
     shift = multivariate_shift_test(
         reference, window, alpha=config.drift.alpha, method=config.drift.method,
         seed=config.seed, n_perm=config.drift.n_permutations,
         categorical_dims=config.drift.categorical_dims)
 
     dataset_hashes = {"reference": datasets[config.drift.reference].content_hash,
-                      "window": window_hash}
+                      "window": production_window.content_hash}
     classification, demonstrated, entry_alpha = None, None, 0.0
     gating: list[str] = []
     decisions: list[dict] = []

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -125,8 +125,7 @@ class Dataset:
     stable under serialization round trips and independent of file layout.
     """
 
-    def __init__(self, schema: Schema, columns: Mapping[str, np.ndarray],
-                 provenance: str = "", label_names: Mapping[int, str] | None = None):
+    def __init__(self, schema: Schema, columns: Mapping[str, np.ndarray]):
         declared = {c.name for c in schema.columns}
         if set(columns.keys()) != declared:
             raise ValidationError("columns do not match schema")
@@ -134,8 +133,6 @@ class Dataset:
         if len(lengths) > 1:
             raise ValidationError("ragged columns")
         self.schema = schema
-        self.provenance = provenance
-        self.label_names = dict(label_names) if label_names else None
         self.n_rows = lengths.pop() if lengths else 0
         self._data = {}
         for name, values in columns.items():
@@ -185,9 +182,6 @@ class Dataset:
     def by_role(self, role: str) -> np.ndarray:
         return self._data[self.schema.single(role)]
 
-    def has_role(self, role: str) -> bool:
-        return bool(self.schema.names_for(role))
-
     def features_matrix(self) -> np.ndarray:
         names = self.schema.names_for("feature")
         if not names:
@@ -206,11 +200,10 @@ class Dataset:
             raise MissingColumn("no score columns")
         return np.column_stack([self._data[n].astype(float) for n in names])
 
-    def subset(self, indices: Sequence[int], note: str = "") -> "Dataset":
+    def subset(self, indices: Sequence[int]) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
         cols = {name: arr[idx] for name, arr in self._data.items()}
-        prov = f"{self.provenance}; subset {note}".strip("; ")
-        return Dataset(self.schema, cols, provenance=prov, label_names=self.label_names)
+        return Dataset(self.schema, cols)
 
     @property
     def content_hash(self) -> str:
@@ -251,7 +244,7 @@ def _parse_csv_column(raw: list[str], role: str, name: str) -> np.ndarray:
         return np.array(raw, dtype=str)
 
 
-def load_csv(path: str | Path, roles: Mapping[str, str], provenance: str | None = None) -> Dataset:
+def load_csv(path: str | Path, roles: Mapping[str, str]) -> Dataset:
     """Ingest a CSV file with a header row. Only columns named in `roles`
     are kept; numbers are parsed as decimal, all-integer columns as ints."""
     path = Path(path)
@@ -277,10 +270,10 @@ def load_csv(path: str | Path, roles: Mapping[str, str], provenance: str | None 
         name: _parse_csv_column([r[idx[name]] for r in rows], role, name)
         for name, role in roles.items()
     }
-    return Dataset(schema, columns, provenance=provenance or str(path))
+    return Dataset(schema, columns)
 
 
-def load_jsonl(path: str | Path, roles: Mapping[str, str], provenance: str | None = None) -> Dataset:
+def load_jsonl(path: str | Path, roles: Mapping[str, str]) -> Dataset:
     """Ingest a JSONL file, one sample object per line."""
     path = Path(path)
     records = []
@@ -314,17 +307,17 @@ def load_jsonl(path: str | Path, roles: Mapping[str, str], provenance: str | Non
             arrays[name] = np.array(vals, dtype=float)
         else:
             arrays[name] = np.array([str(v) for v in vals], dtype=str)
-    return Dataset(schema, arrays, provenance=provenance or str(path))
+    return Dataset(schema, arrays)
 
 
-def load_dataset(path: str | Path, roles: Mapping[str, str], fmt: str | None = None,
-                 provenance: str | None = None) -> Dataset:
+def load_dataset(path: str | Path, roles: Mapping[str, str],
+                 fmt: str | None = None) -> Dataset:
     path = Path(path)
     fmt = fmt or ("jsonl" if path.suffix == ".jsonl" else "csv")
     if fmt == "csv":
-        return load_csv(path, roles, provenance)
+        return load_csv(path, roles)
     if fmt == "jsonl":
-        return load_jsonl(path, roles, provenance)
+        return load_jsonl(path, roles)
     raise DataLoadError(f"unknown dataset format {fmt!r}")
 
 
@@ -341,7 +334,7 @@ class SaddRecord:
     part1_context: str
     part2_technical: str
     part3_sampling: str
-    sampling_descriptor: Mapping[str, object]
+    sampling_descriptor: Mapping[str, object] = field(default_factory=dict)
     version: int = 1
 
     def __post_init__(self):
@@ -369,7 +362,7 @@ class MprSpec:
 
     metric_id: str
     threshold: float
-    direction: str  # at_least | at_most
+    direction: str = "at_least"  # or at_most
     alpha_share: float = 1.0
     test_kind: str = "exact_binomial"
 
@@ -467,12 +460,8 @@ METRICS: dict[str, MetricInfo] = {
 }
 
 
-def register_metric(info: MetricInfo) -> None:
-    METRICS[info.metric_id] = info
-
-
 def compute_metric(dataset: Dataset, metric_id: str) -> MetricValue:
-    """Evaluate a registered metric. Deterministic and order-independent."""
+    """Evaluate a metric of METRICS. Deterministic and order-independent."""
     if metric_id not in METRICS:
         raise UnknownMetric(metric_id)
     if dataset.n_rows == 0:

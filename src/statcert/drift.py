@@ -31,12 +31,10 @@ KS_PERMUTATION_MAX_N = 25  # at or below this, the asymptotic p is replaced
 
 @dataclass(frozen=True)
 class EncodedBatch:
-    """n x d matrix of already-encoded features plus window metadata."""
+    """n x d matrix of already-encoded features, tagged with its source."""
 
     data: np.ndarray
     source: str  # reference | production
-    window: tuple[int, int] | None = None
-    encoder_id: str = ""
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=float)
@@ -57,9 +55,8 @@ class EncodedBatch:
         return self.data.shape[1]
 
 
-def batch_from_dataset(dataset: Dataset, source: str,
-                       window: tuple[int, int] | None = None) -> EncodedBatch:
-    return EncodedBatch(dataset.features_matrix(), source, window)
+def batch_from_dataset(dataset: Dataset, source: str) -> EncodedBatch:
+    return EncodedBatch(dataset.features_matrix(), source)
 
 
 @dataclass(frozen=True)
@@ -124,7 +121,6 @@ def ks_two_sample(x: np.ndarray, y: np.ndarray, alpha: float = 0.05,
         p_value=p_value,
         conf_bound=d_obs,
         alpha_used=alpha,
-        decision="reject_H0" if p_value <= alpha else "fail_to_reject",
         n=nx + ny,
         params={"nx": nx, "ny": ny, "mode": mode,
                 **({"seed": seed, "n_perm": n_perm} if mode == "permutation" else {})},
@@ -177,7 +173,6 @@ def chi2_two_sample(x: np.ndarray, y: np.ndarray, alpha: float = 0.05) -> TestRe
         p_value=p_value,
         conf_bound=stat,
         alpha_used=alpha,
-        decision="reject_H0" if p_value <= alpha else "fail_to_reject",
         n=total,
         params={"dof": dof, "categories": m},
     )
@@ -353,7 +348,6 @@ def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
         p_value=p_value,
         conf_bound=float(np.quantile(null_stats, 1.0 - alpha)),
         alpha_used=alpha,
-        decision="reject_H0" if p_value <= alpha else "fail_to_reject",
         n=total,
         params={"bandwidth": h, "n_perm": n_perm, "seed": seed, "n_x": n, "n_y": m},
     )

@@ -200,7 +200,6 @@ def fairness_mpr_check(outcomes: GroupedOutcomes,
             p_value=p_value,
             conf_bound=float(np.quantile(draws, 1.0 - alpha)),
             alpha_used=alpha,
-            decision="reject_H0" if p_value <= alpha else "fail_to_reject",
             n=int(outcomes.counts.sum()),
             params={"metric": metric, "max_violation": max_violation,
                     "B": n_bootstrap, "seed": seed},

@@ -122,7 +122,7 @@ def draw_sample(population: Dataset, design: SamplingDesign, n: int) -> Dataset:
 
     if design.strategy == "simple_random":
         idx = rng.choice(population.n_rows, size=n, replace=design.with_replacement)
-        return population.subset(idx, note="simple_random")
+        return population.subset(idx)
 
     if design.strategy == "stratified":
         values = _strata_values(population, design.strata_key)
@@ -136,7 +136,7 @@ def draw_sample(population: Dataset, design: SamplingDesign, n: int) -> Dataset:
             if take > len(pool) and not design.with_replacement:
                 raise InsufficientStratum(f"stratum {s!r}: {take} > {len(pool)}")
             picked.append(rng.choice(pool, size=take, replace=design.with_replacement))
-        return population.subset(np.concatenate(picked), note="stratified")
+        return population.subset(np.concatenate(picked))
 
     values = _strata_values(population, design.cluster_key)
     cluster_ids = [str(v) for v in np.unique(values)]
@@ -153,7 +153,7 @@ def draw_sample(population: Dataset, design: SamplingDesign, n: int) -> Dataset:
                 break
         if total < n:
             raise InsufficientStratum("clusters exhausted before reaching n")
-        return population.subset(np.concatenate(picked), note="cluster")
+        return population.subset(np.concatenate(picked))
 
     # multistage: stage one draws clusters, stage two simple-random within each
     m = design.n_clusters or max(2, int(np.ceil(np.sqrt(len(cluster_ids)))))
@@ -168,7 +168,7 @@ def draw_sample(population: Dataset, design: SamplingDesign, n: int) -> Dataset:
         if take > len(pool):
             raise InsufficientStratum(f"cluster {cid!r}: {take} > {len(pool)}")
         picked.append(rng.choice(pool, size=take, replace=False))
-    return population.subset(np.concatenate(picked), note="multistage")
+    return population.subset(np.concatenate(picked))
 
 
 def _allocate(design: SamplingDesign, strata: list[str],
@@ -232,7 +232,7 @@ def estimate_with_design(sample: Dataset, design: SamplingDesign, metric_id: str
         for s in strata:
             w = weights.get(s, 0.0)
             idx = np.flatnonzero(values == s)
-            part = sample.subset(idx, note=f"stratum={s}")
+            part = sample.subset(idx)
             mv = compute_metric(part, metric_id)
             n_s = part.n_rows
             v_s = _loss_variance(mv.per_sample_losses)
@@ -250,7 +250,7 @@ def estimate_with_design(sample: Dataset, design: SamplingDesign, metric_id: str
         if len(clusters) >= 2:
             cluster_vals = []
             for c in clusters:
-                part = sample.subset(np.flatnonzero(values == c), note=f"cluster={c}")
+                part = sample.subset(np.flatnonzero(values == c))
                 cluster_vals.append(compute_metric(part, metric_id).value)
             se = float(np.std(cluster_vals, ddof=1) / np.sqrt(len(clusters)))
         else:

@@ -34,20 +34,20 @@ class TestResult:
     p_value: float
     conf_bound: float
     alpha_used: float
-    decision: str
     n: int
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 <= self.p_value <= 1.0:
             raise ValidationError("p-value outside [0, 1]")
-        expected = "reject_H0" if self.p_value <= self.alpha_used else "fail_to_reject"
-        if self.decision != expected:
-            raise ValidationError("decision inconsistent with p-value and alpha")
 
     @property
     def rejected(self) -> bool:
-        return self.decision == "reject_H0"
+        return self.p_value <= self.alpha_used
+
+    @property
+    def decision(self) -> str:
+        return "reject_H0" if self.rejected else "fail_to_reject"
 
     def as_plain(self) -> dict:
         return {
@@ -60,10 +60,6 @@ class TestResult:
             "n": self.n,
             "params": dict(self.params),
         }
-
-
-def _decide(p_value: float, alpha: float) -> str:
-    return "reject_H0" if p_value <= alpha else "fail_to_reject"
 
 
 def _binomial_sf_geq(k: int, n: int, p0: float) -> float:
@@ -125,7 +121,6 @@ def binomial_test_one_sided(k: int, n: int, p0: float, direction: str = "at_leas
         p_value=p_value,
         conf_bound=bound,
         alpha_used=alpha,
-        decision=_decide(p_value, alpha),
         n=n,
         params={"k": k, "n": n, "p0": p0, "direction": direction, "alpha": alpha},
     )
@@ -202,7 +197,6 @@ def bootstrap_test_one_sided(values: np.ndarray, threshold: float, direction: st
         p_value=p_value,
         conf_bound=bound,
         alpha_used=alpha,
-        decision=_decide(p_value, alpha),
         n=n,
         params={"threshold": threshold, "direction": direction,
                 "B": b_resamples, "alpha": alpha, "seed": seed},

@@ -203,22 +203,26 @@ def evaluate_uncertainty_quality(decomps: Sequence[UncertaintyDecomposition],
 def load_ensembles(path: str | Path) -> list[EnsemblePrediction]:
     """Read ensemble predictions from JSONL: one object per input with a
     K x C "members" array and optional "weights"."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as e:
+        raise DataLoadError(f"{path}: not UTF-8 text: {e}") from e
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataLoadError(f"{path}:{lineno}: invalid JSON") from e
-            if "members" not in rec:
-                raise DataLoadError(f"{path}:{lineno}: missing members array")
-            weights = np.asarray(rec["weights"], dtype=float) if "weights" in rec else None
-            try:
-                out.append(EnsemblePrediction(np.asarray(rec["members"], dtype=float),
-                                              weights))
-            except (InvalidSimplexRow, ValidationError) as e:
-                raise DataLoadError(f"{path}:{lineno}: {e}") from e
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataLoadError(f"{path}:{lineno}: invalid JSON") from e
+        if not isinstance(rec, dict) or "members" not in rec:
+            raise DataLoadError(f"{path}:{lineno}: missing members array")
+        weights = np.asarray(rec["weights"], dtype=float) if "weights" in rec else None
+        try:
+            out.append(EnsemblePrediction(np.asarray(rec["members"], dtype=float),
+                                          weights))
+        except (InvalidSimplexRow, ValidationError) as e:
+            raise DataLoadError(f"{path}:{lineno}: {e}") from e
     return out

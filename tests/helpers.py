@@ -92,7 +92,6 @@ def full_matrix_mmd_test(x, y, n_perm=1000, seed=0, alpha=0.05, bandwidth=None):
         p_value=p_value,
         conf_bound=float(np.quantile(null_stats, 1.0 - alpha)),
         alpha_used=alpha,
-        decision="reject_H0" if p_value <= alpha else "fail_to_reject",
         n=total,
         params={"bandwidth": h, "n_perm": n_perm, "seed": seed, "n_x": n, "n_y": m},
     )

@@ -7,6 +7,7 @@ right entry index on replay.
 """
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -270,6 +271,25 @@ class TestConfig:
         assert [r.name for r in cfg.fairness] == ["parity"]
         assert cfg.family_snapshot()["shares"] == {"accuracy_floor": 0.5,
                                                    "parity": 0.5}
+
+    def test_unknown_metric_is_refused_at_load(self, example_copy):
+        # used to load, run the leakage screens and only then fail
+        def transform(raw):
+            raw["mprs"][0]["metric"] = "acuracy"
+        with pytest.raises(ConfigInvalid,
+                           match=r"^mprs\[0\]\.metric: unknown metric 'acuracy'"):
+            load_config(mutate_yaml(example_copy / "audit.yaml", transform))
+
+    def test_readme_config_schema_loads(self, tmp_path):
+        readme = (EXAMPLE.parent / "README.md").read_text()
+        block = re.search(r"## Config schema\n\n```yaml\n(.*?)```", readme, re.S).group(1)
+        for binding in yaml.safe_load(block)["datasets"].values():
+            data = tmp_path / binding["path"]
+            data.parent.mkdir(parents=True, exist_ok=True)
+            data.touch()
+        (tmp_path / "audit.yaml").write_text(block)
+        cfg = load_config(tmp_path / "audit.yaml")
+        assert [r.name for r in cfg.mprs + cfg.fairness] == ["accuracy_floor", "parity_gap"]
 
 
 # build_full_workspace's config as the hand-written as_plain methods

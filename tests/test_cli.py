@@ -7,6 +7,7 @@ verdict is inconclusive; `monitor` writes no report.
 """
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -14,8 +15,10 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from statcert.audit.config import load_config
 from statcert.cli import main
 from statcert.core import canonical_json
+from statcert.errors import ConfigInvalid
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "example"
 COMMANDS = ("run", "recertify", "monitor")
@@ -184,3 +187,59 @@ def test_non_utf8_monitor_file_exits_2(ws, option):
     result = invoke(*args)
     assert result.exit_code == 2
     assert "not UTF-8" in result.stderr
+
+
+# (key path, value): each used to crash with exit 1 or, for the last, to
+# load and keep the leakage gate on
+MISTYPED = [
+    ("seed", "x"),
+    ("family.alpha", "x"),
+    ("family.weights", 0.5),
+    ("drift.alpha", "x"),
+    ("drift.n_permutations", "many"),
+    ("drift.categorical_dims", 3),
+    ("datasets", 5),
+    ("mprs", 5),
+    ("leakage.enabled", "false"),
+]
+
+
+@pytest.mark.parametrize("key,value", MISTYPED, ids=[k for k, _ in MISTYPED])
+def test_mistyped_config_value_exits_2(ws, key, value):
+    def set_value(raw):
+        *parents, leaf = key.split(".")
+        for p in parents:
+            raw = raw[p]
+        raw[leaf] = value
+
+    config = mutate(ws, set_value)
+    with pytest.raises(ConfigInvalid, match=rf"^{re.escape(key)}: expected "):
+        load_config(ws / config)
+    result = invoke("run", ws / config)
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: {key}: expected ")
+
+
+def with_ensembles(ws, content: bytes):
+    (ws / "data" / "ensembles.jsonl").write_bytes(content)
+    return mutate(ws, lambda raw: raw.update(
+        uncertainty={"ensembles": "data/ensembles.jsonl"}))
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"\xff\xfe{}\n", "not UTF-8"),
+    (b"5\n", "missing members array"),
+], ids=["not_utf8", "not_an_object"])
+def test_unreadable_ensembles_file_exits_2(ws, content, message):
+    # each used to crash with a traceback and exit 1
+    result = invoke("run", ws / with_ensembles(ws, content))
+    assert result.exit_code == 2
+    assert message in result.stderr
+
+
+def test_ensembles_string_may_hold_a_line_separator(ws):
+    # the correctness flags used to be split on U+2028 as well, and exit 1
+    lines = ['{"members": [[0.9, 0.1]], "note": "a\u2028b", "correct": true}',
+             '{"members": [[0.2, 0.8]], "correct": false}']
+    result = invoke("run", ws / with_ensembles(ws, "\n".join(lines).encode() + b"\n"))
+    assert result.exit_code == 0, result.output
