@@ -319,6 +319,12 @@ def _need_roles(binding: DatasetBinding, roles: tuple[str, ...], where: str) -> 
             f"{where}: dataset {binding.name!r} lacks declared roles {missing}")
 
 
+def _need_choice(value: str, choices, what: str, where: str) -> None:
+    if value not in choices:
+        raise ConfigInvalid(f"{where}: unknown {what} {value!r}, "
+                            f"expected one of {sorted(choices)}")
+
+
 def _need_dataset(name: str, datasets: dict, where: str) -> DatasetBinding:
     if name not in datasets:
         raise ConfigInvalid(f"{where}: unknown dataset {name!r}")
@@ -326,6 +332,12 @@ def _need_dataset(name: str, datasets: dict, where: str) -> DatasetBinding:
 
 
 def load_config(path: str | Path) -> AuditConfig:
+    # the value sets live in the check modules, which load scipy: import them
+    # here, not with this module
+    from ..fairness import FAIRNESS_METRICS
+    from ..leakage import DUPLICATE_KEYS
+    from ..robustness import ATTACKS, NORMS, OOD_METHODS
+
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text())
@@ -364,9 +376,7 @@ def load_config(path: str | Path) -> AuditConfig:
         _need_roles(binding, ("label", "prediction"), where)
         name = _convert(node.pop("name"), str, f"{where}.name")
         spec = _build(MprSpec, node, where, keys=_MPR_KEYS)
-        if spec.metric_id not in METRICS:
-            raise ConfigInvalid(f"{where}.metric: unknown metric {spec.metric_id!r}, "
-                                f"expected one of {sorted(METRICS)}")
+        _need_choice(spec.metric_id, METRICS, "metric", f"{where}.metric")
         mprs.append(MprRequirement(name, binding.name, spec))
     if not mprs:
         raise ConfigInvalid("at least one MPR is required")
@@ -377,8 +387,7 @@ def load_config(path: str | Path) -> AuditConfig:
         where = f"fairness[{i}]"
         _need_roles(_need_dataset(req.dataset, datasets, where),
                     ("group", "label", "prediction"), where)
-        if req.metric not in ("statistical_parity", "equal_opportunity", "equalized_odds"):
-            raise ConfigInvalid(f"{where}: unknown fairness metric {req.metric!r}")
+        _need_choice(req.metric, FAIRNESS_METRICS, "fairness metric", f"{where}.metric")
     names = [m.name for m in mprs] + [f.name for f in fairness]
     if len(set(names)) != len(names):
         raise ConfigInvalid("requirement names must be unique")
@@ -390,6 +399,7 @@ def load_config(path: str | Path) -> AuditConfig:
             f"alpha shares across requirements must sum to 1, got {share_sum}")
 
     leakage = _build(LeakageSettings, raw.get("leakage", {}), "leakage")
+    _need_choice(leakage.duplicate_key, DUPLICATE_KEYS, "key", "leakage.duplicate_key")
     if leakage.enabled:
         _need_dataset(leakage.train, datasets, "leakage.train")
         _need_dataset(leakage.test, datasets, "leakage.test")
@@ -407,8 +417,8 @@ def load_config(path: str | Path) -> AuditConfig:
         drift = _build(DriftSettings, raw["drift"], "drift")
         _need_roles(_need_dataset(drift.reference, datasets, "drift.reference"),
                     ("feature",), "drift")
-        if drift.method not in ("mmd_permutation", "univariate_bonferroni"):
-            raise ConfigInvalid(f"drift.method: unknown method {drift.method!r}")
+        _need_choice(drift.method, ("mmd_permutation", "univariate_bonferroni"), "method",
+                     "drift.method")
         if not 0.0 < drift.alpha < 1.0:
             raise ConfigInvalid("drift.alpha must be in (0, 1)")
         if drift.n_permutations < 1:
@@ -425,6 +435,7 @@ def load_config(path: str | Path) -> AuditConfig:
     ood = None
     if "ood" in raw:
         ood = _build(OodSettings, raw["ood"], "ood", base)
+        _need_choice(ood.method, OOD_METHODS, "method", "ood.method")
         ref = _need_dataset(ood.reference, datasets, "ood.reference")
         val = _need_dataset(ood.validation, datasets, "ood.validation")
         if ood.method == "distance_centroid":
@@ -447,6 +458,8 @@ def load_config(path: str | Path) -> AuditConfig:
         robustness = _build(RobustnessSettings, node, "robustness",
                             predictor_command=command)
         robustness = replace(robustness, norm=robustness.norm.lower())
+        _need_choice(robustness.norm, NORMS, "norm", "robustness.norm")
+        _need_choice(robustness.attack, ATTACKS, "attack", "robustness.attack")
         _need_roles(_need_dataset(robustness.dataset, datasets, "robustness.dataset"),
                     ("feature", "label"), "robustness")
 

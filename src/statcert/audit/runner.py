@@ -9,7 +9,6 @@ reproduce identical bytes; wall-clock provenance lives in the ledger.
 
 from __future__ import annotations
 
-import json
 import platform
 from dataclasses import dataclass
 from pathlib import Path
@@ -156,9 +155,8 @@ def _aux_sections(config: AuditConfig, datasets: dict[str, Dataset]) -> dict:
             "abstain_rate": abstained / len(decomps) if decomps else 0.0,
             "flag_quality_auroc": None,
         }
-        flags = _correctness_flags(config.uncertainty.ensembles)
-        if flags is not None and len(flags) == len(decomps):
-            wrong = [not f for f in flags]
+        if ensembles and all(e.correct is not None for e in ensembles):
+            wrong = [not e.correct for e in ensembles]
             if 2 <= sum(wrong) <= len(wrong) - 2:
                 quality = evaluate_uncertainty_quality(
                     decomps, wrong, task="misclassification_detection")
@@ -189,20 +187,6 @@ def _aux_sections(config: AuditConfig, datasets: dict[str, Dataset]) -> dict:
         checks["robustness"] = result.as_plain()
 
     return checks
-
-
-def _correctness_flags(path: Path) -> list[bool] | None:
-    # lines as load_ensembles splits them: a JSON string may hold U+2028
-    flags = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            value = json.loads(line).get("correct")
-            if not isinstance(value, bool):
-                return None
-            flags.append(value)
-    return flags or None
 
 
 def _build_payload(config: AuditConfig, verdict: str, checks: dict,

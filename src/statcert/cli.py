@@ -18,7 +18,8 @@ import click
 from .audit.config import AuditConfig, load_config
 from .audit.ledger import AuditLedger, verify_ledger
 from .audit.report import AuditReport, SCHEMA_VERSION, render_markdown
-from .audit.runner import MonitorOutcome, monitor_step, recertify, run_audit
+# audit.runner loads every check module and scipy: only run, recertify and
+# monitor import it
 from .core import canonical_json, load_dataset
 from .errors import FamilyAlphaExhausted, LedgerCorrupt, NoReferenceBatch, StatcertError
 
@@ -85,6 +86,7 @@ def main() -> None:
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 def run_cmd(config_path: str) -> None:
     """Initial certification from a config file."""
+    from .audit.runner import run_audit
     config, report = _execute(config_path, run_audit, report_inconclusive=True)
     _report_verdict(config, report, f"ledger: {config.ledger_path}")
 
@@ -96,6 +98,7 @@ def run_cmd(config_path: str) -> None:
               help="Existing certification ledger to extend.")
 def recertify_cmd(config_path: str, ledger_path: str) -> None:
     """Test an updated model at the next fallback alpha."""
+    from .audit.runner import recertify
     config, (report, _) = _execute(
         config_path, lambda cfg: recertify(AuditLedger(ledger_path), cfg),
         report_inconclusive=True)
@@ -113,6 +116,8 @@ def recertify_cmd(config_path: str, ledger_path: str) -> None:
 def monitor_cmd(config_path: str, window_path: str,
                 point_check_path: str | None) -> None:
     """One monitoring cycle against the registered reference batch."""
+    from .audit.runner import MonitorOutcome, monitor_step
+
     def monitor(config: AuditConfig) -> MonitorOutcome:
         if config.drift is None:
             raise NoReferenceBatch("config declares no drift section")

@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .core import Dataset, sha256_hex
 from .errors import MissingColumn, SchemaMismatch, TooFewSamples, ValidationError
 from .stattest import rank_auroc
 
+DUPLICATE_KEYS = ("exact_features", "feature_hash")
 PROXY_MIN_ROWS = 100
 SIGNIFICANT_DIGITS = 12
 
@@ -77,7 +77,7 @@ def duplicate_check(train: Dataset, test: Dataset,
     within-set repeats warnings. Evidence carries (train_row, test_row)
     indices, so swapping the splits flags the same pairs.
     """
-    if key not in ("exact_features", "feature_hash"):
+    if key not in DUPLICATE_KEYS:
         raise ValidationError(f"bad key {key!r}")
     train_feats = train.schema.names_for("feature")
     if train_feats != test.schema.names_for("feature"):
@@ -228,6 +228,8 @@ def target_proxy_screen(dataset: Dataset, auc_threshold: float = 0.99,
             if auc >= auc_threshold:
                 evidence.append({"feature": name, "holdout_auc": float(auc)})
         else:
+            from scipy.stats import spearmanr  # scipy.stats takes ~1 s to import
+
             rho = spearmanr(x, y.astype(float)).statistic
             if np.isfinite(rho) and abs(float(rho)) >= 0.99:
                 evidence.append({"feature": name, "spearman": float(rho)})

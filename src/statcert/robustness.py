@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.stats import gaussian_kde
 
 from .core import Dataset
 from .errors import (
@@ -73,6 +71,8 @@ class OodScorer:
         if self.method == "density_histogram":
             self._fit_histogram(x)
         elif self.method == "density_kde":
+            from scipy.stats import gaussian_kde  # scipy.stats takes ~1 s to import
+
             self._kde = gaussian_kde(x.T)
         elif self.method == "distance_centroid":
             self._fit_mahalanobis(x, reference.by_role("label"))
@@ -80,6 +80,8 @@ class OodScorer:
             k = self.params.get("k", 5)
             if k > len(x):
                 raise MethodParamInvalid(f"k={k} exceeds reference size {len(x)}")
+            from scipy.spatial import cKDTree
+
             self._tree = cKDTree(x)
         self._fitted = True
         return self

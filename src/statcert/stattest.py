@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.stats import rankdata
 
 from .core import METRICS, Dataset, MetricValue, MprSpec, compute_metric
 from .errors import (
@@ -218,6 +217,8 @@ def rank_auroc(scores: np.ndarray, positive: np.ndarray) -> float:
     n_neg = len(positive) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("need both classes present for AUROC")
+    from scipy.stats import rankdata  # scipy.stats takes ~1 s to import
+
     ranks = rankdata(scores)
     u = float(np.sum(ranks[positive])) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

@@ -29,10 +29,12 @@ NEGATIVE_SNAP = 1e-12
 
 @dataclass(frozen=True)
 class EnsemblePrediction:
-    """K member categorical distributions over C classes for one input."""
+    """K member categorical distributions over C classes for one input, and
+    whether the prediction was correct, when that is known."""
 
     members: np.ndarray
     weights: np.ndarray | None = None
+    correct: bool | None = None
 
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.members, dtype=float))
@@ -202,7 +204,8 @@ def evaluate_uncertainty_quality(decomps: Sequence[UncertaintyDecomposition],
 
 def load_ensembles(path: str | Path) -> list[EnsemblePrediction]:
     """Read ensemble predictions from JSONL: one object per input with a
-    K x C "members" array and optional "weights"."""
+    K x C "members" array, optional "weights" and an optional boolean
+    "correct" (any other value reads as unknown)."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -220,9 +223,11 @@ def load_ensembles(path: str | Path) -> list[EnsemblePrediction]:
         if not isinstance(rec, dict) or "members" not in rec:
             raise DataLoadError(f"{path}:{lineno}: missing members array")
         weights = np.asarray(rec["weights"], dtype=float) if "weights" in rec else None
+        correct = rec.get("correct")
         try:
             out.append(EnsemblePrediction(np.asarray(rec["members"], dtype=float),
-                                          weights))
+                                          weights,
+                                          correct if isinstance(correct, bool) else None))
         except (InvalidSimplexRow, ValidationError) as e:
             raise DataLoadError(f"{path}:{lineno}: {e}") from e
     return out

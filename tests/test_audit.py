@@ -280,6 +280,21 @@ class TestConfig:
                            match=r"^mprs\[0\]\.metric: unknown metric 'acuracy'"):
             load_config(mutate_yaml(example_copy / "audit.yaml", transform))
 
+    @pytest.mark.parametrize("key,value", [
+        ("leakage.duplicate_key", "exact_feature"),
+        ("ood.method", "distance_knnn"),
+        ("robustness.norm", "l3"),
+        ("robustness.attack", "grid_search"),
+    ])
+    def test_unknown_choice_is_refused_at_load(self, tmp_path, key, value):
+        # each used to load; the run refused it only after reading the data
+        def transform(raw):
+            section, leaf = key.split(".")
+            raw[section][leaf] = value
+        message = rf"^{re.escape(key)}: unknown \w+ '{value}', expected one of"
+        with pytest.raises(ConfigInvalid, match=message):
+            load_config(mutate_yaml(build_full_workspace(tmp_path), transform))
+
     def test_readme_config_schema_loads(self, tmp_path):
         readme = (EXAMPLE.parent / "README.md").read_text()
         block = re.search(r"## Config schema\n\n```yaml\n(.*?)```", readme, re.S).group(1)

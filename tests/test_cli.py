@@ -220,6 +220,16 @@ def test_mistyped_config_value_exits_2(ws, key, value):
     assert result.stderr.startswith(f"error: {key}: expected ")
 
 
+def test_unknown_duplicate_key_exits_2_before_reading_data(ws):
+    # used to read every dataset and then fail in the duplicate check
+    break_test_data(ws)
+    config = mutate(ws, lambda raw: raw["leakage"].update(duplicate_key="exact_feature"))
+    result = invoke("run", ws / config)
+    assert result.exit_code == 2
+    assert result.stderr.startswith(
+        "error: leakage.duplicate_key: unknown key 'exact_feature'")
+
+
 def with_ensembles(ws, content: bytes):
     (ws / "data" / "ensembles.jsonl").write_bytes(content)
     return mutate(ws, lambda raw: raw.update(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.stats import chi2
 
 from statcert import drift
 from statcert.core import MprSpec
@@ -137,6 +138,26 @@ class TestChi2TwoSample:
     def test_degenerate_table(self):
         with pytest.raises(DegenerateTable):
             chi2_two_sample(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
+
+    def test_p_value_is_scipy_chi2_sf(self):
+        # the p-value comes from special.chdtrc, which chi2.sf evaluates
+        rng = np.random.default_rng(2026)
+        p_values = []
+        for _ in range(300):
+            k = int(rng.integers(2, 9))
+            px = rng.dirichlet(np.ones(k))
+            py = px + rng.uniform(0.0, 2.0) * rng.dirichlet(np.ones(k))
+            x = rng.choice(k, size=int(rng.integers(50, 400)), p=px)
+            y = rng.choice(k, size=int(rng.integers(50, 400)), p=py / py.sum())
+            try:
+                r = chi2_two_sample(x, y)
+            except DegenerateTable:
+                continue
+            expected = float(np.clip(chi2.sf(r.statistic, r.params["dof"]), 0.0, 1.0))
+            assert r.p_value == expected
+            p_values.append(r.p_value)
+        assert len(p_values) >= 200
+        assert min(p_values) < 1e-10 and max(p_values) > 0.5
 
 
 class TestMmd:

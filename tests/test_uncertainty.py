@@ -220,6 +220,17 @@ class TestLoadEnsembles:
         d = decompose(loaded[0])
         assert d.total == pytest.approx(h2(0.7), abs=1e-12)
 
+    def test_correct_flag_is_kept_per_line(self, tmp_path):
+        # read in the same pass as the members; anything but a boolean is unknown
+        path = tmp_path / "ens.jsonl"
+        path.write_text(
+            '{"members": [[0.8, 0.2]], "correct": true}\n'
+            '\n'
+            '{"members": [[0.8, 0.2]], "correct": false}\n'
+            '{"members": [[0.8, 0.2]]}\n'
+            '{"members": [[0.8, 0.2]], "correct": 1}\n')
+        assert [e.correct for e in load_ensembles(path)] == [True, False, None, None]
+
     def test_invalid_row_rejected_on_load(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"members": [[0.9, 0.9]]}\n')
