@@ -5,7 +5,9 @@ entry and of its own canonical serialization, so any edit, deletion, or
 reordering after the fact is detectable by replay. Alpha allocations across
 entries follow the fallback recurrence over the family frozen at entry 0:
 a test-bearing entry i receives carry + alpha * w_i, and passes its whole
-allocation forward only if it demonstrated its requirement.
+allocation forward only if it demonstrated its requirement. Each entry
+records the report schema version it was written under, because dataset
+hashes are only comparable within one version.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Iterable, Mapping
 from ..core import canonical_json, sha256_hex
 from ..errors import LedgerCorrupt
 from ..multiplicity import FallbackState
+from .report import SCHEMA_VERSION
 
 ALPHA_TOL = 1e-12
 
@@ -36,15 +39,15 @@ def entry_hash(entry: Mapping) -> str:
 
 
 def _parse(path: Path) -> tuple[list[dict], int | None]:
-    """Entries up to the first line that is not valid JSON, and that line's
-    number (None when every line parses). Blank lines are skipped."""
+    """Entries up to the first line that is not valid UTF-8 JSON, and that
+    line's number (None when every line parses). Blank lines are skipped."""
     entries = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    for lineno, line in enumerate(path.read_bytes().splitlines(), 1):
         if not line.strip():
             continue
         try:
-            entries.append(json.loads(line))
-        except json.JSONDecodeError:
+            entries.append(json.loads(line.decode("utf-8")))
+        except (UnicodeDecodeError, json.JSONDecodeError):
             return entries, lineno
     return entries, None
 
@@ -92,6 +95,7 @@ class AuditLedger:
                verdict: str) -> dict:
         entry = {
             "index": len(self._entries),
+            "schema_version": SCHEMA_VERSION,
             "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "kind": kind,
             "model_id": model_id,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from ..core import canonical_json, sha256_hex
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def payload_hash(payload: dict) -> str:

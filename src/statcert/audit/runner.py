@@ -17,12 +17,12 @@ import numpy as np
 import scipy
 
 from .. import __version__
-from ..core import Dataset, load_dataset
+from ..core import Dataset, canonical_json, load_dataset
 from ..drift import (ShiftClassification, ShiftVerdict, batch_from_dataset,
                      classify_shift, multivariate_shift_test)
 from ..errors import (ConfigInvalid, DataLoadError, FamilyAlphaExhausted,
-                      FamilyMismatch, LedgerCorrupt, NoReferenceBatch,
-                      StaleDataReuse, StatcertError)
+                      FamilyMismatch, LedgerCorrupt, LedgerVersionMismatch,
+                      NoReferenceBatch, StaleDataReuse, StatcertError)
 from ..fairness import GroupedOutcomes, fairness_mpr_check
 from ..leakage import (duplicate_check, group_leakage_check, target_proxy_screen,
                        temporal_split_check)
@@ -238,6 +238,15 @@ def _open(ledger: AuditLedger, config: AuditConfig, *,
     if not integrity["consistent"]:
         raise LedgerCorrupt(
             f"entry {integrity['first_inconsistency']}: {integrity['detail']}")
+    # entries without the field predate it: they were written under version 1
+    older = next((e for e in ledger.entries
+                  if e.get("schema_version", 1) != SCHEMA_VERSION), None)
+    if older is not None:
+        raise LedgerVersionMismatch(
+            f"ledger entry {older['index']} was written under report schema version "
+            f"{older.get('schema_version', 1)}, not {SCHEMA_VERSION}; its dataset "
+            "hashes cannot tell fresh data from consumed data under this version, "
+            "so start a new ledger")
     if len(ledger) == 0:
         if need_entries:
             raise ConfigInvalid("ledger is empty; run the initial certification first")
@@ -293,10 +302,11 @@ def _as_config(config: AuditConfig | str | Path) -> AuditConfig:
 def run_audit(config: AuditConfig | str | Path) -> AuditReport:
     """Initial certification: evaluate everything, write ledger entry 0.
 
-    Re-running against an existing ledger is idempotent when the family and
-    the bound data are unchanged (the report is regenerated, no entry is
-    appended and no alpha is re-spent); anything else is an error, because
-    entry 0 is already taken — subsequent evidence goes through recertify.
+    Re-running against an existing ledger is idempotent when the family,
+    the bound data and the decisions recorded at entry 0 are reproduced (the
+    report is regenerated, no entry is appended and no alpha is re-spent);
+    anything else is an error, because entry 0 is already taken — subsequent
+    evidence goes through recertify.
     """
     config = _as_config(config)
     ledger = AuditLedger(config.ledger_path)
@@ -312,6 +322,13 @@ def run_audit(config: AuditConfig | str | Path) -> AuditReport:
     entry_alpha = _allocate(state, config)
     checks, verdict, demonstrated, decisions = _certification_pass(
         config, datasets, entry_alpha)
+    # equal hashes do not pin the decisions: the seed and the thresholds are
+    # outside the family, and values may differ past the 12th digit
+    if rerun and (verdict != ledger.entries[0]["verdict"] or canonical_json(decisions)
+                  != canonical_json(ledger.entries[0]["decisions"])):
+        raise ConfigInvalid("ledger entry 0 holds other decisions on this data; a "
+                            "rerun must reproduce them, and new evidence goes "
+                            "through recertify")
     if not rerun:
         _commit(ledger, config, state, kind="certification", alpha=entry_alpha,
                 demonstrated=demonstrated, dataset_hashes=dataset_hashes,
@@ -328,8 +345,9 @@ def recertify(ledger: AuditLedger | str | Path, config: AuditConfig | str | Path
               updated_model_data: Dataset | None = None) -> tuple[AuditReport, AuditLedger]:
     """Test an updated model at the alpha the fallback recurrence allocates.
 
-    The gating data must be fresh: a content-hash collision with any data a
-    prior entry spent alpha on is refused. When updated_model_data is given
+    The gating data must be fresh: data with the content hash of any data a
+    prior entry spent alpha on (the same multiset of rows at 12 significant
+    digits, in any order) is refused. When updated_model_data is given
     it replaces every gating dataset binding; otherwise the bindings are
     reloaded from disk.
     """

@@ -153,8 +153,8 @@ def verify_ledger_cmd(ledger_path: str) -> None:
 def report_cmd(report_path: str, fmt: str) -> None:
     """Render an existing report as JSON or markdown."""
     try:
-        payload = json.loads(Path(report_path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+        payload = json.loads(Path(report_path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, not JSON
         _fail(EXIT_INVALID_INPUT, f"cannot read report: {e}")
     if fmt == "json":
         click.echo(canonical_json(payload))

@@ -74,6 +74,114 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+# Canonical cells. A cell's record is equal to another's exactly when their
+# '%.12g' (floats) or str() (everything else) forms are equal, which is the
+# row identity that `content_hash` and `leakage.duplicate_check` share:
+# - a number is its value at 12 significant digits, a signed mantissa of
+#   exactly 12 digits and a power of ten; -0.0 stays apart from 0.0, as
+#   '%.12g' keeps its sign;
+# - an integer of 13 or more digits is itself, since str() prints every
+#   digit where '%.12g' would switch to an exponent;
+# - text that is the '%.12g' or str() form of a number is that number, any
+#   other text the blake2b-128 digest of its UTF-8 bytes.
+SIGNIFICANT_DIGITS = 12
+_CELL = np.dtype([("kind", "u1"), ("a", "<i8"), ("b", "<i8")])  # packed: 17 bytes
+_NUMBER, _NEGATIVE_ZERO, _BIG_INTEGER, _TEXT = range(4)
+_MANTISSA_MIN = 10 ** (SIGNIFICANT_DIGITS - 1)
+_MANTISSA_END = 10 ** SIGNIFICANT_DIGITS
+# correctly rounded powers of ten 10**-170 .. 10**170
+_POW10_SPAN = 170
+_POW10 = np.array([10**k if k >= 0 else 1 / 10**-k
+                   for k in range(-_POW10_SPAN, _POW10_SPAN + 1)], dtype=np.float64)
+# the scaling below rounds four times (two table entries, two products),
+# so it is off by under 5e-4 at a 12-digit magnitude; a scaled value this
+# close to a tie is rounded again by the exact formatter
+_TIE_MARGIN = 0.002
+
+
+def _float_cells(x: np.ndarray, out: np.ndarray) -> None:
+    magnitude = np.abs(x)
+    nonzero = magnitude > 0
+    exponent = np.floor(np.log10(np.where(nonzero, magnitude, 1.0))).astype(np.int64)
+    # magnitude * 10**shift has 12 integer digits; the power is taken in two
+    # factors so that neither overflows, even for 5e-324
+    shift = SIGNIFICANT_DIGITS - 1 - exponent
+    half = shift // 2
+    scaled = magnitude * _POW10[half + _POW10_SPAN] * _POW10[shift - half + _POW10_SPAN]
+    mantissa = np.rint(scaled)
+    # an exponent estimate off by one leaves scaled outside [1e11, 1e12)
+    redo = nonzero & ((np.abs(scaled - np.floor(scaled) - 0.5) < _TIE_MARGIN)
+                      | (scaled < _MANTISSA_MIN) | (mantissa >= _MANTISSA_END))
+    for i in np.flatnonzero(redo):
+        digits, _, power = f"{magnitude[i]:.{SIGNIFICANT_DIGITS - 1}e}".partition("e")
+        mantissa[i] = int(digits.replace(".", ""))
+        exponent[i] = int(power)
+    out["kind"] = np.where(np.signbit(x) & ~nonzero, _NEGATIVE_ZERO, _NUMBER)
+    out["a"] = np.copysign(mantissa, x)
+    out["b"] = np.where(nonzero, exponent - (SIGNIFICANT_DIGITS - 1), 0)
+
+
+def _integer_cells(n: np.ndarray, out: np.ndarray) -> None:
+    _float_cells(n.astype(np.float64), out)
+    long = (n <= -_MANTISSA_END) | (n >= _MANTISSA_END)
+    if long.any():
+        out[long] = [(_BIG_INTEGER, v, 0) for v in n[long].tolist()]
+
+
+def _text_number(text: str) -> float | int | None:
+    """The number whose '%.12g' (float) or str() (long int) form is `text`."""
+    try:
+        x = float(text)
+    except ValueError:
+        return None
+    if math.isfinite(x) and f"{x:.{SIGNIFICANT_DIGITS}g}" == text:
+        return x
+    if _INT_RE.match(text) and str(int(text)) == text and -2**63 <= int(text) < 2**63:
+        return int(text)
+    return None
+
+
+def _text_cells(values: np.ndarray, out: np.ndarray) -> None:
+    # each distinct text once
+    uniques, inverse = np.unique(values, return_inverse=True)
+    cells = np.zeros(len(uniques), dtype=_CELL)
+    floats: dict[int, float] = {}
+    for i, text in enumerate(uniques.tolist()):
+        number = _text_number(text)
+        if isinstance(number, float):
+            floats[i] = number
+        elif number is not None:
+            cells[i] = (_BIG_INTEGER, number, 0)
+        else:
+            digest = hashlib.blake2b(text.encode("utf-8", "surrogatepass"),
+                                     digest_size=16).digest()
+            cells[i] = (_TEXT, *np.frombuffer(digest, dtype="<i8"))
+    numbers = np.zeros(len(floats), dtype=_CELL)
+    _float_cells(np.array(list(floats.values()), dtype=np.float64), numbers)
+    cells[list(floats)] = numbers
+    out[...] = cells[inverse]
+
+
+def _fill_cells(column: np.ndarray, out: np.ndarray) -> None:
+    kind = column.dtype.kind
+    if kind == "f":
+        _float_cells(column.astype(np.float64), out)
+    elif kind == "i" or (kind == "u" and column.max(initial=0) < 2**63):
+        _integer_cells(column.astype(np.int64), out)
+    elif kind == "U":
+        _text_cells(column, out)
+    else:
+        _text_cells(np.array([str(v) for v in column], dtype=str), out)
+
+
+def canonical_cells(column: np.ndarray) -> np.ndarray:
+    """The canonical 17-byte record of every cell of a column (see above)."""
+    column = np.asarray(column)
+    out = np.zeros(len(column), dtype=_CELL)
+    _fill_cells(column, out)
+    return out
+
+
 @dataclass(frozen=True)
 class Column:
     name: str
@@ -121,8 +229,10 @@ class Schema:
 class Dataset:
     """Immutable column-oriented dataset with a content hash.
 
-    The hash covers schema and cell values in canonical JSON form, so it is
-    stable under serialization round trips and independent of file layout.
+    Identity is the name->role binding plus the multiset of rows, each cell
+    taken at 12 significant digits (see `canonical_cells`). So the hash is
+    stable under serialization round trips, file layout, column declaration
+    order and row order: a shuffled copy is the same data.
     """
 
     def __init__(self, schema: Schema, columns: Mapping[str, np.ndarray]):
@@ -205,17 +315,38 @@ class Dataset:
         cols = {name: arr[idx] for name, arr in self._data.items()}
         return Dataset(self.schema, cols)
 
+    def canonical_rows(self, names: Sequence[str]) -> np.ndarray:
+        """The canonical cells (`canonical_cells`) of the named columns, in
+        sorted-name order, as an (n_rows, 17 * len(names)) uint8 matrix: two
+        rows are equal exactly when every named cell is."""
+        names = sorted(names)
+        cells = np.empty((self.n_rows, len(names)), dtype=_CELL)
+        for j, name in enumerate(names):
+            _fill_cells(self.column(name), cells[:, j])
+        return cells.view(np.uint8)
+
+    def row_digests(self, names: Sequence[str]) -> np.ndarray:
+        """One blake2b-128 digest per canonical row of the named columns, as
+        an (n_rows,) `S16` array."""
+        # copying one hasher is cheaper than constructing one per row
+        blank = hashlib.blake2b(digest_size=16)
+        digests = []
+        for row in self.canonical_rows(names):
+            h = blank.copy()
+            h.update(row)
+            digests.append(h.digest())
+        return np.frombuffer(b"".join(digests), dtype="S16")
+
     @property
     def content_hash(self) -> str:
-        # identity is the name->role binding plus values; declaration order
-        # must not matter, or reordering config columns would dodge the
+        # a multiset hash (SHA-256 over the sorted row digests): neither row
+        # order nor config declaration order may mint a new identity, or a
+        # shuffle or a reordered `columns:` mapping would dodge the
         # stale-data check
         if self._hash is None:
-            payload = {
-                "schema": sorted(self.schema.as_plain()),
-                "columns": {n: self._data[n] for n in sorted(self._data)},
-            }
-            self._hash = sha256_hex(canonical_json(payload))
+            h = hashlib.sha256(canonical_json(sorted(self.schema.as_plain())).encode())
+            h.update(np.sort(self.row_digests(list(self._data))).tobytes())
+            self._hash = h.hexdigest()
         return self._hash
 
     def to_jsonl(self, path: str | Path) -> None:

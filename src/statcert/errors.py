@@ -181,5 +181,9 @@ class LedgerCorrupt(StatcertError):
     """Hash chain or serialization of the audit ledger is broken."""
 
 
+class LedgerVersionMismatch(StatcertError):
+    """Ledger entries were written under another report schema version."""
+
+
 class NoReferenceBatch(StatcertError):
     """Monitoring requires a reference batch in the config."""

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, sha256_hex
+from .core import Dataset
 from .errors import MissingColumn, SchemaMismatch, TooFewSamples, ValidationError
 from .stattest import rank_auroc
 
 DUPLICATE_KEYS = ("exact_features", "feature_hash")
 PROXY_MIN_ROWS = 100
-SIGNIFICANT_DIGITS = 12
 
 
 @dataclass(frozen=True)
@@ -48,63 +47,61 @@ class LeakageReport:
         }
 
 
-def _canonical_cell(value) -> str:
-    # 12 significant digits, so CSV round-trips cannot hide duplicates
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.{SIGNIFICANT_DIGITS}g}"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+def _row_groups(rows: np.ndarray):
+    """Rows grouped by equal value: (keys, order, starts, counts). Group g
+    holds the value keys[g] (keys ascend) in the rows order[starts[g]:
+    starts[g] + counts[g]], in ascending row order."""
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, len(ordered)])
+    return ordered[starts], order, starts, counts
 
 
-def _canonical_rows(dataset: Dataset, hashed: bool) -> list[str]:
-    names = dataset.schema.names_for("feature")
-    columns = [dataset.column(n) for n in names]
-    out = []
-    for i in range(dataset.n_rows):
-        canon = "\x1f".join(_canonical_cell(col[i]) for col in columns)
-        out.append(sha256_hex(canon) if hashed else canon)
-    return out
+def _feature_rows(dataset: Dataset, features) -> np.ndarray:
+    """Each row's canonical feature cells as one sortable byte string."""
+    rows = dataset.canonical_rows(features)
+    return rows.view(f"S{rows.shape[1]}")[:, 0]
 
 
 def duplicate_check(train: Dataset, test: Dataset,
                     key: str = "exact_features") -> LeakageReport:
     """Flag feature rows that appear in both splits, or repeat within one.
 
-    Rows are canonicalized (declared column order, decimals normalized to 12
-    significant digits) before comparison; key=feature_hash compares SHA-256
-    digests of the same canonical form. Cross-split matches are violations,
-    within-set repeats warnings. Evidence carries (train_row, test_row)
-    indices, so swapping the splits flags the same pairs.
+    Two rows are the same when every feature cell is equal at 12 significant
+    digits, the cell identity of `Dataset.content_hash` (see
+    `core.canonical_cells`), so CSV round trips cannot hide a duplicate.
+    Either key (exact_features, feature_hash) compares the canonical rows
+    themselves, by sorting and binary search. Cross-split matches are
+    violations, within-set repeats warnings. Evidence carries (train_row,
+    test_row) indices, so swapping the splits flags the same pairs.
     """
     if key not in DUPLICATE_KEYS:
         raise ValidationError(f"bad key {key!r}")
-    train_feats = train.schema.names_for("feature")
-    if train_feats != test.schema.names_for("feature"):
+    features = train.schema.names_for("feature")
+    if features != test.schema.names_for("feature"):
         raise SchemaMismatch("train/test feature columns differ")
-    if not train_feats:
+    if not features:
         raise MissingColumn("no feature columns to compare")
-    hashed = key == "feature_hash"
-    train_rows = _canonical_rows(train, hashed)
-    test_rows = _canonical_rows(test, hashed)
-
-    train_index: dict[str, list[int]] = {}
-    for i, canon in enumerate(train_rows):
-        train_index.setdefault(canon, []).append(i)
+    test_rows = _feature_rows(test, features)
+    groups = {"train": _row_groups(_feature_rows(train, features)),
+              "test": _row_groups(test_rows)}
 
     evidence = []
-    for i, canon in enumerate(test_rows):
-        if canon in train_index:
-            evidence.append({"test_row": i, "train_rows": list(train_index[canon])})
+    keys, order, starts, counts = groups["train"]
+    slots = np.searchsorted(keys, test_rows)
+    hits = np.flatnonzero(slots < len(keys))
+    hits = hits[keys[slots[hits]] == test_rows[hits]]
+    for i, g in zip(hits.tolist(), slots[hits].tolist()):
+        evidence.append({"test_row": i,
+                         "train_rows": order[starts[g]:starts[g] + counts[g]].tolist()})
     cross = len(evidence)
 
-    for tag, rows in (("train", train_rows), ("test", test_rows)):
-        seen: dict[str, list[int]] = {}
-        for i, canon in enumerate(rows):
-            seen.setdefault(canon, []).append(i)
-        for canon, idxs in seen.items():
-            if len(idxs) > 1:
-                evidence.append({"set": tag, "rows": idxs})
+    for tag, (_, order, starts, counts) in groups.items():
+        repeated = np.flatnonzero(counts > 1)
+        # in order of each set's first row
+        for g in repeated[np.argsort(order[starts[repeated]])].tolist():
+            evidence.append({"set": tag, "rows": order[starts[g]:starts[g] + counts[g]].tolist()})
 
     if cross:
         severity = "violation"

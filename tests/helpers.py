@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from statcert.core import sha256_hex
 from statcert.drift import (
     DiscreteDistribution,
     mmd_permutation_test,
@@ -12,6 +13,7 @@ from statcert.drift import (
     tv_equality_witness,
 )
 from statcert.sampling import splitmix64
+from statcert.leakage import LeakageReport
 from statcert.stattest import TestResult
 
 
@@ -163,3 +165,50 @@ def witness_equality_error(n_tuples, support, seed=626262):
         tv = total_variation_discrete(p, q)
         worst = max(worst, abs(res.gap - tv))
     return worst
+
+
+def string_cell(value) -> str:
+    """A cell's canonical string: 12 significant digits for floats, str()
+    for anything else. Two cells are the same data exactly when these are
+    equal; `core.canonical_cells` must agree."""
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.12g}"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def string_duplicate_check(train, test, key="exact_features"):
+    """Duplicate screen over joined cell strings in Python dicts: the
+    reference for the sorted-row `leakage.duplicate_check` (same
+    evidence, same order)."""
+    names = train.schema.names_for("feature")
+
+    def rows(ds):
+        columns = [ds.column(n) for n in names]
+        out = []
+        for i in range(ds.n_rows):
+            canon = "\x1f".join(string_cell(col[i]) for col in columns)
+            out.append(sha256_hex(canon) if key == "feature_hash" else canon)
+        return out
+
+    train_rows, test_rows = rows(train), rows(test)
+    train_index = {}
+    for i, canon in enumerate(train_rows):
+        train_index.setdefault(canon, []).append(i)
+    evidence = [{"test_row": i, "train_rows": list(train_index[canon])}
+                for i, canon in enumerate(test_rows) if canon in train_index]
+    cross = len(evidence)
+    for tag, split_rows in (("train", train_rows), ("test", test_rows)):
+        seen = {}
+        for i, canon in enumerate(split_rows):
+            seen.setdefault(canon, []).append(i)
+        evidence.extend({"set": tag, "rows": idxs}
+                        for idxs in seen.values() if len(idxs) > 1)
+    if cross:
+        severity, description = "violation", f"{cross} test row(s) duplicated in train"
+    elif evidence:
+        severity, description = "warning", "repeated rows within a split"
+    else:
+        severity, description = "clean", "no duplicate feature rows"
+    return LeakageReport("duplicate", severity, tuple(evidence), description)

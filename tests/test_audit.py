@@ -109,6 +109,13 @@ def mutate_yaml(src: Path, transform, name="mutated.yaml") -> Path:
     return dst
 
 
+def shuffle_rows(path: Path, seed: int) -> None:
+    """Rewrite a CSV file with its data rows in another order."""
+    header, *rows = path.read_text().splitlines()
+    order = np.random.default_rng(seed).permutation(len(rows))
+    path.write_text("\n".join([header, *(rows[i] for i in order)]) + "\n")
+
+
 def write_grouped_csv(path: Path, n: int, seed: int) -> None:
     """n rows in two alternating groups, every prediction correct."""
     rng = np.random.default_rng(seed)
@@ -550,6 +557,23 @@ class TestRunAudit:
         with pytest.raises(ConfigInvalid, match="recertify"):
             run_audit(load_config(swapped))
 
+    def test_rerun_must_reproduce_the_decisions_of_entry_0(self, tmp_path):
+        # the bootstrap reads only the multiset of losses (it sorts them), so
+        # a shuffled file reproduces entry 0; another seed resamples
+        # differently, and its report would contradict the ledger
+        def bootstrap_mse(raw):
+            raw["mprs"][0].update(metric="mse", direction="at_most", threshold=0.04,
+                                  test="bootstrap")
+        path = mutate_yaml(build_workspace(tmp_path), bootstrap_mse)
+        first = run_audit(load_config(path))
+        shuffle_rows(tmp_path / "data" / "test.csv", seed=1)
+        again = run_audit(load_config(path))
+        assert again.payload["checks"]["mpr"] == first.payload["checks"]["mpr"]
+        reseeded = mutate_yaml(path, lambda raw: raw.update(seed=7), name="reseeded.yaml")
+        with pytest.raises(ConfigInvalid, match="other decisions"):
+            run_audit(load_config(reseeded))
+        assert len(AuditLedger(tmp_path / "ledger.jsonl")) == 1
+
     def test_rerun_with_changed_family_refused(self, example_copy):
         run_audit(load_config(example_copy / "audit.yaml"))
 
@@ -633,6 +657,17 @@ class TestRecertify:
         run_audit(cfg)
         with pytest.raises(StaleDataReuse):
             recertify(cfg.ledger_path, cfg)  # same file, same bytes
+
+    def test_shuffled_copy_of_consumed_data_refused(self, tmp_path):
+        cfg = load_config(build_workspace(tmp_path, k=195, weights=(0.5, 0.5)))
+        run_audit(cfg)
+        shuffle_rows(tmp_path / "data" / "test.csv", seed=2)
+        with pytest.raises(StaleDataReuse):
+            recertify(cfg.ledger_path, cfg)
+        write_labeled_csv(tmp_path / "data" / "test.csv", 200, 195, seed=781)
+        report, ledger = recertify(cfg.ledger_path, cfg)  # fresh rows still pass
+        assert report.verdict == "pass"
+        assert len(ledger) == 2
 
     def test_stale_data_refused_under_reordered_columns(self, tmp_path):
         # reversing the `columns:` mapping must not mint a fresh identity
@@ -738,6 +773,18 @@ class TestMonitor:
         with pytest.raises(StaleDataReuse):
             monitor_step(cfg.ledger_path, cfg,
                          self.window(example_copy, "window_shift.csv"), reused)
+
+    def test_shuffled_point_check_copy_refused(self, example_copy):
+        cfg = load_config(example_copy / "audit.yaml")
+        run_audit(cfg)
+        path = example_copy / "data" / "point_check.csv"
+        shifted = self.window(example_copy, "window_shift.csv")
+        point = load_dataset(path, cfg.datasets["test"].columns)
+        assert monitor_step(cfg.ledger_path, cfg, shifted, point).verdict == "shift_benign"
+        shuffle_rows(path, seed=3)
+        shuffled = load_dataset(path, cfg.datasets["test"].columns)
+        with pytest.raises(StaleDataReuse):
+            monitor_step(cfg.ledger_path, cfg, shifted, shuffled)
 
     def test_no_drift_section_refused(self, tmp_path, example_copy):
         cfg = load_config(build_workspace(tmp_path))

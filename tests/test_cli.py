@@ -16,6 +16,7 @@ import yaml
 from click.testing import CliRunner
 
 from statcert.audit.config import load_config
+from statcert.audit.ledger import entry_hash
 from statcert.cli import main
 from statcert.core import canonical_json
 from statcert.errors import ConfigInvalid
@@ -253,3 +254,73 @@ def test_ensembles_string_may_hold_a_line_separator(ws):
              '{"members": [[0.2, 0.8]], "correct": false}']
     result = invoke("run", ws / with_ensembles(ws, "\n".join(lines).encode() + b"\n"))
     assert result.exit_code == 0, result.output
+
+
+def test_non_utf8_ledger_is_inconsistent_exits_3(ws):
+    certify(ws)
+    with open(ws / "audit_ledger.jsonl", "ab") as fh:
+        fh.write(b"\xff\xfe")
+    result = invoke("verify-ledger", ws / "audit_ledger.jsonl")
+    assert result.exit_code == 3
+    assert json.loads(result.stdout) == {
+        "consistent": False, "detail": "line 2 is not valid JSON",
+        "first_inconsistency": 1, "n_entries": 1}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_non_utf8_ledger_exits_3(ws, name):
+    certify(ws)
+    with open(ws / "audit_ledger.jsonl", "ab") as fh:
+        fh.write(b"\xff\xfe")
+    result = invoke(*command(name, ws))
+    assert result.exit_code == 3
+    assert "2: not valid JSON" in result.stderr
+
+
+def test_non_utf8_report_exits_2(ws):
+    bad = ws / "report.json"
+    bad.write_bytes(b'{"verdict": "\xff\xfe"}')
+    result = invoke("report", "--path", bad)
+    assert result.exit_code == 2
+    assert "cannot read report" in result.stderr
+
+
+def shuffle_test_rows(ws, name="test_pass.csv"):
+    path = ws / "data" / name
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *reversed(rows)]) + "\n")
+
+
+def test_shuffled_consumed_test_file_exits_2(ws):
+    certify(ws)
+    shuffle_test_rows(ws)
+    result = invoke(*command("recertify", ws))
+    assert result.exit_code == 2
+    assert "reuses content already consumed" in result.stderr
+
+
+def write_pre_version_ledger(ws):
+    """The ledger as written before entries recorded their schema version:
+    no version field, every hash recomputed, so it still verifies."""
+    path = ws / "audit_ledger.jsonl"
+    entries, prev = [], None
+    for line in path.read_text().splitlines():
+        entry = json.loads(line)
+        del entry["schema_version"]
+        entry["prev_hash"] = prev
+        entry["entry_hash"] = prev = entry_hash(entry)
+        entries.append(entry)
+    path.write_text("".join(canonical_json(e) + "\n" for e in entries))
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_ledger_of_older_schema_version_exits_2(ws, name):
+    certify(ws)
+    write_pre_version_ledger(ws)
+    verified = invoke("verify-ledger", ws / "audit_ledger.jsonl")
+    assert verified.exit_code == 0
+    assert json.loads(verified.stdout)["consistent"] is True
+    refresh_test_data(ws)
+    result = invoke(*command(name, ws, point_check="point_check.csv"))
+    assert result.exit_code == 2
+    assert "schema version 1, not 2" in result.stderr

@@ -13,6 +13,7 @@ from statcert.core import (
     MprSpec,
     SaddRecord,
     Schema,
+    canonical_cells,
     canonical_json,
     compute_metric,
     empirical_risk,
@@ -29,6 +30,7 @@ from statcert.errors import (
 )
 
 from conftest import build_dataset, counts_to_rows, labeled
+from helpers import string_cell
 
 
 class TestComputeMetric:
@@ -182,6 +184,66 @@ class TestDatasetModel:
         sub = ds.subset([0, 2, 4])
         assert sub.n_rows == 3
         assert sub.schema == ds.schema
+
+
+def same_partition(*columns):
+    """Whether canonical records and `string_cell` strings group the cells
+    of all columns alike; also returns how many distinct strings there are."""
+    by_string, by_record = {}, {}
+    for column in columns:
+        for value, record in zip(column, canonical_cells(column)):
+            text, record = string_cell(value), record.tobytes()
+            by_string.setdefault(text, set()).add(record)
+            by_record.setdefault(record, set()).add(text)
+    one_to_one = (all(len(v) == 1 for v in by_string.values())
+                  and all(len(v) == 1 for v in by_record.values()))
+    return one_to_one, len(by_string)
+
+
+class TestCanonicalCells:
+    def test_floats_agree_with_twelve_digit_strings(self):
+        rng = np.random.default_rng(121212)
+        n = 20_000
+        scale = 10.0 ** rng.integers(-300, 301, size=n)
+        spread = rng.uniform(-10, 10, size=n) * scale
+        # 13-digit decimals ending in 5: the 12th-digit rounding ties, and
+        # the doubles on either side of them
+        ties = np.array([float(f"{m}5e{e}") for m, e in zip(
+            rng.integers(10**11, 10**12, size=n), rng.integers(-320, 290, size=n))])
+        ties = ties[np.isfinite(ties) & (ties != 0)]
+        csv = np.round(rng.normal(size=n) * 10.0 ** rng.integers(-2, 7, size=n), 6)
+        printed = np.array([float(f"{v:.12g}") for v in spread])
+        special = np.array([5e-324, -5e-324, 1e-320, 2.2250738585072014e-308,
+                            1.7976931348623157e308, 0.0, -0.0, 1.0, 1e12, 1e-5,
+                            999999999999.5, 9.999999999995e-5, 0.1, 1 / 3])
+        values = np.concatenate([
+            spread, -spread, printed, ties, np.nextafter(ties, np.inf),
+            np.nextafter(ties, -np.inf), csv, csv * (1 + 1e-14), special])
+        one_to_one, distinct = same_partition(values)
+        assert one_to_one
+        assert distinct < len(np.unique(values))  # some strings do merge floats
+
+    def test_negative_zero_stays_apart(self):
+        plus, minus = canonical_cells(np.array([0.0, -0.0]))
+        assert plus.tobytes() != minus.tobytes()
+        assert canonical_cells(np.array([0]))[0].tobytes() == plus.tobytes()
+
+    def test_cells_agree_across_dtypes(self):
+        floats = np.array([1e12, 999999999999.0, 1.5, 5.0, -5.0, 0.0, -0.0,
+                           1e-5, 123456789012.5, 4.94065645841e-324, 1e15])
+        ints = np.array([10**12 - 1, 10**12, 10**12 + 1, 10**15, 5, -5, 0,
+                         2**53 + 1, 2**63 - 1, -(2**63)], dtype=np.int64)
+        texts = np.array(["1.5", "1e+12", "1e12", "5", "5.0", "-0", "0", "-5",
+                          "999999999999", "1000000000000", "1000000000000000",
+                          "1e+15", "1e-05", "0.00001", "123456789012", "abc", "",
+                          "nan", "inf", " 1.5", "1_0", "+5", "05",
+                          "4.94065645841e-324", "9223372036854775807",
+                          "99999999999999999999"])
+        columns = (floats, ints, texts, np.array([True, False]),
+                   np.array([5, 250], dtype=np.uint8))
+        one_to_one, distinct = same_partition(*columns)
+        assert one_to_one
+        assert distinct < sum(len(c) for c in columns)  # "1.5" is 1.5, 5 is 5.0
 
 
 class TestSaddRecord:

@@ -57,6 +57,17 @@ def test_runner_loads_no_scipy_stats():
     assert loaded == []
 
 
+def test_rank_auroc_loads_no_scipy_stats():
+    loaded = run_python("""
+        import json, sys
+        from statcert.stattest import rank_auroc
+        auc = rank_auroc([0.1, 0.4, 0.4, 0.8], [False, True, False, True])
+        print(json.dumps([auc, sorted(m for m in sys.modules
+                                      if m.startswith("scipy.stats"))]))
+        """)
+    assert loaded == [0.875, []]
+
+
 def test_package_names_resolve_on_first_access():
     resolved = run_python("""
         import json, sys

@@ -12,6 +12,7 @@ from statcert.errors import (
     ValidationError,
 )
 from statcert.leakage import (
+    DUPLICATE_KEYS,
     LeakageReport,
     duplicate_check,
     group_leakage_check,
@@ -20,6 +21,7 @@ from statcert.leakage import (
 )
 
 from conftest import build_dataset
+from helpers import string_duplicate_check
 
 
 def feature_split(x: np.ndarray):
@@ -136,6 +138,57 @@ class TestDuplicateCheck:
         report = duplicate_check(feature_split(xtr), feature_split(xte))
         cross = [e for e in report.evidence if "test_row" in e]
         assert cross == [{"test_row": 0, "train_rows": [1]}]
+
+
+def oracle_splits(case, seed):
+    """Seeded (train, test) pair for one duplicate-evidence case."""
+    rng = np.random.default_rng([seed, len(case)])
+    n_train, n_test = int(rng.integers(30, 300)), int(rng.integers(20, 200))
+    if case == "int64":
+        # few distinct values, some beyond 12 digits
+        values = np.array([-3, 0, 7, 10**12 - 1, 10**12, 10**15, -(2**63)])
+        return (feature_split(rng.choice(values, size=(n_train, 2))),
+                feature_split(rng.choice(values, size=(n_test, 2))))
+    xtr = rng.normal(size=(n_train, 3)) * 10.0 ** rng.integers(-8, 9, size=3)
+    xte = rng.normal(size=(n_test, 3)) * 10.0 ** rng.integers(-8, 9, size=3)
+    picks = rng.integers(0, n_train, size=n_test // 4)
+    slots = rng.choice(n_test, size=n_test // 4, replace=False)
+    if case == "cross":
+        xte[slots] = xtr[picks]
+    elif case == "within":
+        xtr[rng.integers(0, n_train, size=8)] = xtr[rng.integers(0, n_train)]
+        xte[slots] = xte[rng.integers(0, n_test)]
+    elif case == "roundtrip":
+        # equal at 12 digits: printed and reparsed, or moved by one ulp;
+        # a change in the 11th digit must stay apart
+        moved = np.vectorize(lambda v: float(f"{v:.12g}"))(xtr[picks])
+        moved[::3] = np.nextafter(xtr[picks][::3], np.inf)
+        moved[1::5] = xtr[picks][1::5] * (1 + 3e-11)
+        xte[slots] = moved
+    elif case == "text":
+        # the same numbers as text in train, as floats in test
+        xte[slots] = xtr[picks]
+        text = np.vectorize(lambda v: f"{v:.12g}")(xtr).astype(object)
+        text[::7, 0] = "n/a"
+        columns = {f"x{j}": text[:, j].astype(str) for j in range(3)}
+        return (build_dataset(columns, {name: "feature" for name in columns}),
+                feature_split(xte))
+    return feature_split(xtr), feature_split(xte)
+
+
+class TestDuplicateOracle:
+    """Digest-free sorted comparison against the joined-string screen."""
+
+    @pytest.mark.parametrize("key", DUPLICATE_KEYS)
+    @pytest.mark.parametrize("case", ["cross", "within", "roundtrip", "int64", "text"])
+    def test_evidence_equals_string_screen(self, case, key):
+        severities = set()
+        for seed in range(6):
+            train, test = oracle_splits(case, seed)
+            got = duplicate_check(train, test, key=key).as_plain()
+            assert got == string_duplicate_check(train, test, key=key).as_plain()
+            severities.add(got["severity"])
+        assert severities == ({"warning"} if case == "within" else {"violation"})
 
 
 class TestGroupLeakage:

@@ -277,3 +277,26 @@ class TestRankAuroc:
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):
             rank_auroc(np.array([1.0, 2.0]), np.array([True, True]))
+
+    def test_equals_scipy_rankdata_path_on_ties(self):
+        from scipy.stats import rankdata
+
+        def scipy_auroc(scores, positive):
+            n_pos = int(np.sum(positive))
+            n_neg = len(positive) - n_pos
+            u = float(np.sum(rankdata(scores)[positive])) - n_pos * (n_pos + 1) / 2.0
+            return u / (n_pos * n_neg)
+
+        rng = np.random.default_rng(424242)
+        for _ in range(300):
+            n = int(rng.integers(2, 400))
+            # few distinct values, so most scores sit in long tie runs
+            levels = rng.normal(size=int(rng.integers(1, 12))) * 10.0 ** rng.integers(-3, 4)
+            scores = rng.choice(np.r_[levels, -0.0, 0.0, np.inf, -np.inf], size=n)
+            flags = rng.uniform(size=n) < rng.uniform(0.05, 0.95)
+            flags[:2] = [True, False]
+            assert rank_auroc(scores, flags) == scipy_auroc(scores, flags)
+        scores = np.array([0.3, np.nan, 0.1])
+        flags = np.array([True, False, True])
+        assert math.isnan(rank_auroc(scores, flags))
+        assert math.isnan(scipy_auroc(scores, flags))
