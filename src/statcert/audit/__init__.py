@@ -1,14 +1,16 @@
 import importlib
 
-from .config import (AuditConfig, DatasetBinding, DriftSettings,
-                     FairnessRequirement, LeakageSettings, MprRequirement,
-                     OodScenario, OodSettings, RobustnessSettings,
-                     UncertaintySettings, load_config)
 from .ledger import AuditLedger, FallbackState, entry_hash, verify_ledger
 from .report import SCHEMA_VERSION, AuditReport, render_markdown
 
-# the runner pulls in every check module; it loads on first access (PEP 562)
-_RUNNER_NAMES = ("MonitorOutcome", "monitor_step", "recertify", "run_audit")
+# config loads numpy and yaml, and the runner every check module: each loads
+# on first access of one of its names (PEP 562)
+_LAZY = {name: "config" for name in (
+    "AuditConfig", "DatasetBinding", "DriftSettings", "FairnessRequirement",
+    "LeakageSettings", "MprRequirement", "OodScenario", "OodSettings",
+    "RobustnessSettings", "UncertaintySettings", "load_config")}
+_LAZY.update({name: "runner" for name in (
+    "MonitorOutcome", "monitor_step", "recertify", "run_audit")})
 
 __all__ = [
     "AuditConfig", "AuditLedger", "AuditReport", "DatasetBinding",
@@ -21,8 +23,8 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    if name in _RUNNER_NAMES:
-        value = getattr(importlib.import_module(f"{__name__}.runner"), name)
+    if name in _LAZY:
+        value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
         globals()[name] = value
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

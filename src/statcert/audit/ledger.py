@@ -18,9 +18,8 @@ import math
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from ..core import canonical_json, sha256_hex
+from ..canonical import FallbackState, canonical_json, sha256_hex
 from ..errors import LedgerCorrupt
-from ..multiplicity import FallbackState
 from .report import SCHEMA_VERSION
 
 ALPHA_TOL = 1e-12
@@ -31,23 +30,34 @@ _REQUIRED_FIELDS = (
     "alpha_carried_in", "alpha_carried_out", "decisions", "demonstrated",
     "verdict", "prev_hash", "entry_hash",
 )
+_REQUIRED = frozenset(_REQUIRED_FIELDS)
 
 
 def entry_hash(entry: Mapping) -> str:
-    body = {k: v for k, v in entry.items() if k != "entry_hash"}
+    body = dict(entry)
+    body.pop("entry_hash", None)
     return sha256_hex(canonical_json(body))
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+# canonical JSON never writes NaN or Infinity, which json.loads accepts
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 def _parse(path: Path) -> tuple[list[dict], int | None]:
     """Entries up to the first line that is not valid UTF-8 JSON, and that
-    line's number (None when every line parses). Blank lines are skipped."""
+    line's number (None when every line parses). Blank lines are skipped,
+    and a NaN or Infinity literal makes its line invalid."""
     entries = []
     for lineno, line in enumerate(path.read_bytes().splitlines(), 1):
         if not line.strip():
             continue
         try:
-            entries.append(json.loads(line.decode("utf-8")))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            entries.append(_DECODER.decode(line.decode("utf-8")))
+        except (ValueError, RecursionError):  # not UTF-8, not JSON, too deep
             return entries, lineno
     return entries, None
 
@@ -120,12 +130,16 @@ class AuditLedger:
 
 
 def verify_ledger(ledger: AuditLedger | str | Path) -> dict:
-    """Integrity replay. Never raises; returns a verdict dict with the index
-    and description of the first inconsistency, if any.
+    """Integrity replay. Never raises, whatever the file holds; returns a
+    verdict dict with the index and description of the first inconsistency,
+    if any.
 
     Checks, per entry: JSON shape, index order, hash-chain linkage, the
-    entry's own content hash, family identity with entry 0, and the fallback
-    alpha recurrence over test-bearing entries.
+    entry's own content hash (SHA-256 of its canonical JSON without
+    `entry_hash`, taken on the entry as parsed), family identity with
+    entry 0, and the fallback alpha recurrence over test-bearing entries.
+    Entry 0's family must carry a numeric `alpha` and a sequence of numeric
+    `weights`; they are read once, there.
     """
     def bad(index, detail):
         return {"consistent": False, "first_inconsistency": index,
@@ -144,34 +158,40 @@ def verify_ledger(ledger: AuditLedger | str | Path) -> dict:
         entries = list(ledger.entries)
         n = len(entries)
 
-    family = None
+    family = alpha = weights = None
     state = FallbackState(0, 0.0)
     prev_hash = None
     for i, e in enumerate(entries):
         if not isinstance(e, dict):
             return bad(i, "entry is not an object")
-        missing = [f for f in _REQUIRED_FIELDS if f not in e]
-        if missing:
-            return bad(i, f"missing fields {missing}")
+        if not _REQUIRED.issubset(e):
+            return bad(i, f"missing fields {[f for f in _REQUIRED_FIELDS if f not in e]}")
         if e["index"] != i:
             return bad(i, f"index {e['index']} at position {i}")
         if e["prev_hash"] != prev_hash:
             return bad(i, "broken hash chain")
-        if entry_hash(e) != e["entry_hash"]:
+        try:
+            content_hash = entry_hash(e)
+        except (ValueError, RecursionError):  # 1e999 parses as infinity; deep nesting
+            return bad(i, "entry content has no canonical JSON form")
+        if content_hash != e["entry_hash"]:
             return bad(i, "entry hash does not match content")
         if i == 0:
             family = e["family"]
+            try:
+                alpha = float(family["alpha"])
+                weights = tuple(float(w) for w in family["weights"])
+            except (KeyError, TypeError, ValueError, OverflowError):
+                return bad(i, "family needs a numeric alpha and numeric weights")
         elif e["family"] != family:
             return bad(i, "family snapshot differs from entry 0")
         try:
             allocated = float(e["alpha_allocated"])
             carried_in = float(e["alpha_carried_in"])
             carried_out = float(e["alpha_carried_out"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return bad(i, "non-numeric alpha fields")
         if e["test_bearing"]:
-            alpha = float(family["alpha"])
-            weights = tuple(float(w) for w in family["weights"])
             if not math.isclose(carried_in, state.carry, abs_tol=ALPHA_TOL):
                 return bad(i, f"carried-in alpha {carried_in} != replayed {state.carry}")
             expect = state.next_alpha(alpha, weights)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core import canonical_json, sha256_hex
+from ..canonical import canonical_json, sha256_hex
 
 SCHEMA_VERSION = 2
 

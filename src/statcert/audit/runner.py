@@ -17,7 +17,8 @@ import numpy as np
 import scipy
 
 from .. import __version__
-from ..core import Dataset, canonical_json, load_dataset
+from ..canonical import FallbackState, canonical_json
+from ..core import Dataset, load_dataset
 from ..drift import (ShiftClassification, ShiftVerdict, batch_from_dataset,
                      classify_shift, multivariate_shift_test)
 from ..errors import (ConfigInvalid, DataLoadError, FamilyAlphaExhausted,
@@ -26,7 +27,6 @@ from ..errors import (ConfigInvalid, DataLoadError, FamilyAlphaExhausted,
 from ..fairness import GroupedOutcomes, fairness_mpr_check
 from ..leakage import (duplicate_check, group_leakage_check, target_proxy_screen,
                        temporal_split_check)
-from ..multiplicity import FallbackState
 from ..robustness import (SubprocessPredictor, calibrate_threshold, evaluate_ood,
                           fit_ood_scorer, robust_accuracy)
 from ..sampling import splitmix64

@@ -1,0 +1,74 @@
+"""The serialisation rule shared by reports, the ledger and their hashes,
+and the fallback alpha recurrence the ledger replays.
+
+Standard library only: `verify-ledger` and `report` run on this module
+without loading numpy.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import dataclass
+
+
+def _numpy_value(obj):
+    # numpy scalars and arrays, told apart without importing numpy; tolist()
+    # gives the Python value (an array: nested lists of them), except for a
+    # long double, which no Python type holds
+    if type(obj).__module__ == "numpy" and hasattr(obj, "tolist"):
+        value = obj.tolist()
+        if type(value) is not type(obj):
+            return value
+        if obj.dtype.kind == "f":
+            return float(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+# one encoder for every call: json.dumps would build one per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
+                            default=_numpy_value)
+
+
+def canonical_json(obj) -> str:
+    """Serialize to the canonical JSON form used for hashing and reports.
+
+    Keys sorted, no whitespace, floats in shortest round-trip form, NaN and
+    infinity rejected (ValueError), tuples written as lists, numpy scalars
+    and arrays as their Python values. Two structurally equal objects always
+    produce the same bytes.
+
+    Keys must be strings: json would write a key True as "true" and sort
+    integer keys by value. Every mapping the program emits is keyed by
+    text, as config keys are converted to str and boolean keys are refused
+    at load.
+    """
+    return _ENCODER.encode(obj)
+
+
+def sha256_hex(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@dataclass(frozen=True)
+class FallbackState:
+    """Position in the fallback recurrence: how many hypotheses have been
+    tested and the alpha carried into the next one.
+
+    This is the one statement of the rule that the procedure, the
+    simulator, and the certification ledger all replay. The carry may be a
+    numpy array to advance many independent sequences at once.
+    """
+
+    tests_done: int
+    carry: float
+
+    def next_alpha(self, family_alpha: float, weights) -> float:
+        """alpha_i = carry + alpha * w_i, with w_i = 0 past the last weight."""
+        w = weights[self.tests_done] if self.tests_done < len(weights) else 0.0
+        return self.carry + family_alpha * w
+
+    def advance(self, allocated, rejected) -> "FallbackState":
+        """A rejection passes its whole allocation forward; a failure passes
+        nothing."""
+        return FallbackState(self.tests_done + 1, allocated * rejected)

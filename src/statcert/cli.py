@@ -11,17 +11,19 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Callable, NoReturn
+from typing import TYPE_CHECKING, Callable, NoReturn
 
 import click
 
-from .audit.config import AuditConfig, load_config
 from .audit.ledger import AuditLedger, verify_ledger
 from .audit.report import AuditReport, SCHEMA_VERSION, render_markdown
-# audit.runner loads every check module and scipy: only run, recertify and
-# monitor import it
-from .core import canonical_json, load_dataset
+from .canonical import canonical_json
 from .errors import FamilyAlphaExhausted, LedgerCorrupt, NoReferenceBatch, StatcertError
+
+# audit.config and core load numpy and yaml, audit.runner every check module
+# and scipy: only the commands that read a config import them
+if TYPE_CHECKING:
+    from .audit.config import AuditConfig
 
 EXIT_PASS = 0
 EXIT_NOT_DEMONSTRATED = 1
@@ -55,6 +57,7 @@ def _execute(config_path: str, action: Callable[[AuditConfig], object], *,
     """Load the config and run `action` on it, exiting through _EXIT_CODES
     on a toolkit error. With report_inconclusive, an exhausted family still
     writes a report, whose verdict is inconclusive."""
+    from .audit.config import load_config
     config = None
     try:
         config = load_config(config_path)
@@ -117,6 +120,7 @@ def monitor_cmd(config_path: str, window_path: str,
                 point_check_path: str | None) -> None:
     """One monitoring cycle against the registered reference batch."""
     from .audit.runner import MonitorOutcome, monitor_step
+    from .core import load_dataset
 
     def monitor(config: AuditConfig) -> MonitorOutcome:
         if config.drift is None:

@@ -18,6 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .canonical import canonical_json, sha256_hex  # also re-exported from here
 from .errors import (
     DataLoadError,
     EmptyDataset,
@@ -44,34 +45,6 @@ _SINGLETON_ROLES = ("label", "prediction", "group", "group_id", "timestamp", "sp
 SPLIT_TAGS = ("train", "validation", "test", "production")
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
-
-
-def canonical_json(obj) -> str:
-    """Serialize to the canonical JSON form used for hashing and reports.
-
-    Keys sorted, no whitespace, floats in shortest round-trip form, NaN and
-    infinity rejected. Two structurally equal objects always produce the
-    same bytes.
-    """
-    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
-def _plain(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
-
-
-def sha256_hex(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # Canonical cells. A cell's record is equal to another's exactly when their
@@ -353,7 +326,7 @@ class Dataset:
         names = [c.name for c in self.schema.columns]
         with open(path, "w", encoding="utf-8") as fh:
             for i in range(self.n_rows):
-                rec = {n: _plain(self._data[n][i].item()) for n in names}
+                rec = {n: self._data[n][i].item() for n in names}
                 fh.write(json.dumps(rec, allow_nan=False) + "\n")
 
 

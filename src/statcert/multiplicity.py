@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .canonical import FallbackState  # also re-exported from here
 from .errors import (
     InvalidAlpha,
     InvalidTrialCount,
@@ -121,30 +122,6 @@ def fixed_sequence_test(family: HypothesisFamily) -> SequentialDecision:
             decisions.append(HypothesisDecision(h.hypothesis_id, allocated,
                                                 "fail_to_reject", 0.0))
     return SequentialDecision("fixed_sequence", tuple(decisions))
-
-
-@dataclass(frozen=True)
-class FallbackState:
-    """Position in the fallback recurrence: how many hypotheses have been
-    tested and the alpha carried into the next one.
-
-    This is the one statement of the rule that the procedure, the
-    simulator, and the certification ledger all replay. The carry may be a
-    numpy array to advance many independent sequences at once.
-    """
-
-    tests_done: int
-    carry: float
-
-    def next_alpha(self, family_alpha: float, weights) -> float:
-        """alpha_i = carry + alpha * w_i, with w_i = 0 past the last weight."""
-        w = weights[self.tests_done] if self.tests_done < len(weights) else 0.0
-        return self.carry + family_alpha * w
-
-    def advance(self, allocated, rejected) -> "FallbackState":
-        """A rejection passes its whole allocation forward; a failure passes
-        nothing."""
-        return FallbackState(self.tests_done + 1, allocated * rejected)
 
 
 def fallback_test(family: HypothesisFamily) -> SequentialDecision:

@@ -1,5 +1,6 @@
 """Monte Carlo and brute-force oracles shared by module and acceptance tests."""
 
+import json
 import math
 
 import numpy as np
@@ -212,3 +213,24 @@ def string_duplicate_check(train, test, key="exact_features"):
     else:
         severity, description = "clean", "no duplicate feature rows"
     return LeakageReport("duplicate", severity, tuple(evidence), description)
+
+
+def _plain(obj):
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return [_plain(v) for v in obj.tolist()]
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return obj
+
+
+def plain_canonical_json(obj) -> str:
+    """Canonical JSON through an explicit walk that makes every value plain
+    first: the reference the single `json.dumps` of `canonical_json` must
+    match byte for byte."""
+    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)

@@ -16,7 +16,8 @@ import pytest
 import yaml
 
 from statcert.audit.config import load_config
-from statcert.audit.ledger import AuditLedger, FallbackState, entry_hash, verify_ledger
+from statcert.audit.ledger import (_REQUIRED_FIELDS, AuditLedger, FallbackState, entry_hash,
+                                   verify_ledger)
 from statcert.audit.report import AuditReport, payload_hash
 from statcert.audit.runner import monitor_step, recertify, run_audit
 from statcert.core import canonical_json, load_dataset
@@ -487,6 +488,30 @@ class TestLedgerIntegrity:
         result = verify_ledger(path)
         assert result["first_inconsistency"] == 3
         assert "JSON" in result["detail"]
+
+    @pytest.mark.parametrize("field", ["alpha_allocated", "family"])
+    def test_integer_too_large_for_a_float_flagged(self, tmp_path, field):
+        path = tmp_path / "l.jsonl"
+        seed_ledger(path)
+        entries = load_lines(path)
+        huge = 10**400
+        entries[0][field] = huge if field != "family" else {**FAMILY, "alpha": huge}
+        entries[0]["entry_hash"] = entry_hash(entries[0])
+        rewrite(path, entries[:1])
+        result = verify_ledger(path)
+        assert result["first_inconsistency"] == 0
+        assert "numeric" in result["detail"]
+
+    def test_deeply_nested_line_is_reported_not_raised(self, tmp_path):
+        # past some depth json.loads, and a little earlier the re-hash,
+        # exceed the recursion limit; wherever that lies, the replay reports
+        path = tmp_path / "l.jsonl"
+        entry = json.dumps({f: None for f in _REQUIRED_FIELDS} | {"index": 0})
+        for depth in range(800, 1100, 2):
+            path.write_text(f'{entry[:-1]},"deep":{"[" * depth}{"]" * depth}}}\n')
+            result = verify_ledger(path)
+            assert not result["consistent"]
+            assert result["first_inconsistency"] == 0
 
     def test_missing_file_reported(self, tmp_path):
         result = verify_ledger(tmp_path / "absent.jsonl")

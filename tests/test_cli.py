@@ -277,6 +277,75 @@ def test_non_utf8_ledger_exits_3(ws, name):
     assert "2: not valid JSON" in result.stderr
 
 
+def rehash_entry_0(ws, **fields):
+    """Entry 0 with `fields` replaced and its hash recomputed, so only its
+    content, not its integrity, is wrong."""
+    path = ws / "audit_ledger.jsonl"
+    entry = {**json.loads(path.read_text().splitlines()[0]), **fields}
+    entry["entry_hash"] = entry_hash(entry)
+    path.write_text(canonical_json(entry) + "\n")
+
+
+MALFORMED_FAMILIES = [{}, 5, {"alpha": 0.05, "weights": 3, "procedure": "fallback"}]
+
+
+@pytest.mark.parametrize("family", MALFORMED_FAMILIES, ids=repr)
+def test_malformed_family_is_inconsistent_exits_3(ws, family):
+    # each used to raise out of verify_ledger: KeyError, TypeError, TypeError
+    certify(ws)
+    rehash_entry_0(ws, family=family)
+    result = invoke("verify-ledger", ws / "audit_ledger.jsonl")
+    assert result.exit_code == 3
+    assert json.loads(result.stdout) == {
+        "consistent": False, "detail": "family needs a numeric alpha and numeric weights",
+        "first_inconsistency": 0, "n_entries": 1}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_malformed_family_exits_3(ws, name):
+    certify(ws)
+    rehash_entry_0(ws, family=5)
+    result = invoke(*command(name, ws))
+    assert result.exit_code == 3
+    assert "entry 0: family needs a numeric alpha" in result.stderr
+
+
+def write_literal_seed(ws, literal):
+    """Entry 0 with its seed replaced by a bare JSON token, such as NaN,
+    that json.loads accepts."""
+    path = ws / "audit_ledger.jsonl"
+    text = path.read_text()
+    assert text.count('"seed":20240901') == 1
+    path.write_text(text.replace('"seed":20240901', f'"seed":{literal}'))
+
+
+@pytest.mark.parametrize("literal, detail, n_entries", [
+    ("NaN", "line 1 is not valid JSON", 0),
+    ("Infinity", "line 1 is not valid JSON", 0),
+    ("-Infinity", "line 1 is not valid JSON", 0),
+    # valid JSON, but json.loads reads it as infinity, which has no canonical form
+    ("1e999", "entry content has no canonical JSON form", 1),
+])
+def test_non_finite_number_in_ledger_is_inconsistent_exits_3(ws, literal, detail,
+                                                             n_entries):
+    certify(ws)
+    write_literal_seed(ws, literal)
+    result = invoke("verify-ledger", ws / "audit_ledger.jsonl")
+    assert result.exit_code == 3
+    assert json.loads(result.stdout) == {
+        "consistent": False, "detail": detail, "first_inconsistency": 0,
+        "n_entries": n_entries}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_non_finite_literal_in_ledger_exits_3(ws, name):
+    certify(ws)
+    write_literal_seed(ws, "NaN")
+    result = invoke(*command(name, ws))
+    assert result.exit_code == 3
+    assert "audit_ledger.jsonl:1: not valid JSON" in result.stderr
+
+
 def test_non_utf8_report_exits_2(ws):
     bad = ws / "report.json"
     bad.write_bytes(b'{"verdict": "\xff\xfe"}')

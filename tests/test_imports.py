@@ -1,8 +1,9 @@
 """Import boundaries: each command loads only the modules it runs.
 
-scipy.stats alone takes about a second to import, so `verify-ledger` and
-`report` must load no scipy at all, and the runner no scipy.stats. Each
-check runs in a fresh interpreter, one per test.
+scipy.stats alone takes about a second to import and numpy a sixth of one,
+so `verify-ledger` and `report` must load no scipy, numpy or yaml at all,
+and the runner no scipy.stats. Each check runs in a fresh interpreter, one
+per test.
 """
 
 import json
@@ -25,27 +26,41 @@ def run_python(code: str, *args: str) -> list:
     return json.loads(result.stdout.splitlines()[-1])
 
 
-def test_cli_and_its_ledger_and_report_commands_load_no_scipy(tmp_path):
+def modules_loaded_by_ledger_commands(tmp_path, roots: tuple[str, ...]) -> list:
+    """The loaded modules under any of `roots`: after `import statcert.cli`,
+    then after `verify-ledger` and after `report` run through CliRunner."""
     work = tmp_path / "example"
     shutil.copytree(EXAMPLE, work)
     run_audit(work / "audit.yaml").write(work / "audit_report.json")
-    loaded = run_python("""
+    return run_python("""
         import json, sys
         from click.testing import CliRunner
         import statcert.cli
 
-        def scipy_modules():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        roots = set(sys.argv[3].split(","))
 
-        loaded = [scipy_modules()]
+        def loaded_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] in roots)
+
+        loaded = [loaded_modules()]
         for args in (["verify-ledger", sys.argv[1]],
                      ["report", "--path", sys.argv[2], "--format", "markdown"]):
             result = CliRunner().invoke(statcert.cli.main, args)
             assert result.exit_code == 0, result.output
-            loaded.append(scipy_modules())
+            loaded.append(loaded_modules())
         print(json.dumps(loaded))
-        """, str(work / "audit_ledger.jsonl"), str(work / "audit_report.json"))
-    assert loaded == [[], [], []]
+        """, str(work / "audit_ledger.jsonl"), str(work / "audit_report.json"),
+        ",".join(roots))
+
+
+def test_cli_and_its_ledger_and_report_commands_load_no_scipy(tmp_path):
+    assert modules_loaded_by_ledger_commands(tmp_path, ("scipy",)) == [[], [], []]
+
+
+def test_cli_and_its_ledger_and_report_commands_load_no_numpy_or_yaml(tmp_path):
+    # canonical JSON, the ledger replay and the markdown view are standard
+    # library code
+    assert modules_loaded_by_ledger_commands(tmp_path, ("numpy", "yaml")) == [[], [], []]
 
 
 def test_runner_loads_no_scipy_stats():
