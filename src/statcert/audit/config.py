@@ -134,12 +134,20 @@ def _plain(value):
     return value
 
 
+def _echo(obj, keys: Mapping[str, str] | None = None) -> dict:
+    """Report form of the dataclass `obj`, keyed as its YAML mapping is: each
+    key with its field's value, through `keys` where the names differ (see
+    _build)."""
+    keys = keys or {f.name: f.name for f in fields(obj)}
+    return {key: _plain(getattr(obj, name)) for key, name in keys.items()}
+
+
 class _Section:
     """A config section: its fields are its YAML keys (see _build), and its
     report form is its fields, in order."""
 
     def as_plain(self) -> dict:
-        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        return _echo(self)
 
 
 @dataclass(frozen=True)
@@ -165,15 +173,7 @@ class MprRequirement:
     spec: MprSpec
 
     def as_plain(self) -> dict:
-        return {
-            "name": self.name,
-            "dataset": self.dataset,
-            "metric": self.spec.metric_id,
-            "direction": self.spec.direction,
-            "threshold": self.spec.threshold,
-            "test": self.spec.test_kind,
-            "alpha_share": self.spec.alpha_share,
-        }
+        return {"name": self.name, "dataset": self.dataset, **_echo(self.spec, _MPR_KEYS)}
 
 
 @dataclass(frozen=True)
@@ -278,13 +278,7 @@ class AuditConfig:
         return {
             "seed": self.seed,
             "model_id": self.model_id,
-            "sadd": {
-                "operating_context": self.sadd.part1_context,
-                "technical_requirements": self.sadd.part2_technical,
-                "sampling_strategy": self.sadd.part3_sampling,
-                "sampling_descriptor": dict(self.sadd.sampling_descriptor),
-                "version": self.sadd.version,
-            },
+            "sadd": _echo(self.sadd, _SADD_KEYS),
             "datasets": {k: v.as_plain() for k, v in sorted(self.datasets.items())},
             "family": self.family_snapshot(),
             "mprs": [r.as_plain() for r in self.mprs],

@@ -13,12 +13,11 @@ hashes are only comparable within one version.
 from __future__ import annotations
 
 from datetime import datetime, timezone
-import json
 import math
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from ..canonical import FallbackState, canonical_json, sha256_hex
+from ..canonical import FallbackState, canonical_json, parse_json, sha256_hex
 from ..errors import LedgerCorrupt
 from .report import SCHEMA_VERSION
 
@@ -39,14 +38,6 @@ def entry_hash(entry: Mapping) -> str:
     return sha256_hex(canonical_json(body))
 
 
-def _refuse_constant(name: str):
-    raise ValueError(f"{name} is not JSON")
-
-
-# canonical JSON never writes NaN or Infinity, which json.loads accepts
-_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
-
-
 def _parse(path: Path) -> tuple[list[dict], int | None]:
     """Entries up to the first line that is not valid UTF-8 JSON, and that
     line's number (None when every line parses). Blank lines are skipped,
@@ -56,7 +47,7 @@ def _parse(path: Path) -> tuple[list[dict], int | None]:
         if not line.strip():
             continue
         try:
-            entries.append(_DECODER.decode(line.decode("utf-8")))
+            entries.append(parse_json(line.decode("utf-8")))
         except (ValueError, RecursionError):  # not UTF-8, not JSON, too deep
             return entries, lineno
     return entries, None
@@ -81,21 +72,13 @@ class AuditLedger:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def family(self) -> dict | None:
-        return self._entries[0]["family"] if self._entries else None
-
+    # views of one replay_ledger walk, for a caller that needs one field:
+    # bench/traced.py times the runner's stages through them
     def replay_state(self) -> FallbackState:
-        state = FallbackState(0, 0.0)
-        for e in self._entries:
-            if e.get("test_bearing"):
-                state = state.advance(e["alpha_allocated"], bool(e.get("demonstrated")))
-        return state
+        return replay_ledger(self).state
 
     def prior_gating_hashes(self) -> set[str]:
-        hashes: set[str] = set()
-        for e in self._entries:
-            hashes.update(e.get("gating_hashes") or [])
-        return hashes
+        return set(replay_ledger(self).consumed)
 
     def append(self, *, kind: str, model_id: str, family: Mapping,
                dataset_hashes: Mapping[str, str], gating_hashes: Iterable[str],
@@ -129,37 +112,61 @@ class AuditLedger:
         return entry
 
 
-def verify_ledger(ledger: AuditLedger | str | Path) -> dict:
-    """Integrity replay. Never raises, whatever the file holds; returns a
-    verdict dict with the index and description of the first inconsistency,
-    if any.
+class Replay(NamedTuple):
+    """What the one walk over a ledger's entries yields: the integrity
+    verdict and, from a consistent ledger, what the next entry is written
+    against. The last four fields keep their defaults on an inconsistent
+    ledger. A named tuple, not a frozen dataclass: every command imports
+    this module, and a dataclass takes about ten times as long to create."""
+
+    consistent: bool
+    first_inconsistency: int | None
+    detail: str | None
+    n_entries: int
+    state: FallbackState = FallbackState(0, 0.0)
+    consumed: frozenset[str] = frozenset()  # the gating hashes of every entry
+    family: dict | None = None  # entry 0's
+    older: dict | None = None  # the first entry written under another schema version
+
+    def as_plain(self) -> dict:
+        return {"consistent": self.consistent,
+                "first_inconsistency": self.first_inconsistency,
+                "detail": self.detail, "n_entries": self.n_entries}
+
+
+def replay_ledger(ledger: AuditLedger | str | Path) -> Replay:
+    """Integrity replay, the only pass over the entries. Never raises,
+    whatever the file holds; an inconsistent ledger yields the index and
+    description of its first inconsistency.
 
     Checks, per entry: JSON shape, index order, hash-chain linkage, the
     entry's own content hash (SHA-256 of its canonical JSON without
     `entry_hash`, taken on the entry as parsed), family identity with
-    entry 0, and the fallback alpha recurrence over test-bearing entries.
-    Entry 0's family must carry a numeric `alpha` and a sequence of numeric
-    `weights`; they are read once, there.
+    entry 0, the fallback alpha recurrence over test-bearing entries, and
+    gating hashes that are a list of strings. Entry 0's family must carry a
+    numeric `alpha` and a sequence of numeric `weights`; they are read once,
+    there. The schema version is not checked: an entry written under
+    another one is reported in `older`, because it is consistent, only not
+    comparable.
     """
     def bad(index, detail):
-        return {"consistent": False, "first_inconsistency": index,
-                "detail": detail, "n_entries": n}
+        return Replay(False, index, detail, n)
 
     if isinstance(ledger, (str, Path)):
         path = Path(ledger)
         if not path.exists():
-            return {"consistent": False, "first_inconsistency": None,
-                    "detail": f"ledger file not found: {path}", "n_entries": 0}
+            return Replay(False, None, f"ledger file not found: {path}", 0)
         entries, bad_line = _parse(path)
         n = len(entries)
         if bad_line is not None:
             return bad(n, f"line {bad_line} is not valid JSON")
     else:
-        entries = list(ledger.entries)
+        entries = ledger.entries
         n = len(entries)
 
-    family = alpha = weights = None
+    family = alpha = weights = older = None
     state = FallbackState(0, 0.0)
+    consumed: set[str] = set()
     prev_hash = None
     for i, e in enumerate(entries):
         if not isinstance(e, dict):
@@ -206,6 +213,18 @@ def verify_ledger(ledger: AuditLedger | str | Path) -> dict:
             if not (math.isclose(carried_in, state.carry, abs_tol=ALPHA_TOL)
                     and math.isclose(carried_out, state.carry, abs_tol=ALPHA_TOL)):
                 return bad(i, "non-test entry altered the alpha carry")
+        gating = e["gating_hashes"]
+        if not (isinstance(gating, list) and all(isinstance(h, str) for h in gating)):
+            return bad(i, "gating hashes are not a list of strings")
+        consumed.update(gating)
+        # entries without the field predate it: they were written under version 1
+        if older is None and e.get("schema_version", 1) != SCHEMA_VERSION:
+            older = e
         prev_hash = e["entry_hash"]
-    return {"consistent": True, "first_inconsistency": None, "detail": None,
-            "n_entries": n}
+    return Replay(True, None, None, n, state, frozenset(consumed), family, older)
+
+
+def verify_ledger(ledger: AuditLedger | str | Path) -> dict:
+    """The verdict of replay_ledger as a plain dict: `consistent`,
+    `first_inconsistency`, `detail` and `n_entries`."""
+    return replay_ledger(ledger).as_plain()

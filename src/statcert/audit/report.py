@@ -1,8 +1,11 @@
 """Audit report: a single deterministic JSON document plus a markdown view.
 
 The JSON is the artifact; markdown is rendered from it and carries no
-information of its own. Nothing time-dependent goes in here (timestamps
-live in the ledger), so identical inputs produce identical bytes.
+information of its own. A report has one of two shapes: a certification
+with its checks, or an inconclusive verdict with only its reason, written
+when the family has no alpha left to give. Nothing time-dependent goes in
+here (timestamps live in the ledger), so identical inputs produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -43,6 +46,15 @@ class AuditReport:
         return render_markdown(self.payload)
 
 
+def inconclusive_report(model_id: str, reason: str) -> AuditReport:
+    return AuditReport({
+        "schema_version": SCHEMA_VERSION,
+        "verdict": "inconclusive",
+        "model_id": model_id,
+        "reason": reason,
+    })
+
+
 def _fmt(x) -> str:
     if isinstance(x, bool) or x is None:
         return str(x)
@@ -60,6 +72,12 @@ def _test_line(name: str, entry: dict) -> str:
 
 
 def render_markdown(payload: dict) -> str:
+    """Markdown view of either shape. A key the shape needs and the payload
+    lacks is KeyError; a value of the wrong type, TypeError or
+    AttributeError."""
+    if payload["verdict"] == "inconclusive" and "checks" not in payload:
+        return (f"# Audit report: {payload['model_id']}\n\n"
+                f"**Verdict: INCONCLUSIVE** — {payload['reason']}")
     lines = [f"# Audit report: {payload['model_id']}", ""]
     lines.append(f"**Verdict: {payload['verdict'].upper()}**")
     lines.append("")

@@ -34,7 +34,7 @@ from ..stattest import evaluate_mpr
 from ..uncertainty import (decompose, evaluate_uncertainty_quality, load_ensembles,
                            uncertainty_fallback)
 from .config import AuditConfig, load_config
-from .ledger import AuditLedger, verify_ledger
+from .ledger import AuditLedger, Replay, replay_ledger
 from .report import SCHEMA_VERSION, AuditReport
 
 
@@ -125,9 +125,12 @@ def _scenario_columns(config: AuditConfig) -> dict[str, str]:
     return binding.feature_columns()
 
 
+# the informational sections: a report holds each key, null where not configured
+_AUX_CHECKS = ("drift", "uncertainty", "ood", "robustness")
+
+
 def _aux_sections(config: AuditConfig, datasets: dict[str, Dataset]) -> dict:
-    checks: dict = {"drift": None, "uncertainty": None, "ood": None,
-                    "robustness": None}
+    checks: dict = dict.fromkeys(_AUX_CHECKS)
 
     if config.drift is not None:
         ref = datasets[config.drift.reference]
@@ -192,13 +195,14 @@ def _aux_sections(config: AuditConfig, datasets: dict[str, Dataset]) -> dict:
 def _build_payload(config: AuditConfig, verdict: str, checks: dict,
                    dataset_hashes: dict, entry_index: int, entry_alpha: float,
                    carried_in: float) -> dict:
+    plain = config.as_plain()
     return {
         "schema_version": SCHEMA_VERSION,
         "verdict": verdict,
         "model_id": config.model_id,
         "seed": config.seed,
-        "sadd": {**config.as_plain()["sadd"], "content_hash": config.sadd.content_hash},
-        "config": config.as_plain(),
+        "sadd": {**plain["sadd"], "content_hash": config.sadd.content_hash},
+        "config": plain,
         "family": config.family_snapshot(),
         "entry": {"index": entry_index, "alpha_allocated": entry_alpha,
                   "alpha_carried_in": carried_in},
@@ -218,8 +222,7 @@ def _certification_pass(config: AuditConfig, datasets: dict[str, Dataset],
     """Shared certification body: gate, family, auxiliary sections."""
     gate_failed, leak_section = _leakage_section(config, datasets)
     checks: dict = {"leakage": leak_section, "mpr": [], "fairness": [],
-                    "drift": None, "uncertainty": None, "ood": None,
-                    "robustness": None}
+                    **dict.fromkeys(_AUX_CHECKS)}
     if gate_failed:
         return checks, "fail", None, []
     all_demonstrated, mpr_rows, fairness_rows, decisions = _requirement_sections(
@@ -230,30 +233,35 @@ def _certification_pass(config: AuditConfig, datasets: dict[str, Dataset],
     return checks, ("pass" if all_demonstrated else "fail"), all_demonstrated, decisions
 
 
-def _open(ledger: AuditLedger, config: AuditConfig, *,
-          need_entries: bool) -> FallbackState:
+def _open(ledger: AuditLedger, config: AuditConfig, *, need_entries: bool) -> Replay:
     """Check the ledger can take an entry under this config; return its
-    replayed fallback state."""
-    integrity = verify_ledger(ledger)
-    if not integrity["consistent"]:
-        raise LedgerCorrupt(
-            f"entry {integrity['first_inconsistency']}: {integrity['detail']}")
-    # entries without the field predate it: they were written under version 1
-    older = next((e for e in ledger.entries
-                  if e.get("schema_version", 1) != SCHEMA_VERSION), None)
+    replay, which holds the fallback state and the consumed gating hashes."""
+    replayed = replay_ledger(ledger)
+    if not replayed.consistent:
+        raise LedgerCorrupt(f"entry {replayed.first_inconsistency}: {replayed.detail}")
+    older = replayed.older
     if older is not None:
         raise LedgerVersionMismatch(
             f"ledger entry {older['index']} was written under report schema version "
             f"{older.get('schema_version', 1)}, not {SCHEMA_VERSION}; its dataset "
             "hashes cannot tell fresh data from consumed data under this version, "
             "so start a new ledger")
-    if len(ledger) == 0:
+    if replayed.n_entries == 0:
         if need_entries:
             raise ConfigInvalid("ledger is empty; run the initial certification first")
-    elif ledger.family() != config.family_snapshot():
+    elif replayed.family != config.family_snapshot():
         raise FamilyMismatch("requirement family differs from the one frozen at "
                              "ledger entry 0")
-    return ledger.replay_state()
+    return replayed
+
+
+def _refuse_consumed(replayed: Replay, hashes, what: str) -> None:
+    """FWER control holds only on fresh data: refuse gating data that a
+    prior entry already consumed."""
+    stale = replayed.consumed.intersection(hashes)
+    if stale:
+        raise StaleDataReuse(f"{what} reuses content already consumed by a prior "
+                             f"entry: {sorted(h[:12] for h in stale)}")
 
 
 def _allocate(state: FallbackState, config: AuditConfig) -> float:
@@ -353,7 +361,8 @@ def recertify(ledger: AuditLedger | str | Path, config: AuditConfig | str | Path
     """
     config = _as_config(config)
     ledger = _as_ledger(ledger)
-    state = _open(ledger, config, need_entries=True)
+    replayed = _open(ledger, config, need_entries=True)
+    state = replayed.state
 
     datasets = _load_bound_datasets(config)
     if updated_model_data is not None:
@@ -361,10 +370,7 @@ def recertify(ledger: AuditLedger | str | Path, config: AuditConfig | str | Path
             datasets[name] = updated_model_data
     dataset_hashes = {k: d.content_hash for k, d in datasets.items()}
     gating_hashes = {datasets[n].content_hash for n in config.gating_dataset_names()}
-    stale = gating_hashes & ledger.prior_gating_hashes()
-    if stale:
-        raise StaleDataReuse("gating data reuses content already consumed by a "
-                             f"prior entry: {sorted(h[:12] for h in stale)}")
+    _refuse_consumed(replayed, gating_hashes, "gating data")
 
     entry_alpha = _allocate(state, config)
     checks, verdict, demonstrated, decisions = _certification_pass(
@@ -410,7 +416,8 @@ def monitor_step(ledger: AuditLedger | str | Path, config: AuditConfig | str | P
     """
     config = _as_config(config)
     ledger = _as_ledger(ledger)
-    state = _open(ledger, config, need_entries=True)
+    replayed = _open(ledger, config, need_entries=True)
+    state = replayed.state
     if config.drift is None:
         raise NoReferenceBatch("config declares no drift section, so no reference "
                                "batch is registered")
@@ -434,9 +441,7 @@ def monitor_step(ledger: AuditLedger | str | Path, config: AuditConfig | str | P
         verdict = "shift_unclassified"
     else:
         entry_alpha = _allocate(state, config)
-        if point_check.content_hash in ledger.prior_gating_hashes():
-            raise StaleDataReuse("point-check data reuses content already consumed "
-                                 "by a prior entry")
+        _refuse_consumed(replayed, [point_check.content_hash], "point-check data")
         primary = config.mprs[0]
         classification = classify_shift(
             shift, point_check, primary.spec, entry_alpha,

@@ -1,5 +1,6 @@
 """The serialisation rule shared by reports, the ledger and their hashes,
-and the fallback alpha recurrence the ledger replays.
+the JSON they are read back under, and the fallback alpha recurrence the
+ledger replays.
 
 Standard library only: `verify-ledger` and `report` run on this module
 without loading numpy.
@@ -44,6 +45,21 @@ def canonical_json(obj) -> str:
     at load.
     """
     return _ENCODER.encode(obj)
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+# canonical JSON never writes NaN or Infinity, which json.loads accepts
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def parse_json(text: str):
+    """Read JSON as statcert accepts it: what json.loads reads, except that
+    a NaN, Infinity or -Infinity literal is ValueError, like text that is
+    not JSON. Nesting too deep for the parser is RecursionError."""
+    return _DECODER.decode(text)
 
 
 def sha256_hex(text: str) -> str:

@@ -8,7 +8,6 @@ integrity failure.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NoReturn
@@ -16,8 +15,8 @@ from typing import TYPE_CHECKING, Callable, NoReturn
 import click
 
 from .audit.ledger import AuditLedger, verify_ledger
-from .audit.report import AuditReport, SCHEMA_VERSION, render_markdown
-from .canonical import canonical_json
+from .audit.report import AuditReport, inconclusive_report, render_markdown
+from .canonical import canonical_json, parse_json
 from .errors import FamilyAlphaExhausted, LedgerCorrupt, NoReferenceBatch, StatcertError
 
 # audit.config and core load numpy and yaml, audit.runner every check module
@@ -43,15 +42,6 @@ def _fail(code: int, message: str) -> NoReturn:
     sys.exit(code)
 
 
-def _inconclusive_report(config, reason: str) -> AuditReport:
-    return AuditReport({
-        "schema_version": SCHEMA_VERSION,
-        "verdict": "inconclusive",
-        "model_id": config.model_id,
-        "reason": reason,
-    })
-
-
 def _execute(config_path: str, action: Callable[[AuditConfig], object], *,
              report_inconclusive: bool) -> tuple[AuditConfig, object]:
     """Load the config and run `action` on it, exiting through _EXIT_CODES
@@ -65,7 +55,7 @@ def _execute(config_path: str, action: Callable[[AuditConfig], object], *,
     except StatcertError as e:
         code = next(code for kind, code in _EXIT_CODES if isinstance(e, kind))
         if report_inconclusive and isinstance(e, FamilyAlphaExhausted):
-            _inconclusive_report(config, str(e)).write(config.report_path)
+            inconclusive_report(config.model_id, str(e)).write(config.report_path)
             click.echo(f"inconclusive: {e}")
             sys.exit(code)
         _fail(code, str(e))
@@ -157,17 +147,19 @@ def verify_ledger_cmd(ledger_path: str) -> None:
 def report_cmd(report_path: str, fmt: str) -> None:
     """Render an existing report as JSON or markdown."""
     try:
-        payload = json.loads(Path(report_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as e:  # ValueError: not UTF-8, not JSON
+        payload = parse_json(Path(report_path).read_text(encoding="utf-8"))
+        text = canonical_json(payload)
+    # ValueError: not UTF-8, not JSON, NaN, or a number too large for a float
+    except (OSError, ValueError, RecursionError) as e:
         _fail(EXIT_INVALID_INPUT, f"cannot read report: {e}")
-    if fmt == "json":
-        click.echo(canonical_json(payload))
-    else:
-        if payload.get("verdict") == "inconclusive" and "checks" not in payload:
-            click.echo(f"# Audit report: {payload.get('model_id', '')}\n\n"
-                       f"**Verdict: INCONCLUSIVE** — {payload.get('reason', '')}")
-        else:
-            click.echo(render_markdown(payload))
+    if fmt == "markdown":
+        try:
+            text = render_markdown(payload)
+        except KeyError as e:
+            _fail(EXIT_INVALID_INPUT, f"report lacks key {e}")
+        except (TypeError, AttributeError) as e:
+            _fail(EXIT_INVALID_INPUT, f"malformed report: {e}")
+    click.echo(text)
 
 
 if __name__ == "__main__":

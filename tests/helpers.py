@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from statcert.canonical import FallbackState
 from statcert.core import sha256_hex
 from statcert.drift import (
     DiscreteDistribution,
@@ -234,3 +235,23 @@ def plain_canonical_json(obj) -> str:
     first: the reference the single `json.dumps` of `canonical_json` must
     match byte for byte."""
     return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def reference_replay_state(entries) -> FallbackState:
+    """The fallback state replayed in a loop of its own over the entries,
+    as the runner once did beside the integrity walk: the reference the
+    state the walk returns must equal."""
+    state = FallbackState(0, 0.0)
+    for e in entries:
+        if e.get("test_bearing"):
+            state = state.advance(e["alpha_allocated"], bool(e.get("demonstrated")))
+    return state
+
+
+def reference_consumed_hashes(entries) -> set[str]:
+    """The gating hashes of every entry, collected in a loop of their own:
+    the reference for the hashes the walk returns."""
+    hashes: set[str] = set()
+    for e in entries:
+        hashes.update(e.get("gating_hashes") or [])
+    return hashes

@@ -7,9 +7,11 @@ right entry index on replay.
 """
 
 import json
+import random
 import re
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from statcert.audit.config import load_config
 from statcert.audit.ledger import (_REQUIRED_FIELDS, AuditLedger, FallbackState, entry_hash,
                                    verify_ledger)
 from statcert.audit.report import AuditReport, payload_hash
-from statcert.audit.runner import monitor_step, recertify, run_audit
+from statcert.audit.runner import _open, monitor_step, recertify, run_audit
 from statcert.core import canonical_json, load_dataset
 from statcert.errors import (
     ConfigInvalid,
@@ -31,6 +33,7 @@ from statcert.errors import (
 )
 
 from conftest import build_dataset
+from helpers import reference_consumed_hashes, reference_replay_state
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "example"
 
@@ -518,6 +521,20 @@ class TestLedgerIntegrity:
         assert not result["consistent"]
         assert "not found" in result["detail"]
 
+    @pytest.mark.parametrize("hashes", [5, "abc", [[1]]], ids=repr)
+    def test_gating_hashes_that_are_not_a_list_of_strings_flagged(self, tmp_path,
+                                                                  hashes):
+        # a string used to pass, and be consumed as its characters
+        path = tmp_path / "l.jsonl"
+        seed_ledger(path)
+        entries = load_lines(path)
+        entries[0]["gating_hashes"] = hashes
+        entries[0]["entry_hash"] = entry_hash(entries[0])
+        rewrite(path, entries[:1])
+        assert verify_ledger(path) == {
+            "consistent": False, "first_inconsistency": 0,
+            "detail": "gating hashes are not a list of strings", "n_entries": 1}
+
     def test_family_drift_across_entries_flagged(self, tmp_path):
         path = tmp_path / "l.jsonl"
         seed_ledger(path)
@@ -528,6 +545,62 @@ class TestLedgerIntegrity:
         result = verify_ledger(path)
         assert result["first_inconsistency"] == 2
         assert "family" in result["detail"]
+
+
+def seeded_ledger(path: Path, n: int = 200, seed: int = 8) -> AuditLedger:
+    """n entries drawn from `seed`: tests that pass or fail, and entries
+    that test nothing, some of which still carry gating hashes; the tests
+    outnumber the family weights."""
+    rng = random.Random(seed)
+    ledger = AuditLedger(path)
+    state = FallbackState(0, 0.0)
+    for i in range(n):
+        hashes = [f"{rng.getrandbits(64):016x}" for _ in range(rng.randint(0, 2))]
+        tested = rng.random() < 0.4
+        alpha, demonstrated, after = 0.0, None, state
+        if tested:
+            alpha = state.next_alpha(FAMILY["alpha"], FAMILY["weights"])
+            demonstrated = rng.random() < 0.7
+            after = state.advance(alpha, demonstrated)
+        ledger.append(kind="monitor", model_id="m", family=FAMILY,
+                      dataset_hashes={"window": f"w{i}"}, gating_hashes=hashes, seed=1,
+                      test_bearing=tested, alpha_allocated=alpha,
+                      alpha_carried_in=state.carry, alpha_carried_out=after.carry,
+                      decisions=[], demonstrated=demonstrated, verdict="ok")
+        state = after
+    return ledger
+
+
+class TestSingleReplay:
+    """The walk that verifies a ledger also yields the state, the consumed
+    hashes and the family the runner continues from; each must equal a loop
+    of its own over the entries."""
+
+    @pytest.fixture
+    def ledger(self, tmp_path):
+        ledger = seeded_ledger(tmp_path / "l.jsonl")
+        tested = [e for e in ledger.entries if e["test_bearing"]]
+        # the mix the replay must get right
+        assert {e["demonstrated"] for e in tested} == {True, False}
+        assert any(not e["test_bearing"] and e["gating_hashes"] for e in ledger.entries)
+        assert any(e["alpha_carried_in"] > 0 for e in tested)
+        assert len(tested) > len(FAMILY["weights"])
+        assert any(e["alpha_allocated"] == 0.0 for e in tested)
+        return ledger
+
+    def test_views_equal_the_reference(self, ledger):
+        for view in (ledger, AuditLedger(ledger.path)):
+            assert view.replay_state() == reference_replay_state(view.entries)
+            assert view.prior_gating_hashes() == reference_consumed_hashes(view.entries)
+
+    def test_open_returns_the_reference(self, ledger):
+        config = SimpleNamespace(family_snapshot=lambda: FAMILY)
+        replayed = _open(ledger, config, need_entries=True)
+        assert replayed.consistent and replayed.n_entries == 200
+        assert replayed.state == reference_replay_state(ledger.entries)
+        assert replayed.consumed == reference_consumed_hashes(ledger.entries)
+        assert replayed.family == FAMILY
+        assert replayed.older is None
 
 
 class TestRunAudit:

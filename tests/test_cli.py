@@ -301,6 +301,32 @@ def test_malformed_family_is_inconsistent_exits_3(ws, family):
         "first_inconsistency": 0, "n_entries": 1}
 
 
+@pytest.mark.parametrize("hashes", [5, "abc"], ids=repr)
+def test_malformed_gating_hashes_are_inconsistent_exits_3(ws, hashes):
+    # each used to verify as consistent
+    certify(ws)
+    rehash_entry_0(ws, gating_hashes=hashes)
+    result = invoke("verify-ledger", ws / "audit_ledger.jsonl")
+    assert result.exit_code == 3
+    assert json.loads(result.stdout) == {
+        "consistent": False, "detail": "gating hashes are not a list of strings",
+        "first_inconsistency": 0, "n_entries": 1}
+
+
+@pytest.mark.parametrize("hashes", [5, "abc"], ids=repr)
+@pytest.mark.parametrize("name", COMMANDS)
+def test_malformed_gating_hashes_exit_3(ws, name, hashes):
+    # recertify and monitor used to crash with TypeError on 5 (exit 1), and
+    # read "abc" as three consumed hashes
+    certify(ws)
+    rehash_entry_0(ws, gating_hashes=hashes)
+    refresh_test_data(ws)
+    result = invoke(*command(name, ws, point_check="point_check.csv"))
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "entry 0: gating hashes are not a list of strings" in result.stderr
+
+
 @pytest.mark.parametrize("name", COMMANDS)
 def test_malformed_family_exits_3(ws, name):
     certify(ws)
@@ -352,6 +378,49 @@ def test_non_utf8_report_exits_2(ws):
     result = invoke("report", "--path", bad)
     assert result.exit_code == 2
     assert "cannot read report" in result.stderr
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+@pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e999"])
+def test_non_finite_report_exits_2(ws, fmt, literal):
+    # json used to raise ValueError from the canonical writer, markdown a
+    # KeyError for the first key it needed
+    bad = ws / "report.json"
+    bad.write_text(f'{{"verdict": {literal}}}')
+    result = invoke("report", "--path", bad, "--format", fmt)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: cannot read report: ")
+
+
+@pytest.mark.parametrize("content, key", [
+    ("{}", "verdict"),
+    ('{"verdict": "pass"}', "model_id"),
+    ('{"verdict": "inconclusive", "model_id": "m"}', "reason"),
+])
+def test_report_missing_a_key_exits_2(ws, content, key):
+    bad = ws / "report.json"
+    bad.write_text(content)
+    result = invoke("report", "--path", bad, "--format", "markdown")
+    assert result.exit_code == 2
+    assert f"error: report lacks key '{key}'" in result.stderr
+
+
+@pytest.mark.parametrize("content", ["[1]", '{"verdict": 5, "model_id": "m"}'])
+def test_report_of_another_shape_exits_2(ws, content):
+    bad = ws / "report.json"
+    bad.write_text(content)
+    result = invoke("report", "--path", bad, "--format", "markdown")
+    assert result.exit_code == 2
+    assert "error: malformed report: " in result.stderr
+
+
+def test_inconclusive_report_renders(ws):
+    path = ws / "report.json"
+    path.write_text('{"model_id":"m","reason":"no alpha","schema_version":2,'
+                    '"verdict":"inconclusive"}')
+    result = invoke("report", "--path", path, "--format", "markdown")
+    assert result.exit_code == 0
+    assert result.stdout == "# Audit report: m\n\n**Verdict: INCONCLUSIVE** — no alpha\n"
 
 
 def shuffle_test_rows(ws, name="test_pass.csv"):
