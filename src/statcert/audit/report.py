@@ -71,6 +71,21 @@ def _test_line(name: str, entry: dict) -> str:
             f"{_fmt(t['alpha_used'])} | {mark} |")
 
 
+def checked_markdown(payload) -> str:
+    """The markdown view of a parsed report, which is the one shape check
+    for both views: a payload lacking a key `render_markdown` requires
+    (verdict, model_id, family, entry, seed, schema_version,
+    dataset_hashes, sadd, checks.leakage/mpr/fairness), or holding a value
+    of the wrong type there, is ValueError. Optional sections and keys read
+    through `.get` are not checked."""
+    try:
+        return render_markdown(payload)
+    except KeyError as e:
+        raise ValueError(f"report lacks key {e}") from e
+    except (TypeError, AttributeError) as e:
+        raise ValueError(f"malformed report: {e}") from e
+
+
 def render_markdown(payload: dict) -> str:
     """Markdown view of either shape. A key the shape needs and the payload
     lacks is KeyError; a value of the wrong type, TypeError or

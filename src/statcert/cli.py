@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, NoReturn
 import click
 
 from .audit.ledger import AuditLedger, verify_ledger
-from .audit.report import AuditReport, inconclusive_report, render_markdown
+from .audit.report import AuditReport, checked_markdown, inconclusive_report
 from .canonical import canonical_json, parse_json
 from .errors import FamilyAlphaExhausted, LedgerCorrupt, NoReferenceBatch, StatcertError
 
@@ -152,14 +152,11 @@ def report_cmd(report_path: str, fmt: str) -> None:
     # ValueError: not UTF-8, not JSON, NaN, or a number too large for a float
     except (OSError, ValueError, RecursionError) as e:
         _fail(EXIT_INVALID_INPUT, f"cannot read report: {e}")
-    if fmt == "markdown":
-        try:
-            text = render_markdown(payload)
-        except KeyError as e:
-            _fail(EXIT_INVALID_INPUT, f"report lacks key {e}")
-        except (TypeError, AttributeError) as e:
-            _fail(EXIT_INVALID_INPUT, f"malformed report: {e}")
-    click.echo(text)
+    try:
+        markdown = checked_markdown(payload)
+    except ValueError as e:
+        _fail(EXIT_INVALID_INPUT, str(e))
+    click.echo(markdown if fmt == "markdown" else text)
 
 
 if __name__ == "__main__":

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -330,16 +332,33 @@ class Dataset:
                 fh.write(json.dumps(rec, allow_nan=False) + "\n")
 
 
-def _parse_csv_column(raw: list[str], role: str, name: str) -> np.ndarray:
+def _outside(path: Path, name: str, dtype) -> DataLoadError:
+    return DataLoadError(f"{path}: column {name!r} holds an integer outside "
+                         f"{np.dtype(dtype).name}")
+
+
+def _array(values: list, dtype, path: Path, name: str) -> np.ndarray:
+    """Python numbers as an array of `dtype`, refusing an integer too large for it."""
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError as e:
+        raise _outside(path, name, dtype) from e
+
+
+def _parse_csv_column(raw: list[str], role: str, name: str, path: Path) -> np.ndarray:
     if role == "timestamp":
         try:
-            return np.array([int(v) for v in raw], dtype=np.int64)
+            return _array([int(v) for v in raw], np.int64, path, name)
         except ValueError as e:
             raise DataLoadError(f"timestamp column {name!r} must be integers") from e
     if role in ("group_id", "split"):
         return np.array(raw, dtype=str)
     if all(_INT_RE.match(v) for v in raw):
-        return np.array([int(v) for v in raw], dtype=np.int64)
+        try:
+            integers = [int(v) for v in raw]
+        except ValueError as e:  # past int()'s digit limit
+            raise _outside(path, name, np.int64) from e
+        return _array(integers, np.int64, path, name)
     try:
         return np.array([float(v) for v in raw], dtype=float)
     except ValueError:
@@ -348,10 +367,8 @@ def _parse_csv_column(raw: list[str], role: str, name: str) -> np.ndarray:
         return np.array(raw, dtype=str)
 
 
-def load_csv(path: str | Path, roles: Mapping[str, str]) -> Dataset:
-    """Ingest a CSV file with a header row. Only columns named in `roles`
-    are kept; numbers are parsed as decimal, all-integer columns as ints."""
-    path = Path(path)
+def _load_csv_text(path: Path, roles: Mapping[str, str]) -> Dataset:
+    """Ingest any CSV file through csv.reader, cell by cell in Python."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -371,10 +388,92 @@ def load_csv(path: str | Path, roles: Mapping[str, str]) -> Dataset:
             raise DataLoadError(f"{path}: ragged row {r!r}")
     schema = Schema.from_roles(roles)
     columns = {
-        name: _parse_csv_column([r[idx[name]] for r in rows], role, name)
+        name: _parse_csv_column([r[idx[name]] for r in rows], role, name, path)
         for name, role in roles.items()
     }
     return Dataset(schema, columns)
+
+
+# Every byte a plain numeric body holds. With no quote, '\r', space or letter
+# but the exponent's, each cell is a bare token between commas and newlines,
+# which numpy's C reader splits as csv.reader does and parses as float() and
+# int() do: both round decimals correctly.
+_PLAIN_BYTES = b"0123456789.+-eE,\n"
+
+
+def _read_plain(data: bytes, dtype, usecols: list[int] | None = None) -> np.ndarray | None:
+    """The body of `data` as a 2-D array read by numpy's C reader, or None
+    on a cell it refuses: a malformed number, an empty cell, a row of
+    another length, an integer outside `dtype`, or no row at all."""
+    try:
+        with warnings.catch_warnings():
+            # numpy warns on a body of blank lines, and older numpy reads
+            # '3.0' as the int64 3 under a DeprecationWarning
+            warnings.simplefilter("error")
+            return np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",",
+                              comments=None, skiprows=1, usecols=usecols, ndmin=2)
+    except (ValueError, Warning):
+        return None
+
+
+def _plain_numeric_columns(data: bytes, roles: Mapping[str, str]
+                           ) -> dict[str, np.ndarray] | None:
+    """The declared columns of CSV file content `data` parsed in C, when
+    every byte after the header line is a digit, one of '.+-eE', a comma
+    or a newline; equal in dtype and bytes to what `_load_csv_text` makes
+    of it. None when the file is not plain numeric or a cell needs
+    `_load_csv_text` to decide, which then reads the whole file."""
+    if any(role in ("group_id", "split") for role in roles.values()):
+        return None
+    end = data.find(b"\n")
+    if end < 0 or b"\r" in data[:end]:
+        return None
+    header_line = data[:end]
+    # translate drops the plain bytes: the body is plain when nothing is
+    # left of it
+    left = len(data.translate(None, _PLAIN_BYTES))
+    if left != len(header_line.translate(None, _PLAIN_BYTES)):
+        return None
+    try:
+        # strict: a quoted name left open at the newline is an error
+        header = next(csv.reader([header_line.decode("utf-8") + "\n"], strict=True))
+    except (UnicodeDecodeError, csv.Error):
+        return None
+    if any(name not in header for name in roles):
+        return None
+    values = _read_plain(data, np.float64)
+    if values is None or values.shape[1] != len(header):
+        return None
+    idx = {name: header.index(name) for name in roles}
+    # every integer token is an integral float, so only these columns can
+    # be all-integer; the strict int64 parse decides
+    integral = {j for j in idx.values()
+                if np.all(values[:, j] == np.trunc(values[:, j]))}
+    integers = {j: a[:, 0] for j in integral
+                if (a := _read_plain(data, np.int64, [j])) is not None}
+    columns = {}
+    for name, role in roles.items():
+        j = idx[name]
+        if j in integers:
+            columns[name] = integers[j]
+        elif role == "timestamp" or (j in integral and np.abs(values[:, j]).max() >= 2.0**63):
+            # not integers, or integers outside int64: `_load_csv_text` says which
+            return None
+        else:
+            columns[name] = values[:, j]
+    return columns
+
+
+def load_csv(path: str | Path, roles: Mapping[str, str]) -> Dataset:
+    """Ingest a CSV file with a header row. Only columns named in `roles`
+    are kept; numbers are parsed as decimal, all-integer columns as ints.
+    A plain numeric file is parsed in C, any other through csv.reader, to
+    the same dataset."""
+    path = Path(path)
+    columns = _plain_numeric_columns(path.read_bytes(), roles)
+    if columns is None:
+        return _load_csv_text(path, roles)
+    return Dataset(Schema.from_roles(roles), columns)
 
 
 def load_jsonl(path: str | Path, roles: Mapping[str, str]) -> Dataset:
@@ -391,6 +490,9 @@ def load_jsonl(path: str | Path, roles: Mapping[str, str]) -> Dataset:
                     records.append(json.loads(line))
                 except json.JSONDecodeError as e:
                     raise DataLoadError(f"{path}:{lineno}: invalid JSON") from e
+                except ValueError as e:  # past int()'s digit limit
+                    raise DataLoadError(f"{path}:{lineno}: an integer has too many "
+                                        f"digits to read") from e
     except UnicodeDecodeError as e:
         raise DataLoadError(f"{path}: not UTF-8 text: {e}") from e
     columns: dict[str, list] = {name: [] for name in roles}
@@ -406,9 +508,9 @@ def load_jsonl(path: str | Path, roles: Mapping[str, str]) -> Dataset:
         if role in ("group_id", "split"):
             arrays[name] = np.array([str(v) for v in vals], dtype=str)
         elif all(isinstance(v, int) and not isinstance(v, bool) for v in vals):
-            arrays[name] = np.array(vals, dtype=np.int64)
+            arrays[name] = _array(vals, np.int64, path, name)
         elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals):
-            arrays[name] = np.array(vals, dtype=float)
+            arrays[name] = _array(vals, np.float64, path, name)
         else:
             arrays[name] = np.array([str(v) for v in vals], dtype=str)
     return Dataset(schema, arrays)

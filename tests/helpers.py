@@ -1,12 +1,15 @@
 """Monte Carlo and brute-force oracles shared by module and acceptance tests."""
 
+import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 
 from statcert.canonical import FallbackState
-from statcert.core import sha256_hex
+from statcert.core import Dataset, Schema, sha256_hex
 from statcert.drift import (
     DiscreteDistribution,
     mmd_permutation_test,
@@ -14,6 +17,7 @@ from statcert.drift import (
     total_variation_discrete,
     tv_equality_witness,
 )
+from statcert.errors import DataLoadError
 from statcert.sampling import splitmix64
 from statcert.leakage import LeakageReport
 from statcert.stattest import TestResult
@@ -255,3 +259,55 @@ def reference_consumed_hashes(entries) -> set[str]:
     for e in entries:
         hashes.update(e.get("gating_hashes") or [])
     return hashes
+
+
+_INT_RE = re.compile(r"^[+-]?\d+$")
+
+
+def _reference_parse_csv_column(raw, role, name):
+    if role == "timestamp":
+        try:
+            return np.array([int(v) for v in raw], dtype=np.int64)
+        except ValueError as e:
+            raise DataLoadError(f"timestamp column {name!r} must be integers") from e
+    if role in ("group_id", "split"):
+        return np.array(raw, dtype=str)
+    if all(_INT_RE.match(v) for v in raw):
+        return np.array([int(v) for v in raw], dtype=np.int64)
+    try:
+        return np.array([float(v) for v in raw], dtype=float)
+    except ValueError:
+        if role in ("score",):
+            raise DataLoadError(f"score column {name!r} must be numeric")
+        return np.array(raw, dtype=str)
+
+
+def reference_load_csv(path, roles) -> Dataset:
+    """The csv.reader loader as it was before plain numeric files were
+    parsed in C, kept verbatim: the reference `core.load_csv` must match
+    (same columns, dtypes and bytes, or the same exception), except that an
+    integer outside int64 raises OverflowError here."""
+    path = Path(path)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataLoadError(f"{path}: empty file")
+            rows = [r for r in reader if r]
+    except UnicodeDecodeError as e:
+        raise DataLoadError(f"{path}: not UTF-8 text: {e}") from e
+    missing = [name for name in roles if name not in header]
+    if missing:
+        raise DataLoadError(f"{path}: declared columns absent from header: {missing}")
+    idx = {name: header.index(name) for name in roles}
+    for r in rows:
+        if len(r) != len(header):
+            raise DataLoadError(f"{path}: ragged row {r!r}")
+    schema = Schema.from_roles(roles)
+    columns = {
+        name: _reference_parse_csv_column([r[idx[name]] for r in rows], role, name)
+        for name, role in roles.items()
+    }
+    return Dataset(schema, columns)

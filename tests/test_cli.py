@@ -414,6 +414,37 @@ def test_report_of_another_shape_exits_2(ws, content):
     assert "error: malformed report: " in result.stderr
 
 
+@pytest.mark.parametrize("content, message", [
+    ("{}", "error: report lacks key 'verdict'"),
+    ("5", "error: malformed report: "),
+    ("no verdict", "error: report lacks key 'verdict'"),
+])
+def test_json_format_refuses_what_is_not_a_report(ws, content, message):
+    # the JSON view used to echo any JSON value back with exit 0
+    bad = ws / "report.json"
+    if content == "no verdict":
+        certify(ws)
+        payload = json.loads((ws / "audit_report.json").read_text())
+        del payload["verdict"]
+        content = json.dumps(payload)
+    bad.write_text(content)
+    for fmt in ("json", "markdown"):
+        result = invoke("report", "--path", bad, "--format", fmt)
+        assert result.exit_code == 2, fmt
+        assert result.stderr.startswith(message), fmt
+
+
+def test_example_report_renders_in_both_formats(ws):
+    certify(ws)
+    path = ws / "audit_report.json"
+    as_json = invoke("report", "--path", path, "--format", "json")
+    assert as_json.exit_code == 0
+    assert as_json.stdout == path.read_text()
+    as_markdown = invoke("report", "--path", path, "--format", "markdown")
+    assert as_markdown.exit_code == 0
+    assert as_markdown.stdout.startswith("# Audit report: example-classifier\n")
+
+
 def test_inconclusive_report_renders(ws):
     path = ws / "report.json"
     path.write_text('{"model_id":"m","reason":"no alpha","schema_version":2,'
@@ -421,6 +452,37 @@ def test_inconclusive_report_renders(ws):
     result = invoke("report", "--path", path, "--format", "markdown")
     assert result.exit_code == 0
     assert result.stdout == "# Audit report: m\n\n**Verdict: INCONCLUSIVE** — no alpha\n"
+
+
+OUTSIDE_INT64 = 99999999999999999999
+
+
+def test_integer_outside_int64_in_csv_exits_2(ws):
+    # used to crash with OverflowError and exit 1, "not demonstrated"
+    path = ws / "data" / "test_pass.csv"
+    header, first, *rows = path.read_text().splitlines()
+    x0, x1, _, prediction = first.split(",")
+    path.write_text("\n".join([header, f"{x0},{x1},{OUTSIDE_INT64},{prediction}",
+                               *rows]) + "\n")
+    result = invoke("run", ws / "audit.yaml")
+    assert result.exit_code == 2
+    assert re.search(r"test_pass\.csv: column 'label' holds an integer outside int64",
+                     result.stderr)
+
+
+def test_integer_outside_int64_in_jsonl_exits_2(ws):
+    header, *rows = (ws / "data" / "test_pass.csv").read_text().splitlines()
+    records = [dict(zip(header.split(","), map(json.loads, row.split(","))))
+               for row in rows]
+    records[0]["label"] = OUTSIDE_INT64
+    (ws / "data" / "test_pass.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in records))
+    config = mutate(ws, lambda raw: raw["datasets"]["test"].update(
+        path="data/test_pass.jsonl"))
+    result = invoke("run", ws / config)
+    assert result.exit_code == 2
+    assert re.search(r"test_pass\.jsonl: column 'label' holds an integer outside int64",
+                     result.stderr)
 
 
 def shuffle_test_rows(ws, name="test_pass.csv"):
@@ -462,3 +524,22 @@ def test_ledger_of_older_schema_version_exits_2(ws, name):
     result = invoke(*command(name, ws, point_check="point_check.csv"))
     assert result.exit_code == 2
     assert "schema version 1, not 2" in result.stderr
+
+
+def test_fairness_example_demonstrates_both_requirements(ws):
+    result = invoke("run", ws / "audit_fairness.yaml")
+    assert result.exit_code == 0, result.output
+    assert result.stdout.startswith("verdict: pass\n")
+    report = ws / "audit_fairness_report.json"
+    [row] = json.loads(report.read_text())["checks"]["fairness"]
+    assert (row["name"], row["dataset"], row["metric"]) == (
+        "parity_gap", "test", "statistical_parity")
+    assert row["threshold"] == 0.15
+    assert row["observed"] < row["threshold"]
+    assert row["demonstrated"] is True
+    assert row["test"]["alpha_used"] == 0.025
+    assert row["test"]["p_value"] <= 0.025
+    markdown = invoke("report", "--path", report, "--format", "markdown")
+    assert markdown.exit_code == 0
+    assert "## Fairness requirements" in markdown.stdout
+    assert "| parity_gap | 0.0133333 | 0.15 |" in markdown.stdout

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statcert.core import (
+    _plain_numeric_columns,
     Dataset,
     MetricValue,
     MprSpec,
@@ -22,6 +23,7 @@ from statcert.core import (
     sha256_hex,
 )
 from statcert.errors import (
+    DataLoadError,
     EmptyDataset,
     MissingColumn,
     UnknownLoss,
@@ -30,7 +32,7 @@ from statcert.errors import (
 )
 
 from conftest import build_dataset, counts_to_rows, labeled
-from helpers import string_cell
+from helpers import reference_load_csv, string_cell
 
 
 class TestComputeMetric:
@@ -198,6 +200,170 @@ def same_partition(*columns):
     one_to_one = (all(len(v) == 1 for v in by_string.values())
                   and all(len(v) == 1 for v in by_record.values()))
     return one_to_one, len(by_string)
+
+
+AB = {"a": "feature", "b": "feature"}
+AL = {"a": "feature", "label": "label"}
+INT64_MAX = 2**63 - 1
+
+# (id, file content, roles, parsed in C)
+CSV_CASES = [
+    ("six_digits", b"a,label\n0.345584,0\n-1.303157,1\n", AL, True),
+    ("seventeen_digits", b"a,b\n0.10000000000000001,-2.2250738585072014e-308\n"
+     b"1.7976931348623157e+308,5e-324\n", AB, True),
+    ("exponents", b"a,b\n1e5,1E-5\n.5,5.\n-.5e+3,+2.5E+0\n", AB, True),
+    ("signs_and_leading_zeros", b"a,label\n+0012.50,007\n-000.5,-003\n+.25,+0\n",
+     AL, True),
+    ("negative_zero", b"a,label\n-0.0,-0\n0.5,1\n", AL, True),
+    ("integral_floats_stay_float", b"a,label\n1.0,0\n2.0,1\n1e3,1\n", AL, True),
+    ("integral_floats_beside_integers", b"a,label,c\n1.0,0,-7\n2.0,1,+8\n",
+     {"a": "feature", "label": "label", "c": "feature"}, True),
+    ("int64_limits", f"a,label\n0.5,{INT64_MAX}\n1.5,-{INT64_MAX}\n2.5,{-2**63}\n"
+     .encode(), AL, True),
+    ("big_integral_floats", b"a,b\n1e30,0.5\n-2e19,1.5\n", AB, False),
+    ("big_floats", b"a,b\n1e30,0.5\n1.5,1e300\n", AB, True),
+    ("long_tokens", b"a,b\n0." + b"0" * 60 + b"1,2.5" + b"0" * 40 + b"\n"
+     b"0." + b"3" * 400 + b",-" + b"9" * 18 + b"\n", AB, True),
+    ("single_row", b"a,label\n0.25,1\n", AL, True),
+    ("single_column", b"a\n0.25\n-1\n", {"a": "feature"}, True),
+    ("no_trailing_newline", b"a,label\n0.25,1\n0.5,0", AL, True),
+    ("blank_lines", b"a,label\n\n0.25,1\n\n\n0.5,0\n\n", AL, True),
+    ("duplicate_header_column", b"a,a,b\n1.5,2.5,3.5\n4.5,5.5,6.5\n", AB, True),
+    ("undeclared_columns", b"z,a,y,b\n1,1.5,x,2.5\n", AB, False),
+    ("undeclared_numeric_columns", b"z,a,y,b\n1,1.5,2,2.5\n3,3.5,4,4.5\n", AB, True),
+    ("quoted_header", b'"a",b,"c,d"\n1.5,2.5,3\n', AB, True),
+    ("bom_before_undeclared_column", "\ufeffz,a,b\n1,1.5,2.5\n".encode(), AB, True),
+    ("timestamp", b"a,t\n0.5,1700000000\n1.5,1700000001\n",
+     {"a": "feature", "t": "timestamp"}, True),
+    ("scores", b"s0,s1\n0.25,0.75\n1,0\n", {"s0": "score", "s1": "score"}, True),
+    ("inf_in_integral_column", b"a,b\n1e400,0.5\n", AB, False),
+    ("inf_in_fractional_column", b"a,b\n1e400,0.5\n2.5,1.5\n", AB, True),
+    # the csv.reader path decides
+    ("empty_file", b"", AB, False),
+    ("header_only", b"a,b\n", AB, False),
+    ("header_only_no_newline", b"a,b", AB, False),
+    ("header_and_blank_lines", b"a,b\n\n\n", AB, False),
+    ("quoted_cells", b'a,b\n"1.5",2.5\n', AB, False),
+    ("crlf", b"a,b\r\n1.5,2.5\r\n", AB, False),
+    ("crlf_header_only", b"a,b\r\n1.5,2.5\n", AB, False),
+    ("text_cells", b"a,b\nx,2.5\ny,3.5\n", AB, False),
+    ("empty_cells", b"a,b\n,2.5\n1.5,\n", AB, False),
+    ("whitespace", b"a,b\n 1.5,2.5\n", AB, False),
+    ("nan", b"a,b\nnan,2.5\n", AB, False),
+    ("inf", b"a,b\n-inf,2.5\n", AB, False),
+    ("underscores", b"a,label\n1.5,1_000\n", AL, False),
+    ("unicode_digits", "a,label\n1.5,\u0661\u0662\n".encode(), AL, False),
+    ("bom_before_declared_column", "\ufeffa,b\n1.5,2.5\n".encode(), AB, False),
+    ("ragged_short_row", b"a,b\n1.5,2.5\n3.5\n", AB, False),
+    ("ragged_every_row", b"a,b\n1.5,2.5,3.5\n", AB, False),
+    ("missing_column", b"a,c\n1.5,2.5\n", AB, False),
+    ("quoted_header_left_open", b'b,"a\n1.5,2.5\n', {"b": "feature"}, False),
+    ("non_utf8_header", b"a,\xffb\n1.5,2.5\n", {"a": "feature"}, False),
+    ("non_utf8_body", b"a,b\n1.5,\xff\n", AB, False),
+    ("malformed_numbers", b"a,b\n1..5,2.5\n1e,+-1\n", AB, False),
+    ("timestamp_not_integer", b"a,t\n0.5,1.5\n", {"a": "feature", "t": "timestamp"},
+     False),
+    ("group_id", b"a,g\n0.5,1\n", {"a": "feature", "g": "group_id"}, False),
+    ("split", b"a,s\n0.5,test\n", {"a": "feature", "s": "split"}, False),
+    ("score_text", b"s0,s1\nx,1\n", {"s0": "score", "s1": "score"}, False),
+    ("invalid_schema", b"a,b\n0.5,1\n", {"a": "label", "b": "label"}, True),
+]
+
+
+def _random_numeric_csv(seed):
+    """A plain numeric file: float columns in '%.6f', '%.17g' and
+    exponent form, integer columns with signs and leading zeros, an
+    integral-float column; random row count, blank lines and last newline."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    columns = {}
+    for j, kind in enumerate(rng.choice(["f6", "g17", "exp", "int", "signed_int",
+                                         "integral_float"], size=5)):
+        if kind in ("int", "signed_int"):
+            values = rng.integers(-10**12, 10**12, size=n)
+            if kind == "int":
+                cells = [str(v) for v in values]
+            else:
+                cells = [f"{'+' if v >= 0 else '-'}{'0' * int(rng.integers(0, 3))}{abs(v)}"
+                         for v in values]
+        elif kind == "integral_float":
+            cells = [f"{v:.1f}" for v in rng.integers(-1000, 1000, size=n)]
+        else:
+            # the first cell is fractional, so the column is never integral
+            values = np.concatenate([[0.125], rng.normal(size=n - 1)
+                                     * 10.0 ** rng.uniform(-300, 300, size=n - 1)])
+            fmt = {"f6": "%.6f", "g17": "%.17g", "exp": "%.3E"}[kind]
+            cells = [fmt % v for v in values]
+        columns[f"c{j}"] = cells
+    names = list(columns)
+    lines = [",".join(names)]
+    for i in range(n):
+        lines.append(",".join(columns[name][i] for name in names))
+        if rng.random() < 0.1:
+            lines.append("")
+    text = "\n".join(lines) + ("\n" if rng.random() < 0.8 else "")
+    roles = {name: "feature" for name in names}
+    return text.encode(), roles
+
+
+def _load_or_error(load, path, roles):
+    try:
+        return load(path, roles)
+    except Exception as e:
+        return type(e), str(e)
+
+
+class TestCsvLoader:
+    """`load_csv` parses plain numeric files in C and hands every other
+    file to csv.reader: either way the dataset, or the exception, is the
+    one the csv.reader loader alone gives."""
+
+    @staticmethod
+    def check_against_reference(path, content, roles, fast):
+        path.write_bytes(content)
+        assert (_plain_numeric_columns(content, roles) is not None) == fast
+        got = _load_or_error(load_dataset, path, roles)
+        want = _load_or_error(reference_load_csv, path, roles)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert isinstance(got, Dataset)
+        for name in roles:
+            assert got.column(name).dtype == want.column(name).dtype, name
+            assert got.column(name).tobytes() == want.column(name).tobytes(), name
+        assert got.content_hash == want.content_hash
+
+    @pytest.mark.parametrize("content, roles, fast",
+                             [c[1:] for c in CSV_CASES], ids=[c[0] for c in CSV_CASES])
+    def test_case_matches_reference(self, tmp_path, content, roles, fast):
+        self.check_against_reference(tmp_path / "data.csv", content, roles, fast)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_numeric_file_matches_reference(self, tmp_path, seed):
+        content, roles = _random_numeric_csv(seed)
+        self.check_against_reference(tmp_path / "data.csv", content, roles, True)
+
+    @pytest.mark.parametrize("cell", [str(2**63), str(-2**63 - 1), "9" * 30, "9" * 5000],
+                             ids=["2**63", "-2**63-1", "30_digits", "5000_digits"])
+    def test_integer_outside_int64_is_refused(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"a,label\n0.5,1\n1.5,{cell}\n")
+        with pytest.raises(DataLoadError, match=r"data\.csv: column 'label' holds "
+                           r"an integer outside int64"):
+            load_dataset(path, AL)
+
+
+@pytest.mark.parametrize("labels, message", [
+    (("1", str(2**63)), r"data\.jsonl: column 'label' holds an integer outside int64"),
+    (("0.5", "1" + "0" * 400),
+     r"data\.jsonl: column 'label' holds an integer outside float64"),
+    (("1", "9" * 5000), r"data\.jsonl:2: an integer has too many digits to read"),
+], ids=["int64", "float64", "5000_digits"])
+def test_jsonl_integer_out_of_range_is_refused(tmp_path, labels, message):
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(f'{{"a": 0.5, "label": {v}}}\n' for v in labels))
+    with pytest.raises(DataLoadError, match=message):
+        load_dataset(path, AL)
 
 
 class TestCanonicalCells:
