@@ -44,7 +44,9 @@ def _load_bound_datasets(config: AuditConfig) -> dict[str, Dataset]:
         try:
             out[name] = load_dataset(binding.path, binding.columns)
         except (StatcertError, OSError, ValueError) as e:
-            raise DataLoadError(f"dataset {name!r} at {binding.path}: {e}") from e
+            # most loader messages name the file already
+            where = "" if str(binding.path) in str(e) else f" at {binding.path}"
+            raise DataLoadError(f"dataset {name!r}{where}: {e}") from e
     return out
 
 

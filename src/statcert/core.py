@@ -476,10 +476,10 @@ def load_csv(path: str | Path, roles: Mapping[str, str]) -> Dataset:
     return Dataset(Schema.from_roles(roles), columns)
 
 
-def load_jsonl(path: str | Path, roles: Mapping[str, str]) -> Dataset:
-    """Ingest a JSONL file, one sample object per line."""
-    path = Path(path)
-    records = []
+def read_jsonl(path: str | Path):
+    """(line number, value) for each non-blank line of a UTF-8 JSONL file,
+    each line read by json.loads; a file or line it cannot read is
+    DataLoadError."""
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -487,16 +487,28 @@ def load_jsonl(path: str | Path, roles: Mapping[str, str]) -> Dataset:
                 if not line:
                     continue
                 try:
-                    records.append(json.loads(line))
+                    value = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise DataLoadError(f"{path}:{lineno}: invalid JSON") from e
                 except ValueError as e:  # past int()'s digit limit
                     raise DataLoadError(f"{path}:{lineno}: an integer has too many "
                                         f"digits to read") from e
+                except RecursionError as e:
+                    raise DataLoadError(f"{path}:{lineno}: nested too deeply to "
+                                        f"read") from e
+                yield lineno, value
     except UnicodeDecodeError as e:
         raise DataLoadError(f"{path}: not UTF-8 text: {e}") from e
+
+
+def load_jsonl(path: str | Path, roles: Mapping[str, str]) -> Dataset:
+    """Ingest a JSONL file, one sample object per line."""
+    path = Path(path)
+    records = [rec for _, rec in read_jsonl(path)]
     columns: dict[str, list] = {name: [] for name in roles}
     for lineno, rec in enumerate(records, 1):
+        if not isinstance(rec, dict):
+            raise DataLoadError(f"{path}: record {lineno} is not a JSON object")
         for name in roles:
             if name not in rec or rec[name] is None:
                 raise DataLoadError(f"{path}: record {lineno} missing {name!r}")

@@ -183,36 +183,55 @@ def chi2_two_sample(x: np.ndarray, y: np.ndarray, alpha: float = 0.05) -> TestRe
 # (8 MiB of float64); no function here holds more than one block at a time.
 _BLOCK_CELLS = 1 << 20
 _MAGNITUDE = np.int64(np.iinfo(np.int64).max)  # every bit but the sign
+# A block's columns start at a multiple of this, so that BLAS tiles them as
+# it tiles the full (N x N) product and nearly every distance is the same
+# double it would be there.
+_COLUMN_ALIGN = 64
+# The median bracket spans this many standard errors of the sampled median's
+# rank on each side: a true median outside it has odds below 1e-6.
+_BRACKET_SE = 5.0
 
 
-def _row_blocks(total: int):
-    rows = max(1, _BLOCK_CELLS // total)
+def _upper_blocks(pooled: np.ndarray, norms: np.ndarray):
+    """The upper triangle of the pooled squared-distance matrix, one row
+    block at a time: (lo, hi, D[lo:hi, lo:]), with D = |a|^2 + |b|^2 - 2 a.b
+    clipped at 0 from the squared row norms. The block's leading square
+    D[lo:hi, lo:hi] is whole, its diagonal and lower half included.
+
+    Every block is written over the one before it, so a caller must be done
+    with a block before it asks for the next."""
+    total = len(pooled)
+    rows = min(total, max(1, _BLOCK_CELLS // total))
+    gram_cells, out_cells = np.empty(rows * total), np.empty(rows * total)
     for lo in range(0, total, rows):
-        yield lo, min(lo + rows, total)
+        hi = min(lo + rows, total)
+        start = lo - lo % _COLUMN_ALIGN
+        cells = (hi - lo) * (total - start)
+        gram = gram_cells[:cells].reshape(hi - lo, total - start)
+        out = out_cells[:cells].reshape(gram.shape)
+        np.matmul(pooled[lo:hi], pooled[start:].T, out=gram)
+        gram *= 2.0
+        np.add(norms[lo:hi, None], norms[None, start:], out=out)
+        out -= gram
+        np.maximum(out, 0.0, out=out)
+        yield lo, hi, out[:, lo - start:]
 
 
-def _sq_distance_rows(pooled: np.ndarray, norms: np.ndarray, lo: int,
-                      hi: int) -> np.ndarray:
-    """Squared Euclidean distances from rows lo:hi of `pooled` to every row,
-    given the squared row norms: |a|^2 + |b|^2 - 2 a.b, clipped at 0.
-
-    Whole rows keep BLAS's column tiling that of the full (N x N) product,
-    so nearly every cell is the same double it would be there."""
-    gram = pooled[lo:hi] @ pooled.T
-    gram *= 2.0
-    out = norms[lo:hi, None] + norms[None, :]
-    out -= gram
-    return np.maximum(out, 0.0, out=out)
+def _pair_distances(pooled: np.ndarray, norms: np.ndarray):
+    """The squared distances of all pairs i < j, in two arrays per row block:
+    the strict upper half of the block's leading square, then the rest."""
+    for lo, hi, sq in _upper_blocks(pooled, norms):
+        rows = hi - lo
+        yield sq[:, :rows][np.arange(rows) > np.arange(rows)[:, None]]
+        yield sq[:, rows:]
 
 
 def _pair_distance_bits(pooled: np.ndarray, norms: np.ndarray):
-    """The squared distances of all pairs i < j, one row block at a time,
-    as int64 bit patterns with the sign bit cleared (so -0.0 reads as 0.0).
+    """The squared distances of all pairs i < j, a piece at a time, as 1-d
+    int64 bit patterns with the sign bit cleared (so -0.0 reads as 0.0).
     Non-negative doubles order exactly as these integers do."""
-    total = len(pooled)
-    for lo, hi in _row_blocks(total):
-        upper = np.arange(total) > np.arange(lo, hi)[:, None]
-        yield _sq_distance_rows(pooled, norms, lo, hi)[upper].view(np.int64) & _MAGNITUDE
+    for part in _pair_distances(pooled, norms):
+        yield (part.view(np.int64) & _MAGNITUDE).ravel()
 
 
 def _select_pair_sq_distances(pooled: np.ndarray, norms: np.ndarray,
@@ -257,14 +276,63 @@ def _select_pair_sq_distances(pooled: np.ndarray, norms: np.ndarray,
     return out
 
 
+def _bracketed_pair_sq_distances(pooled: np.ndarray, norms: np.ndarray,
+                                 ranks: list[int], count: int) -> list[float] | None:
+    """The squared distances at `ranks` (ascending, near count / 2) among
+    all `count` pairs, from one pass; None when that pass cannot tell.
+
+    A seeded sample of random pairs brackets the ranks by value, [a, b];
+    the pass counts the pairs below a and collects those in [a, b]. When
+    both ranks fall among the collected pairs, sorting them gives the exact
+    answer. The sample is sized for a bracket of about a quarter block; a
+    bracket that misses the ranks (odds below 1e-6) or holds more than one
+    block (heavy ties) gives None.
+    """
+    total, dim = pooled.shape
+    size = int(np.clip((4.0 * _BRACKET_SE * count / _BLOCK_CELLS) ** 2,
+                       1 << 14, _BLOCK_CELLS))
+    rng = np.random.default_rng(0)
+    first = rng.integers(0, total, size)
+    second = (first + rng.integers(1, total, size)) % total  # never first
+    sample = np.empty(size)
+    step = max(1, _BLOCK_CELLS // (2 * max(dim, 1)))
+    for lo in range(0, size, step):
+        diff = pooled[first[lo:lo + step]]
+        diff -= pooled[second[lo:lo + step]]
+        sample[lo:lo + step] = np.einsum("ij,ij->i", diff, diff)
+    sample.sort()
+    half = _BRACKET_SE * np.sqrt(size) / 2.0
+    a, b = sample[[max(0, int(size * ranks[0] / count - half)),
+                   min(size - 1, int(size * ranks[-1] / count + half) + 1)]]
+
+    inside = np.empty(_BLOCK_CELLS)
+    below = held = 0
+    for part in _pair_distances(pooled, norms):
+        below += int(np.count_nonzero(part < a))
+        sel = part[(part >= a) & (part <= b)]
+        if held + sel.size > _BLOCK_CELLS:
+            return None
+        inside[held:held + sel.size] = sel
+        held += sel.size
+    if not below <= ranks[0] <= ranks[-1] < below + held:
+        return None
+    values = inside[:held]
+    values.sort()
+    return [float(values[r - below]) for r in ranks]
+
+
 def median_heuristic_bandwidth(pooled: np.ndarray) -> float:
     """Median pairwise Euclidean distance over the pooled sample.
 
-    The median of the squared distances is found by exact selection: it is
-    the same double np.median of all of them gives, but no more than one row
-    block of the distance matrix is held at a time. Time O(N^2) (two passes
-    on typical data), memory O(N + block) for N pooled rows. Falls back to
-    1.0 when every pair coincides, so the kernel stays defined on
+    The median of the squared distances is found by exact selection over
+    the upper triangle of the distance matrix: it is the same double
+    np.median of all of them gives, but no more than one row block of the
+    matrix is held at a time. When all pairs fit in one block they are
+    sorted; otherwise one pass collects the pairs inside a bracket drawn
+    from a seeded sample of pairs and sorts those, and radix selection
+    takes over if the bracket misses. Time O(N^2) (one pass on typical
+    data, at most five), memory O(N + block) for N pooled rows. Falls back
+    to 1.0 when every pair coincides, so the kernel stays defined on
     degenerate data.
     """
     pooled = np.atleast_2d(np.asarray(pooled, dtype=float))
@@ -273,11 +341,43 @@ def median_heuristic_bandwidth(pooled: np.ndarray) -> float:
     pairs = len(pooled) * (len(pooled) - 1) // 2
     if pairs == 0:
         return 1.0
+    norms = np.sum(pooled * pooled, axis=1)
     # np.median's two middle ranks (one when odd), averaged as it does
-    middle = _select_pair_sq_distances(pooled, np.sum(pooled * pooled, axis=1),
-                                       sorted({(pairs - 1) // 2, pairs // 2}), pairs)
+    ranks = sorted({(pairs - 1) // 2, pairs // 2})
+    middle = None
+    if pairs > _BLOCK_CELLS:
+        middle = _bracketed_pair_sq_distances(pooled, norms, ranks, pairs)
+    if middle is None:
+        middle = _select_pair_sq_distances(pooled, norms, ranks, pairs)
     med = float(np.sqrt(np.mean(np.array(middle))))
     return med if med > 0 else 1.0
+
+
+def _assignment(keys: np.ndarray, n: int) -> np.ndarray:
+    """The 0/1 matrix whose column p marks the n rows with the smallest
+    keys in column p of `keys` (rows x permutations), built in `keys`.
+
+    Each column's n-th smallest key is its threshold, found a block of
+    columns at a time; the rows at or below it are the n smallest unless
+    another key ties it. Then argpartition breaks the tie, which picks the
+    same rows as always.
+    """
+    total, n_perm = keys.shape
+    threshold = np.empty(n_perm)
+    step = max(1, _BLOCK_CELLS // total)
+    for lo in range(0, n_perm, step):
+        cols = keys[:, lo:lo + step].T.copy()  # contiguous, so partitions run fast
+        cols.partition(n - 1, axis=1)
+        threshold[lo:lo + step] = cols[:, n - 1]
+        del cols  # before the next copy
+    chosen = keys <= threshold
+    if np.all(np.count_nonzero(chosen, axis=0) == n):
+        np.copyto(keys, chosen)
+        return keys
+    take = np.argpartition(keys, n - 1, axis=0)[:n]
+    keys.fill(0.0)
+    np.put_along_axis(keys, take, 1.0, axis=0)
+    return keys
 
 
 def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
@@ -290,8 +390,11 @@ def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
     under random relabelings of the pooled rows; with unit kernel diagonal
     the statistic is a function of v'Kv and 1'Kv alone, so all permutations
     reduce to one product of the kernel with a 0/1 assignment matrix. The
-    kernel is built and used one row block at a time and never held whole:
-    time O((n+m)^2 * n_perm), memory O((n+m) * (block + n_perm)).
+    kernel is symmetric, so it is built only over its upper triangle, one
+    row block at a time, and never held whole: each block's leading square
+    is used as it is and the rest counts for itself and its mirror image,
+    so the products cover half the kernel. Time O((n+m)^2 * n_perm),
+    memory O((n+m) * (block + n_perm)).
     p-value = (r + 1) / (n_perm + 1).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -307,13 +410,8 @@ def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
     total = n + m
     h = bandwidth if bandwidth is not None else median_heuristic_bandwidth(pooled)
 
-    rng = np.random.default_rng(seed)
-    keys = rng.random((total, n_perm))
-    take = np.argpartition(keys, n - 1, axis=0)[:n]  # n random rows per column
-    del keys
-    assign = np.zeros((total, n_perm))
-    np.put_along_axis(assign, take, 1.0, axis=0)
-    del take
+    # column p labels x the n rows it draws
+    assign = _assignment(np.random.default_rng(seed).random((total, n_perm)), n)
     v = np.zeros(total)
     v[:n] = 1.0
 
@@ -322,15 +420,22 @@ def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
     colsum = np.zeros(total)
     v_k = np.zeros(total)  # v'K, the kernel summed over the rows labelled x
     v_kv = np.zeros(n_perm)
-    for lo, hi in _row_blocks(total):
-        kb = _sq_distance_rows(pooled, norms, lo, hi)
-        np.negative(kb, out=kb)
-        kb /= 2.0 * h * h
+    for lo, hi, kb in _upper_blocks(pooled, norms):
+        np.divide(kb, -(2.0 * h * h), out=kb)  # the same doubles as -kb / (2 h^2)
         np.exp(kb, out=kb)
-        ksum += float(kb.sum())  # per block: one block sums exactly as K.sum()
-        colsum += kb.sum(axis=0)
-        v_k += v[lo:hi] @ kb
-        v_kv += np.einsum("ij,ij->j", assign[lo:hi], kb @ assign)
+        # K[lo:hi, lo:hi] and K[lo:hi, hi:], which also stands for K[hi:, lo:]
+        sq, off = kb[:, :hi - lo], kb[:, hi - lo:]
+        rowsum = off.sum(axis=1)
+        # one block alone sums exactly as K.sum()
+        ksum += float(sq.sum()) + 2.0 * float(rowsum.sum())
+        colsum[lo:hi] += sq.sum(axis=0) + rowsum
+        colsum[hi:] += off.sum(axis=0)
+        v_k[lo:hi] += v[lo:hi] @ sq + off @ v[hi:]
+        v_k[hi:] += v[lo:hi] @ off
+        q = off @ assign[hi:]
+        q *= 2.0
+        q += sq @ assign[lo:hi]
+        v_kv += np.einsum("ij,ij->j", assign[lo:hi], q)
 
     def stat_from(v_kv: np.ndarray, s_v: np.ndarray) -> np.ndarray:
         sxx = v_kv - n

@@ -12,13 +12,13 @@ KL form sum_k w_k KL(p_k || mean) is recomputed as an internal cross-check.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .core import read_jsonl
 from .errors import DataLoadError, DegenerateFlags, InvalidSimplexRow, ValidationError
 from .stattest import rank_auroc
 
@@ -206,28 +206,18 @@ def load_ensembles(path: str | Path) -> list[EnsemblePrediction]:
     """Read ensemble predictions from JSONL: one object per input with a
     K x C "members" array, optional "weights" and an optional boolean
     "correct" (any other value reads as unknown)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as e:
-        raise DataLoadError(f"{path}: not UTF-8 text: {e}") from e
     out = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DataLoadError(f"{path}:{lineno}: invalid JSON") from e
+    for lineno, rec in read_jsonl(path):
         if not isinstance(rec, dict) or "members" not in rec:
             raise DataLoadError(f"{path}:{lineno}: missing members array")
-        weights = np.asarray(rec["weights"], dtype=float) if "weights" in rec else None
         correct = rec.get("correct")
         try:
+            weights = np.asarray(rec["weights"], dtype=float) if "weights" in rec else None
             out.append(EnsemblePrediction(np.asarray(rec["members"], dtype=float),
                                           weights,
                                           correct if isinstance(correct, bool) else None))
-        except (InvalidSimplexRow, ValidationError) as e:
+        # ValueError, TypeError and OverflowError: not an array of numbers
+        except (InvalidSimplexRow, ValidationError, ValueError, TypeError,
+                OverflowError) as e:
             raise DataLoadError(f"{path}:{lineno}: {e}") from e
     return out

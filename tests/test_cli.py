@@ -485,6 +485,56 @@ def test_integer_outside_int64_in_jsonl_exits_2(ws):
                      result.stderr)
 
 
+def replace_first_cell(ws, column, value, name="test_pass.csv"):
+    path = ws / "data" / name
+    header, first, *rows = path.read_text().splitlines()
+    cells = first.split(",")
+    cells[header.split(",").index(column)] = str(value)
+    path.write_text("\n".join([header, ",".join(cells), *rows]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("column,value,message", [
+    ("label", OUTSIDE_INT64, "column 'label' holds an integer outside int64"),
+    ("x0", "nan", "non-finite values in column 'x0'"),
+], ids=["message_names_the_file", "message_without_the_file"])
+def test_dataset_error_names_the_file_once(ws, column, value, message):
+    # a loader message that starts with the path used to get it twice
+    path = replace_first_cell(ws, column, value)
+    result = invoke("run", ws / "audit.yaml")
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: dataset 'test'")
+    assert message in result.stderr
+    assert result.stderr.count(str(path)) == 1
+
+
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+
+
+def test_deeply_nested_window_line_exits_2(ws):
+    # used to crash with RecursionError and exit 1, "not demonstrated"
+    certify(ws)
+    window = ws / "data" / "window.jsonl"
+    window.write_bytes(DEEP_JSON)
+    result = invoke("monitor", ws / "audit.yaml", "--window", window)
+    assert result.exit_code == 2
+    assert "window.jsonl:1: nested too deeply to read" in result.stderr
+
+
+@pytest.mark.parametrize("content,message", [
+    (DEEP_JSON, "ensembles.jsonl:1: nested too deeply to read"),
+    (b'{"members": [[' + b"9" * 5000 + b', 0]]}\n',
+     "ensembles.jsonl:1: an integer has too many digits to read"),
+    (b'{"members": [[1' + b"0" * 400 + b', 0]]}\n', "ensembles.jsonl:1: int too large"),
+    (b'{"members": [["a", "b"]]}\n', "ensembles.jsonl:1: could not convert"),
+], ids=["deep", "5000_digits", "400_digits", "text"])
+def test_unreadable_ensembles_line_exits_2(ws, content, message):
+    # each used to crash with a traceback and exit 1
+    result = invoke("run", ws / with_ensembles(ws, content))
+    assert result.exit_code == 2
+    assert message in result.stderr
+
+
 def shuffle_test_rows(ws, name="test_pass.csv"):
     path = ws / "data" / name
     header, *rows = path.read_text().splitlines()

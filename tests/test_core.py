@@ -366,6 +366,18 @@ def test_jsonl_integer_out_of_range_is_refused(tmp_path, labels, message):
         load_dataset(path, AL)
 
 
+@pytest.mark.parametrize("line, message", [
+    (b"[" * 100_000 + b"]" * 100_000, r"data\.jsonl:2: nested too deeply to read"),
+    (b"5", r"data\.jsonl: record 2 is not a JSON object"),
+], ids=["deep", "not_an_object"])
+def test_unreadable_jsonl_line_is_refused(tmp_path, line, message):
+    # each used to escape as RecursionError or TypeError
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b'{"a": 0.5, "label": 1}\n' + line + b"\n")
+    with pytest.raises(DataLoadError, match=message):
+        load_dataset(path, AL)
+
+
 class TestCanonicalCells:
     def test_floats_agree_with_twelve_digit_strings(self):
         rng = np.random.default_rng(121212)

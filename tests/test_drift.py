@@ -460,3 +460,95 @@ class TestClassifyShift:
         with pytest.raises(NoShiftToClassify):
             classify_shift(verdict, labeled(labels, preds),
                            MprSpec("accuracy", 0.9, "at_least"), alpha=0.05)
+
+
+def argpartition_assignment(keys, n):
+    """The permutation assignment as argpartition and put_along_axis make it."""
+    assign = np.zeros(keys.shape)
+    np.put_along_axis(assign, np.argpartition(keys, n - 1, axis=0)[:n], 1.0, axis=0)
+    return assign
+
+
+class TestUpperTriangle:
+    """The one-pass bandwidth with its exact fallback, the symmetric kernel
+    pass and the threshold assignment, against `helpers.full_matrix_*` and
+    argpartition."""
+
+    @pytest.fixture
+    def selections(self, monkeypatch):
+        """The pair counts radix selection was called on: empty when the
+        sampled bracket alone gave the median."""
+        calls = []
+        select = drift._select_pair_sq_distances
+
+        def spy(pooled, norms, ranks, count, *rest):
+            calls.append(count)
+            return select(pooled, norms, ranks, count, *rest)
+
+        monkeypatch.setattr(drift, "_select_pair_sq_distances", spy)
+        return calls
+
+    @pytest.mark.parametrize("d", [1, 3, 8, 17])
+    @pytest.mark.parametrize("total", [1025, 2049, 4001])
+    def test_bandwidth_exact_over_several_blocks(self, selections, total, d):
+        pooled = np.random.default_rng(total * 100 + d).normal(size=(total, d))
+        assert median_heuristic_bandwidth(pooled) == full_matrix_bandwidth(pooled)
+        pairs = total * (total - 1) // 2
+        # all pairs fit in one block only at 1025 rows; elsewhere one pass did it
+        assert bool(selections) == (pairs <= drift._BLOCK_CELLS)
+
+    def test_missed_bracket_falls_back(self, monkeypatch, selections):
+        # a bracket no wider than the sample's spacing misses the median
+        monkeypatch.setattr(drift, "_BRACKET_SE", 0.0)
+        pooled = np.random.default_rng(31).normal(size=(2049, 4))
+        pairs = 2049 * 2048 // 2
+        norms = np.sum(pooled * pooled, axis=1)
+        ranks = [(pairs - 1) // 2, pairs // 2]
+        assert drift._bracketed_pair_sq_distances(pooled, norms, ranks, pairs) is None
+        assert median_heuristic_bandwidth(pooled) == full_matrix_bandwidth(pooled)
+        assert selections
+
+    def test_all_distances_equal_but_a_few_fall_back(self, selections):
+        # unit vectors: every squared distance is 2 except the 1499 pairs of
+        # the stretched first row, so the bracket [2, 2] holds past one block
+        pooled = np.eye(1500)
+        pooled[0, 0] = 2.0
+        assert median_heuristic_bandwidth(pooled) == full_matrix_bandwidth(pooled)
+        assert median_heuristic_bandwidth(pooled) == np.sqrt(2.0)
+        assert selections
+
+    def test_rounded_data_overflows_the_bracket(self, selections):
+        # the median squared distance, 1, is shared by over a third of the pairs
+        pooled = np.round(np.random.default_rng(0).normal(size=(3000, 1)), 0)
+        assert median_heuristic_bandwidth(pooled) == full_matrix_bandwidth(pooled)
+        assert selections
+
+    @pytest.mark.parametrize("n,m,d,shift", [(600, 425, 3, 0.1), (1020, 5, 2, 0.0)])
+    def test_permutation_test_just_past_one_block(self, n, m, d, shift):
+        assert (n + m) ** 2 > drift._BLOCK_CELLS
+        g = np.random.default_rng(n * 1000 + m)
+        x = g.normal(size=(n, d))
+        y = g.normal(size=(m, d)) + shift
+        got = mmd_permutation_test(x, y, n_perm=300, seed=n + d)
+        want = full_matrix_mmd_test(x, y, n_perm=300, seed=n + d)
+        assert got.p_value == want.p_value
+        assert got.decision == want.decision
+        assert got.params == want.params
+        np.testing.assert_allclose(got.statistic, want.statistic, rtol=1e-9)
+        np.testing.assert_allclose(got.conf_bound, want.conf_bound, rtol=1e-9)
+
+    @pytest.mark.parametrize("total,n,n_perm", [(5, 2, 1), (301, 150, 40), (3000, 1000, 800)])
+    def test_threshold_assignment_is_argpartitions(self, total, n, n_perm):
+        # 800 permutations of 3000 rows take three column blocks
+        keys = np.random.default_rng(total).random((total, n_perm))
+        want = argpartition_assignment(keys, n)
+        np.testing.assert_array_equal(drift._assignment(keys.copy(), n), want)
+
+    def test_tied_threshold_falls_back_to_argpartition(self):
+        keys = np.random.default_rng(8).integers(0, 4, size=(50, 7)).astype(float)
+        n = 20
+        threshold = np.sort(keys, axis=0)[n - 1]
+        assert np.any(np.count_nonzero(keys <= threshold, axis=0) != n)  # a tie
+        got = drift._assignment(keys.copy(), n)
+        np.testing.assert_array_equal(got, argpartition_assignment(keys, n))
+        assert np.all(got.sum(axis=0) == n)
