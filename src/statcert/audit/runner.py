@@ -1,10 +1,13 @@
 """End-to-end audit orchestration.
 
-A run is one logical transaction: leakage screens first (a violation gates
-everything and spends no alpha), then the requirement family at the alpha
-the ledger's fallback recurrence allocates to this entry, then the
-informational sections. Reports carry no timestamps, so identical inputs
-reproduce identical bytes; wall-clock provenance lives in the ledger.
+run, recertify and monitor write their ledger entry through one
+transaction, `_Entry`: opening it checks the ledger, `spend` refuses
+consumed gating data and then allocates the fallback alpha, and `commit`
+appends the entry. A certification runs the leakage screens first (a
+violation gates everything, and the entry spends no alpha), then the
+requirement family at the alpha `spend` allocated, then the informational
+sections. Reports carry no timestamps, so identical inputs reproduce
+identical bytes; wall-clock provenance lives in the ledger.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from ..stattest import evaluate_mpr
 from ..uncertainty import (decompose, evaluate_uncertainty_quality, load_ensembles,
                            uncertainty_fallback)
 from .config import AuditConfig, load_config
-from .ledger import AuditLedger, Replay, replay_ledger
+from .ledger import AuditLedger, replay_ledger
 from .report import SCHEMA_VERSION, AuditReport
 
 
@@ -77,47 +80,32 @@ def _decision(name: str, test) -> dict:
 def _requirement_sections(config: AuditConfig, datasets: dict[str, Dataset],
                           entry_alpha: float):
     """Run every gating requirement at its share of the entry alpha."""
-    mpr_rows, fairness_rows, decisions = [], [], []
-    all_demonstrated = True
+    tests = []
+
+    def row(req, test, metric: str, observed, threshold, n: int, **extra) -> dict:
+        tests.append((req.name, test))
+        return {"name": req.name, "dataset": req.dataset, "metric": metric, **extra,
+                "observed": observed, "threshold": threshold, "n": n,
+                "demonstrated": test.rejected, "test": test.as_plain()}
+
+    mpr_rows = []
     for j, req in enumerate(config.mprs):
-        alpha_j = entry_alpha * req.spec.alpha_share
-        metric, test = evaluate_mpr(datasets[req.dataset], req.spec, alpha_j,
+        metric, test = evaluate_mpr(datasets[req.dataset], req.spec,
+                                    entry_alpha * req.spec.alpha_share,
                                     seed=splitmix64(config.seed, 1000 + j))
-        demonstrated = test.rejected
-        all_demonstrated = all_demonstrated and demonstrated
-        mpr_rows.append({
-            "name": req.name,
-            "dataset": req.dataset,
-            "metric": req.spec.metric_id,
-            "direction": req.spec.direction,
-            "observed": metric.value,
-            "threshold": req.spec.threshold,
-            "n": metric.n,
-            "demonstrated": demonstrated,
-            "test": test.as_plain(),
-        })
-        decisions.append(_decision(req.name, test))
+        mpr_rows.append(row(req, test, req.spec.metric_id, metric.value,
+                            req.spec.threshold, metric.n, direction=req.spec.direction))
+    fairness_rows = []
     for j, req in enumerate(config.fairness):
-        alpha_j = entry_alpha * req.alpha_share
-        outcomes = GroupedOutcomes.from_dataset(datasets[req.dataset])
         test = fairness_mpr_check(
-            outcomes, [(req.metric, req.max_violation)],
-            n_bootstrap=req.n_bootstrap, alpha=alpha_j,
+            GroupedOutcomes.from_dataset(datasets[req.dataset]),
+            [(req.metric, req.max_violation)], n_bootstrap=req.n_bootstrap,
+            alpha=entry_alpha * req.alpha_share,
             seed=splitmix64(config.seed, 2000 + j))[req.metric]
-        demonstrated = test.rejected
-        all_demonstrated = all_demonstrated and demonstrated
-        fairness_rows.append({
-            "name": req.name,
-            "dataset": req.dataset,
-            "metric": req.metric,
-            "observed": test.statistic,
-            "threshold": req.max_violation,
-            "n": test.n,
-            "demonstrated": demonstrated,
-            "test": test.as_plain(),
-        })
-        decisions.append(_decision(req.name, test))
-    return all_demonstrated, mpr_rows, fairness_rows, decisions
+        fairness_rows.append(row(req, test, req.metric, test.statistic,
+                                 req.max_violation, test.n))
+    return (all(test.rejected for _, test in tests), mpr_rows, fairness_rows,
+            [_decision(name, test) for name, test in tests])
 
 
 def _scenario_columns(config: AuditConfig) -> dict[str, str]:
@@ -194,31 +182,6 @@ def _aux_sections(config: AuditConfig, datasets: dict[str, Dataset]) -> dict:
     return checks
 
 
-def _build_payload(config: AuditConfig, verdict: str, checks: dict,
-                   dataset_hashes: dict, entry_index: int, entry_alpha: float,
-                   carried_in: float) -> dict:
-    plain = config.as_plain()
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "verdict": verdict,
-        "model_id": config.model_id,
-        "seed": config.seed,
-        "sadd": {**plain["sadd"], "content_hash": config.sadd.content_hash},
-        "config": plain,
-        "family": config.family_snapshot(),
-        "entry": {"index": entry_index, "alpha_allocated": entry_alpha,
-                  "alpha_carried_in": carried_in},
-        "dataset_hashes": dict(sorted(dataset_hashes.items())),
-        "checks": checks,
-        "environment": {
-            "package": __version__,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
-    }
-
-
 def _certification_pass(config: AuditConfig, datasets: dict[str, Dataset],
                         entry_alpha: float):
     """Shared certification body: gate, family, auxiliary sections."""
@@ -235,74 +198,104 @@ def _certification_pass(config: AuditConfig, datasets: dict[str, Dataset],
     return checks, ("pass" if all_demonstrated else "fail"), all_demonstrated, decisions
 
 
-def _open(ledger: AuditLedger, config: AuditConfig, *, need_entries: bool) -> Replay:
-    """Check the ledger can take an entry under this config; return its
-    replay, which holds the fallback state and the consumed gating hashes."""
-    replayed = replay_ledger(ledger)
-    if not replayed.consistent:
-        raise LedgerCorrupt(f"entry {replayed.first_inconsistency}: {replayed.detail}")
-    older = replayed.older
-    if older is not None:
-        raise LedgerVersionMismatch(
-            f"ledger entry {older['index']} was written under report schema version "
-            f"{older.get('schema_version', 1)}, not {SCHEMA_VERSION}; its dataset "
-            "hashes cannot tell fresh data from consumed data under this version, "
-            "so start a new ledger")
-    if replayed.n_entries == 0:
-        if need_entries:
-            raise ConfigInvalid("ledger is empty; run the initial certification first")
-    elif replayed.family != config.family_snapshot():
-        raise FamilyMismatch("requirement family differs from the one frozen at "
-                             "ledger entry 0")
-    return replayed
+class _Entry:
+    """The one ledger transaction: open the ledger, spend alpha on fresh
+    data, commit the entry. Opening checks that the ledger can take an
+    entry under this config: integrity, schema version, entries present
+    (unless the entry is the initial one), family. An initial entry is
+    entry 0, which a rerun regenerates: it starts the fallback recurrence
+    and finds nothing consumed."""
+
+    def __init__(self, ledger: AuditLedger | str | Path, config: AuditConfig, *,
+                 initial: bool = False):
+        self.ledger = ledger if isinstance(ledger, AuditLedger) else AuditLedger(ledger)
+        self.config = config
+        self.replay = replayed = replay_ledger(self.ledger)
+        if not replayed.consistent:
+            raise LedgerCorrupt(f"entry {replayed.first_inconsistency}: {replayed.detail}")
+        older = replayed.older
+        if older is not None:
+            raise LedgerVersionMismatch(
+                f"ledger entry {older['index']} was written under report schema version "
+                f"{older.get('schema_version', 1)}, not {SCHEMA_VERSION}; its dataset "
+                "hashes cannot tell fresh data from consumed data under this version, "
+                "so start a new ledger")
+        if replayed.n_entries == 0:
+            if not initial:
+                raise ConfigInvalid("ledger is empty; run the initial certification first")
+        elif replayed.family != config.family_snapshot():
+            raise FamilyMismatch("requirement family differs from the one frozen at "
+                                 "ledger entry 0")
+        if initial:
+            self.index, self.state, self.consumed = 0, FallbackState(0, 0.0), frozenset()
+        else:
+            self.index, self.state, self.consumed = (replayed.n_entries, replayed.state,
+                                                     replayed.consumed)
+        self.alpha, self.gating = 0.0, []
+
+    def spend(self, gating_hashes, what: str) -> float:
+        """Refuse gating data that a prior entry consumed, since FWER
+        control holds only on fresh data; then allocate the alpha the
+        fallback recurrence gives this entry. Both are kept for commit."""
+        stale = self.consumed.intersection(gating_hashes)
+        if stale:
+            raise StaleDataReuse(f"{what} reuses content already consumed by a prior "
+                                 f"entry: {sorted(h[:12] for h in stale)}")
+        alpha = self.state.next_alpha(self.config.family_alpha, self.config.family_weights)
+        if alpha <= 0.0:
+            raise FamilyAlphaExhausted(
+                f"fallback allocates zero alpha to test {self.state.tests_done}; its "
+                "family weight is zero and nothing was carried forward")
+        self.alpha, self.gating = alpha, gating_hashes
+        return alpha
+
+    def commit(self, kind: str, verdict: str, demonstrated: bool | None,
+               dataset_hashes: dict, decisions: list[dict]) -> dict:
+        """Append the entry. demonstrated=None marks an entry that tested
+        nothing: it spends no alpha, gates no data, and passes the carry on."""
+        tested = demonstrated is not None
+        config, state = self.config, self.state
+        return self.ledger.append(
+            kind=kind,
+            model_id=config.model_id,
+            family=config.family_snapshot(),
+            dataset_hashes=dataset_hashes,
+            gating_hashes=self.gating if tested else [],
+            seed=config.seed,
+            test_bearing=tested,
+            alpha_allocated=self.alpha if tested else 0.0,
+            alpha_carried_in=state.carry,
+            alpha_carried_out=(state.advance(self.alpha, demonstrated) if tested
+                               else state).carry,
+            decisions=decisions,
+            demonstrated=demonstrated,
+            verdict=verdict,
+        )
 
 
-def _refuse_consumed(replayed: Replay, hashes, what: str) -> None:
-    """FWER control holds only on fresh data: refuse gating data that a
-    prior entry already consumed."""
-    stale = replayed.consumed.intersection(hashes)
-    if stale:
-        raise StaleDataReuse(f"{what} reuses content already consumed by a prior "
-                             f"entry: {sorted(h[:12] for h in stale)}")
-
-
-def _allocate(state: FallbackState, config: AuditConfig) -> float:
-    """The alpha the fallback recurrence gives the next test-bearing entry."""
-    alpha = state.next_alpha(config.family_alpha, config.family_weights)
-    if alpha <= 0.0:
-        raise FamilyAlphaExhausted(
-            f"fallback allocates zero alpha to test {state.tests_done}; its family "
-            "weight is zero and nothing was carried forward")
-    return alpha
-
-
-def _commit(ledger: AuditLedger, config: AuditConfig, state: FallbackState, *,
-            kind: str, alpha: float, demonstrated: bool | None,
-            dataset_hashes: dict, gating_hashes, decisions: list[dict],
-            verdict: str) -> dict:
-    """Append the entry. demonstrated=None marks an entry that tested
-    nothing: it spends no alpha, gates no data, and passes the carry on."""
-    test_bearing = demonstrated is not None
-    return ledger.append(
-        kind=kind,
-        model_id=config.model_id,
-        family=config.family_snapshot(),
-        dataset_hashes=dataset_hashes,
-        gating_hashes=gating_hashes if test_bearing else [],
-        seed=config.seed,
-        test_bearing=test_bearing,
-        alpha_allocated=alpha if test_bearing else 0.0,
-        alpha_carried_in=state.carry,
-        alpha_carried_out=(state.advance(alpha, demonstrated).carry if test_bearing
-                           else state.carry),
-        decisions=decisions,
-        demonstrated=demonstrated,
-        verdict=verdict,
-    )
-
-
-def _as_ledger(ledger: AuditLedger | str | Path) -> AuditLedger:
-    return ledger if isinstance(ledger, AuditLedger) else AuditLedger(ledger)
+def _build_payload(entry: _Entry, verdict: str, checks: dict,
+                   dataset_hashes: dict) -> dict:
+    config = entry.config
+    plain = config.as_plain()
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "verdict": verdict,
+        "model_id": config.model_id,
+        "seed": config.seed,
+        "sadd": {**plain["sadd"], "content_hash": config.sadd.content_hash},
+        "config": plain,
+        "family": config.family_snapshot(),
+        "entry": {"index": entry.index, "alpha_allocated": entry.alpha,
+                  "alpha_carried_in": entry.state.carry},
+        "dataset_hashes": dict(sorted(dataset_hashes.items())),
+        "checks": checks,
+        "environment": {
+            "package": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+    }
 
 
 def _as_config(config: AuditConfig | str | Path) -> AuditConfig:
@@ -319,36 +312,29 @@ def run_audit(config: AuditConfig | str | Path) -> AuditReport:
     evidence goes through recertify.
     """
     config = _as_config(config)
-    ledger = AuditLedger(config.ledger_path)
-    _open(ledger, config, need_entries=False)
-    state = FallbackState(0, 0.0)  # a rerun regenerates entry 0
+    entry = _Entry(config.ledger_path, config, initial=True)
     datasets = _load_bound_datasets(config)
     dataset_hashes = {k: d.content_hash for k, d in datasets.items()}
-    rerun = len(ledger) > 0
-    if rerun and ledger.entries[0]["dataset_hashes"] != dict(sorted(dataset_hashes.items())):
+    # a rerun regenerates entry 0, so it must find the same data and decisions
+    first = entry.ledger.entries[0] if len(entry.ledger) else None
+    if first is not None and first["dataset_hashes"] != dataset_hashes:
         raise ConfigInvalid("ledger already holds an initial certification on "
                             "different data; use recertify")
 
-    entry_alpha = _allocate(state, config)
+    entry.spend([datasets[n].content_hash for n in config.gating_dataset_names()],
+                "gating data")
     checks, verdict, demonstrated, decisions = _certification_pass(
-        config, datasets, entry_alpha)
+        config, datasets, entry.alpha)
     # equal hashes do not pin the decisions: the seed and the thresholds are
     # outside the family, and values may differ past the 12th digit
-    if rerun and (verdict != ledger.entries[0]["verdict"] or canonical_json(decisions)
-                  != canonical_json(ledger.entries[0]["decisions"])):
+    if first is not None and (verdict != first["verdict"] or canonical_json(decisions)
+                              != canonical_json(first["decisions"])):
         raise ConfigInvalid("ledger entry 0 holds other decisions on this data; a "
                             "rerun must reproduce them, and new evidence goes "
                             "through recertify")
-    if not rerun:
-        _commit(ledger, config, state, kind="certification", alpha=entry_alpha,
-                demonstrated=demonstrated, dataset_hashes=dataset_hashes,
-                gating_hashes=[datasets[n].content_hash
-                               for n in config.gating_dataset_names()],
-                decisions=decisions, verdict=verdict)
-    payload = _build_payload(config, verdict, checks, dataset_hashes,
-                             entry_index=0, entry_alpha=entry_alpha,
-                             carried_in=state.carry)
-    return AuditReport(payload)
+    if first is None:
+        entry.commit("certification", verdict, demonstrated, dataset_hashes, decisions)
+    return AuditReport(_build_payload(entry, verdict, checks, dataset_hashes))
 
 
 def recertify(ledger: AuditLedger | str | Path, config: AuditConfig | str | Path,
@@ -362,28 +348,18 @@ def recertify(ledger: AuditLedger | str | Path, config: AuditConfig | str | Path
     reloaded from disk.
     """
     config = _as_config(config)
-    ledger = _as_ledger(ledger)
-    replayed = _open(ledger, config, need_entries=True)
-    state = replayed.state
-
+    entry = _Entry(ledger, config)
     datasets = _load_bound_datasets(config)
     if updated_model_data is not None:
         for name in config.gating_dataset_names():
             datasets[name] = updated_model_data
     dataset_hashes = {k: d.content_hash for k, d in datasets.items()}
-    gating_hashes = {datasets[n].content_hash for n in config.gating_dataset_names()}
-    _refuse_consumed(replayed, gating_hashes, "gating data")
-
-    entry_alpha = _allocate(state, config)
+    entry.spend({datasets[n].content_hash for n in config.gating_dataset_names()},
+                "gating data")
     checks, verdict, demonstrated, decisions = _certification_pass(
-        config, datasets, entry_alpha)
-    entry = _commit(ledger, config, state, kind="recertification", alpha=entry_alpha,
-                    demonstrated=demonstrated, dataset_hashes=dataset_hashes,
-                    gating_hashes=gating_hashes, decisions=decisions, verdict=verdict)
-    payload = _build_payload(config, verdict, checks, dataset_hashes,
-                             entry_index=entry["index"], entry_alpha=entry_alpha,
-                             carried_in=state.carry)
-    return AuditReport(payload), ledger
+        config, datasets, entry.alpha)
+    entry.commit("recertification", verdict, demonstrated, dataset_hashes, decisions)
+    return AuditReport(_build_payload(entry, verdict, checks, dataset_hashes)), entry.ledger
 
 
 @dataclass(frozen=True)
@@ -414,12 +390,11 @@ def monitor_step(ledger: AuditLedger | str | Path, config: AuditConfig | str | P
     shift_unclassified (still recorded). Shift with a labeled point check:
     the primary requirement is re-tested at the next fallback alpha, giving
     shift_benign or shift_malignant; that entry is test-bearing and consumes
-    family alpha like a recertification.
+    family alpha like a recertification, and like one it refuses consumed
+    data before it allocates any.
     """
     config = _as_config(config)
-    ledger = _as_ledger(ledger)
-    replayed = _open(ledger, config, need_entries=True)
-    state = replayed.state
+    entry = _Entry(ledger, config)
     if config.drift is None:
         raise NoReferenceBatch("config declares no drift section, so no reference "
                                "batch is registered")
@@ -434,27 +409,20 @@ def monitor_step(ledger: AuditLedger | str | Path, config: AuditConfig | str | P
 
     dataset_hashes = {"reference": datasets[config.drift.reference].content_hash,
                       "window": production_window.content_hash}
-    classification, demonstrated, entry_alpha = None, None, 0.0
-    gating: list[str] = []
-    decisions: list[dict] = []
+    classification, demonstrated, decisions = None, None, []
     if shift.aggregate == "no_shift":
         verdict = "ok"
     elif point_check is None:
         verdict = "shift_unclassified"
     else:
-        entry_alpha = _allocate(state, config)
-        _refuse_consumed(replayed, [point_check.content_hash], "point-check data")
+        alpha = entry.spend([point_check.content_hash], "point-check data")
         primary = config.mprs[0]
-        classification = classify_shift(
-            shift, point_check, primary.spec, entry_alpha,
-            seed=splitmix64(config.seed, 3000 + len(ledger)))
+        classification = classify_shift(shift, point_check, primary.spec, alpha,
+                                        seed=splitmix64(config.seed, 3000 + entry.index))
         verdict = "shift_benign" if classification.label == "benign" else "shift_malignant"
         demonstrated = classification.test.rejected
-        gating = [point_check.content_hash]
         dataset_hashes["point_check"] = point_check.content_hash
         decisions = [_decision(primary.name, classification.test)]
 
-    entry = _commit(ledger, config, state, kind="monitor", alpha=entry_alpha,
-                    demonstrated=demonstrated, dataset_hashes=dataset_hashes,
-                    gating_hashes=gating, decisions=decisions, verdict=verdict)
-    return MonitorOutcome(verdict, shift, classification, entry)
+    return MonitorOutcome(verdict, shift, classification, entry.commit(
+        "monitor", verdict, demonstrated, dataset_hashes, decisions))

@@ -321,6 +321,38 @@ def _bracketed_pair_sq_distances(pooled: np.ndarray, norms: np.ndarray,
     return [float(values[r - below]) for r in ranks]
 
 
+def _unit_scale(pooled: np.ndarray) -> int:
+    """Scale the pooled sample in place by 2^-e and return e, the binary
+    exponent of its largest |x|. The scaled entries lie below 1 in
+    magnitude, so squared norms cannot overflow, and the largest are near
+    1, so the distances do not all underflow to 0, whatever the features'
+    unit. Scaling by a power of two is exact: where the unscaled sums
+    neither overflow nor underflow, the kernel is the same doubles as on
+    the unscaled sample."""
+    e = int(np.frexp(max(pooled.max(initial=0.0), -pooled.min(initial=0.0)))[1])
+    np.ldexp(pooled, -e, out=pooled)
+    return e
+
+
+def _median_pair_distance(pooled: np.ndarray) -> float:
+    """Median pairwise Euclidean distance of a sample scaled by
+    _unit_scale; 0.0 when every pair coincides (or there is none)."""
+    if not np.all(np.isfinite(pooled)):
+        raise ValidationError("non-finite entries in pooled sample")
+    pairs = len(pooled) * (len(pooled) - 1) // 2
+    if pairs == 0:
+        return 0.0
+    norms = np.sum(pooled * pooled, axis=1)
+    # np.median's two middle ranks (one when odd), averaged as it does
+    ranks = sorted({(pairs - 1) // 2, pairs // 2})
+    middle = None
+    if pairs > _BLOCK_CELLS:
+        middle = _bracketed_pair_sq_distances(pooled, norms, ranks, pairs)
+    if middle is None:
+        middle = _select_pair_sq_distances(pooled, norms, ranks, pairs)
+    return float(np.sqrt(np.mean(np.array(middle))))
+
+
 def median_heuristic_bandwidth(pooled: np.ndarray) -> float:
     """Median pairwise Euclidean distance over the pooled sample.
 
@@ -331,26 +363,16 @@ def median_heuristic_bandwidth(pooled: np.ndarray) -> float:
     sorted; otherwise one pass collects the pairs inside a bracket drawn
     from a seeded sample of pairs and sorts those, and radix selection
     takes over if the bracket misses. Time O(N^2) (one pass on typical
-    data, at most five), memory O(N + block) for N pooled rows. Falls back
-    to 1.0 when every pair coincides, so the kernel stays defined on
-    degenerate data.
+    data, at most five), memory O(N + block) for N pooled rows. The
+    distances are taken on the sample scaled by a power of two
+    (_unit_scale) and scaled back, so the result does not depend on the
+    features' unit. Falls back to 1.0 when every pair coincides, so the
+    kernel stays defined on degenerate data.
     """
-    pooled = np.atleast_2d(np.asarray(pooled, dtype=float))
-    if not np.all(np.isfinite(pooled)):
-        raise ValidationError("non-finite entries in pooled sample")
-    pairs = len(pooled) * (len(pooled) - 1) // 2
-    if pairs == 0:
-        return 1.0
-    norms = np.sum(pooled * pooled, axis=1)
-    # np.median's two middle ranks (one when odd), averaged as it does
-    ranks = sorted({(pairs - 1) // 2, pairs // 2})
-    middle = None
-    if pairs > _BLOCK_CELLS:
-        middle = _bracketed_pair_sq_distances(pooled, norms, ranks, pairs)
-    if middle is None:
-        middle = _select_pair_sq_distances(pooled, norms, ranks, pairs)
-    med = float(np.sqrt(np.mean(np.array(middle))))
-    return med if med > 0 else 1.0
+    scaled = np.array(pooled, dtype=float, ndmin=2)
+    e = _unit_scale(scaled)
+    med = _median_pair_distance(scaled)
+    return float(np.ldexp(med, e)) if med > 0 else 1.0
 
 
 def _assignment(keys: np.ndarray, n: int) -> np.ndarray:
@@ -386,10 +408,13 @@ def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
     """Unbiased MMD^2 two-sample test with an RBF kernel.
 
     Kernel k(a, b) = exp(-|a-b|^2 / (2 h^2)) with h the pooled median
-    heuristic unless given. The permutation null recomputes the U-statistic
-    under random relabelings of the pooled rows; with unit kernel diagonal
-    the statistic is a function of v'Kv and 1'Kv alone, so all permutations
-    reduce to one product of the kernel with a 0/1 assignment matrix. The
+    heuristic unless given; the features and h are scaled by one power of
+    two (_unit_scale) first, so the result does not depend on the features'
+    unit, and the reported `bandwidth` is in the features' own unit. The
+    permutation null recomputes the U-statistic under random relabelings of
+    the pooled rows; with unit kernel diagonal the statistic is a function
+    of v'Kv and 1'Kv alone, so all permutations reduce to one product of
+    the kernel with a 0/1 assignment matrix. The
     kernel is symmetric, so it is built only over its upper triangle, one
     row block at a time, and never held whole: each block's leading square
     is used as it is and the rest counts for itself and its mirror image,
@@ -407,8 +432,13 @@ def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
     if n_perm < 1:
         raise ValidationError("n_perm must be >= 1")
     pooled = np.vstack([x, y])
+    e = _unit_scale(pooled)
     total = n + m
-    h = bandwidth if bandwidth is not None else median_heuristic_bandwidth(pooled)
+    if bandwidth is None:
+        med = _median_pair_distance(pooled)
+        h, bandwidth = (med, float(np.ldexp(med, e))) if med > 0 else (1.0, 1.0)
+    else:
+        h = float(np.ldexp(bandwidth, -e))
 
     # column p labels x the n rows it draws
     assign = _assignment(np.random.default_rng(seed).random((total, n_perm)), n)
@@ -455,7 +485,7 @@ def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
         conf_bound=float(np.quantile(null_stats, 1.0 - alpha)),
         alpha_used=alpha,
         n=total,
-        params={"bandwidth": h, "n_perm": n_perm, "seed": seed, "n_x": n, "n_y": m},
+        params={"bandwidth": bandwidth, "n_perm": n_perm, "seed": seed, "n_x": n, "n_y": m},
     )
 
 

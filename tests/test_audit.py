@@ -21,7 +21,7 @@ from statcert.audit.config import load_config
 from statcert.audit.ledger import (_REQUIRED_FIELDS, AuditLedger, FallbackState, entry_hash,
                                    verify_ledger)
 from statcert.audit.report import AuditReport, payload_hash
-from statcert.audit.runner import _open, monitor_step, recertify, run_audit
+from statcert.audit.runner import _Entry, monitor_step, recertify, run_audit
 from statcert.core import canonical_json, load_dataset
 from statcert.errors import (
     ConfigInvalid,
@@ -595,12 +595,15 @@ class TestSingleReplay:
 
     def test_open_returns_the_reference(self, ledger):
         config = SimpleNamespace(family_snapshot=lambda: FAMILY)
-        replayed = _open(ledger, config, need_entries=True)
+        entry = _Entry(ledger, config)
+        replayed = entry.replay
         assert replayed.consistent and replayed.n_entries == 200
         assert replayed.state == reference_replay_state(ledger.entries)
         assert replayed.consumed == reference_consumed_hashes(ledger.entries)
         assert replayed.family == FAMILY
         assert replayed.older is None
+        assert (entry.index, entry.state, entry.consumed) == (
+            200, replayed.state, replayed.consumed)
 
 
 class TestRunAudit:
@@ -883,6 +886,25 @@ class TestMonitor:
         shuffled = load_dataset(path, cfg.datasets["test"].columns)
         with pytest.raises(StaleDataReuse):
             monitor_step(cfg.ledger_path, cfg, shifted, shuffled)
+
+    def test_consumed_point_check_refused_before_exhaustion(self, example_copy):
+        # a failed run leaves nothing to allocate; monitor refuses consumed
+        # data first, as recertify does, and only fresh data meets exhaustion
+        path = mutate_yaml(example_copy / "audit.yaml",
+                           lambda raw: raw["mprs"][0].update(threshold=0.99))
+        cfg = load_config(path)
+        assert run_audit(cfg).verdict == "fail"
+        shifted = self.window(example_copy, "window_shift.csv")
+        columns = cfg.datasets["test"].columns
+        reused = load_dataset(example_copy / "data" / "test_pass.csv", columns)
+        with pytest.raises(StaleDataReuse):
+            recertify(cfg.ledger_path, cfg)
+        with pytest.raises(StaleDataReuse):
+            monitor_step(cfg.ledger_path, cfg, shifted, reused)
+        fresh = load_dataset(example_copy / "data" / "point_check.csv", columns)
+        with pytest.raises(FamilyAlphaExhausted):
+            monitor_step(cfg.ledger_path, cfg, shifted, fresh)
+        assert len(AuditLedger(cfg.ledger_path)) == 1
 
     def test_no_drift_section_refused(self, tmp_path, example_copy):
         cfg = load_config(build_workspace(tmp_path))

@@ -167,6 +167,20 @@ def test_exhausted_family_exits_1(ws, name):
         assert json.loads(report.read_text())["verdict"] == "inconclusive"
 
 
+@pytest.mark.parametrize("name", ("recertify", "monitor"))
+def test_consumed_data_exits_2_on_an_exhausted_family(ws, name):
+    # the failed run spends the only weight and carries nothing; the data it
+    # consumed is refused before any alpha is allocated, so exit 2, not 1
+    config = mutate(ws, lambda raw: raw["mprs"][0].update(threshold=0.99))
+    assert certify(ws, config).exit_code == 1
+    ledger = ws / "audit_ledger.jsonl"
+    before = ledger.read_bytes()
+    result = invoke(*command(name, ws, config, point_check="test_pass.csv"))
+    assert result.exit_code == 2
+    assert "reuses content already consumed" in result.stderr
+    assert ledger.read_bytes() == before
+
+
 @pytest.mark.parametrize("setting", [("n_permutations", 0), ("alpha", 1.5)])
 @pytest.mark.parametrize("name", ("run", "monitor"))
 def test_bad_drift_setting_exits_2(ws, name, setting):

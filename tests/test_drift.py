@@ -215,6 +215,41 @@ class TestMmd:
         with pytest.raises(ValidationError, match="non-finite"):
             mmd_permutation_test(x, np.ones((5, 2)))
 
+    def test_shift_detected_at_a_tiny_unit(self):
+        # these features' squares underflow a double
+        g = np.random.default_rng(31)
+        x, y = g.normal(size=(50, 2)), g.normal(size=(50, 2)) + 2.0
+        r = mmd_permutation_test(x * 1e-170, y * 1e-170, n_perm=200, seed=3)
+        assert r.decision == "reject_H0"
+        assert 1e-171 < r.params["bandwidth"] < 1e-169
+
+    def test_no_spurious_shift_at_a_huge_unit(self):
+        # these features' squares overflow a double
+        g = np.random.default_rng(32)
+        x, y = g.normal(size=(50, 2)), g.normal(size=(50, 2))
+        r = mmd_permutation_test(x * 1e160, y * 1e160, n_perm=200, seed=4)
+        assert r.decision == "fail_to_reject"
+        assert np.isfinite(r.statistic)
+        assert 1e159 < r.params["bandwidth"] < 1e161
+
+    @pytest.mark.parametrize("power", [-600, -3, 5, 500])
+    def test_power_of_two_unit_changes_only_the_bandwidth(self, power):
+        g = np.random.default_rng(33)
+        x, y = g.normal(size=(40, 3)), g.normal(size=(45, 3)) + 0.5
+        a = mmd_permutation_test(x, y, n_perm=100, seed=5)
+        b = mmd_permutation_test(np.ldexp(x, power), np.ldexp(y, power),
+                                 n_perm=100, seed=5)
+        assert (b.statistic, b.p_value, b.conf_bound) == (
+            a.statistic, a.p_value, a.conf_bound)
+        assert b.params["bandwidth"] == np.ldexp(a.params["bandwidth"], power)
+        assert b.params["bandwidth"] == median_heuristic_bandwidth(np.vstack(
+            [np.ldexp(x, power), np.ldexp(y, power)]))
+        given_h = mmd_permutation_test(np.ldexp(x, power), np.ldexp(y, power),
+                                       n_perm=100, seed=5,
+                                       bandwidth=np.ldexp(0.5, power))
+        assert given_h.p_value == mmd_permutation_test(
+            x, y, n_perm=100, seed=5, bandwidth=0.5).p_value
+
     @pytest.mark.slow
     def test_null_calibration_five_dims(self):
         reps = 500
