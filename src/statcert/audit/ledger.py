@@ -7,7 +7,8 @@ entries follow the fallback recurrence over the family frozen at entry 0:
 a test-bearing entry i receives carry + alpha * w_i, and passes its whole
 allocation forward only if it demonstrated its requirement. Each entry
 records the report schema version it was written under, because dataset
-hashes are only comparable within one version.
+hashes are only comparable within one version. Every read streams the file
+a line at a time, so no command holds the whole ledger in memory.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from datetime import datetime, timezone
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from ..canonical import FallbackState, canonical_json, parse_json, sha256_hex
 from ..errors import LedgerCorrupt
@@ -38,39 +39,67 @@ def entry_hash(entry: Mapping) -> str:
     return sha256_hex(canonical_json(body))
 
 
-def _parse(path: Path) -> tuple[list[dict], int | None]:
-    """Entries up to the first line that is not valid UTF-8 JSON, and that
-    line's number (None when every line parses). Blank lines are skipped,
-    and a NaN or Infinity literal makes its line invalid."""
-    entries = []
-    for lineno, line in enumerate(path.read_bytes().splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            entries.append(parse_json(line.decode("utf-8")))
-        except (ValueError, RecursionError):  # not UTF-8, not JSON, too deep
-            return entries, lineno
-    return entries, None
+class _BadLine(LedgerCorrupt):
+    """A line that is not valid UTF-8 JSON, read after `entries` entries."""
+
+    def __init__(self, path: Path, line: int, entries: int):
+        super().__init__(f"{path}:{line}: not valid JSON")
+        self.line, self.entries = line, entries
+
+
+def _read(path: Path) -> Iterator:
+    """The entries of a ledger file in order, parsed one line at a time, so
+    memory does not grow with the ledger. Blank lines are skipped; a line
+    that is not valid UTF-8 JSON raises _BadLine, and a NaN or Infinity
+    literal makes its line invalid."""
+    lineno = entries = 0
+    with path.open("rb") as fh:
+        for chunk in fh:
+            # a lone \r ends a line too, as in a split of the whole file
+            for line in chunk.splitlines():
+                lineno += 1
+                if not line.strip():
+                    continue
+                try:
+                    entry = parse_json(line.decode("utf-8"))
+                except (ValueError, RecursionError):  # not UTF-8, not JSON, too deep
+                    raise _BadLine(path, lineno, entries) from None
+                entries += 1
+                yield entry
 
 
 class AuditLedger:
-    """File-backed entry sequence. Loading tolerates a missing file (empty
-    ledger) but not a malformed one; use verify() for a non-raising check."""
+    """File-backed entry sequence. Building one reads nothing; each read
+    streams the file, a missing file being an empty ledger, and raises
+    LedgerCorrupt at a line that is not JSON; verify_ledger(path) is the
+    check that never raises. append continues from the tail (the entry
+    count and the last entry) that the last read to the end or append
+    left, so a series of appends reads the file at most once."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._entries: list[dict] = []
+        self._tail: tuple[int, dict | None] | None = None
+
+    def _stream(self) -> Iterator:
+        count, last = 0, None
         if self.path.exists():
-            self._entries, bad_line = _parse(self.path)
-            if bad_line is not None:
-                raise LedgerCorrupt(f"{self.path}:{bad_line}: not valid JSON")
+            for last in _read(self.path):
+                count += 1
+                yield last
+        self._tail = (count, last)
+
+    def _known_tail(self) -> tuple[int, dict | None]:
+        if self._tail is None:
+            for _ in self._stream():
+                pass
+        return self._tail
 
     @property
     def entries(self) -> tuple[dict, ...]:
-        return tuple(self._entries)
+        return tuple(self._stream())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._known_tail()[0]
 
     # views of one replay_ledger walk, for a caller that needs one field:
     # bench/traced.py times the runner's stages through them
@@ -86,8 +115,9 @@ class AuditLedger:
                alpha_carried_in: float, alpha_carried_out: float,
                decisions: list[dict], demonstrated: bool | None,
                verdict: str) -> dict:
+        count, last = self._known_tail()
         entry = {
-            "index": len(self._entries),
+            "index": count,
             "schema_version": SCHEMA_VERSION,
             "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "kind": kind,
@@ -103,12 +133,12 @@ class AuditLedger:
             "decisions": decisions,
             "demonstrated": demonstrated,
             "verdict": verdict,
-            "prev_hash": self._entries[-1]["entry_hash"] if self._entries else None,
+            "prev_hash": last["entry_hash"] if last is not None else None,
         }
         entry["entry_hash"] = entry_hash(entry)
         with self.path.open("a") as fh:
             fh.write(canonical_json(entry) + "\n")
-        self._entries.append(entry)
+        self._tail = (count + 1, entry)
         return entry
 
 
@@ -125,8 +155,12 @@ class Replay(NamedTuple):
     n_entries: int
     state: FallbackState = FallbackState(0, 0.0)
     consumed: frozenset[str] = frozenset()  # the gating hashes of every entry
-    family: dict | None = None  # entry 0's
+    first: dict | None = None  # entry 0
     older: dict | None = None  # the first entry written under another schema version
+
+    @property
+    def family(self) -> dict | None:
+        return None if self.first is None else self.first["family"]
 
     def as_plain(self) -> dict:
         return {"consistent": self.consistent,
@@ -135,9 +169,11 @@ class Replay(NamedTuple):
 
 
 def replay_ledger(ledger: AuditLedger | str | Path) -> Replay:
-    """Integrity replay, the only pass over the entries. Never raises,
-    whatever the file holds; an inconsistent ledger yields the index and
-    description of its first inconsistency.
+    """Integrity replay, one streaming pass over the entries. On a path it
+    never raises, whatever the file holds; an inconsistent ledger yields the
+    index and description of its first inconsistency. An AuditLedger's
+    replay raises LedgerCorrupt at a line that is not JSON, as its every
+    read does, and leaves the tail its next append continues from.
 
     Checks, per entry: JSON shape, index order, hash-chain linkage, the
     entry's own content hash (SHA-256 of its canonical JSON without
@@ -149,26 +185,29 @@ def replay_ledger(ledger: AuditLedger | str | Path) -> Replay:
     another one is reported in `older`, because it is consistent, only not
     comparable.
     """
+    if isinstance(ledger, AuditLedger):
+        return _walk(ledger._stream())
+    path = Path(ledger)
+    if not path.exists():
+        return Replay(False, None, f"ledger file not found: {path}", 0)
+    try:
+        return _walk(_read(path))
+    except _BadLine as e:
+        return Replay(False, e.entries, f"line {e.line} is not valid JSON", e.entries)
+
+
+def _walk(entries: Iterator) -> Replay:
+    """replay_ledger's checks, keeping only what the next entry needs."""
+    walk = enumerate(entries)
+
     def bad(index, detail):
-        return Replay(False, index, detail, n)
+        # the rest is parsed but not checked: a line that is not JSON
+        # anywhere outranks an earlier inconsistency, and every entry counts
+        return Replay(False, index, detail, index + 1 + sum(1 for _ in walk))
 
-    if isinstance(ledger, (str, Path)):
-        path = Path(ledger)
-        if not path.exists():
-            return Replay(False, None, f"ledger file not found: {path}", 0)
-        entries, bad_line = _parse(path)
-        n = len(entries)
-        if bad_line is not None:
-            return bad(n, f"line {bad_line} is not valid JSON")
-    else:
-        entries = ledger.entries
-        n = len(entries)
-
-    family = alpha = weights = older = None
-    state = FallbackState(0, 0.0)
-    consumed: set[str] = set()
-    prev_hash = None
-    for i, e in enumerate(entries):
+    first = family = alpha = weights = older = prev_hash = None
+    state, consumed, n = FallbackState(0, 0.0), set(), 0
+    for i, e in walk:
         if not isinstance(e, dict):
             return bad(i, "entry is not an object")
         if not _REQUIRED.issubset(e):
@@ -184,7 +223,7 @@ def replay_ledger(ledger: AuditLedger | str | Path) -> Replay:
         if content_hash != e["entry_hash"]:
             return bad(i, "entry hash does not match content")
         if i == 0:
-            family = e["family"]
+            first, family = e, e["family"]
             try:
                 alpha = float(family["alpha"])
                 weights = tuple(float(w) for w in family["weights"])
@@ -220,8 +259,8 @@ def replay_ledger(ledger: AuditLedger | str | Path) -> Replay:
         # entries without the field predate it: they were written under version 1
         if older is None and e.get("schema_version", 1) != SCHEMA_VERSION:
             older = e
-        prev_hash = e["entry_hash"]
-    return Replay(True, None, None, n, state, frozenset(consumed), family, older)
+        prev_hash, n = e["entry_hash"], i + 1
+    return Replay(True, None, None, n, state, frozenset(consumed), first, older)
 
 
 def verify_ledger(ledger: AuditLedger | str | Path) -> dict:

@@ -249,6 +249,11 @@ class _Entry:
         self.alpha, self.gating = alpha, gating_hashes
         return alpha
 
+    def recorded_alpha(self, demonstrated: bool | None) -> float:
+        """The alpha the entry records: what spend allocated, or none when
+        the entry tested nothing."""
+        return self.alpha if demonstrated is not None else 0.0
+
     def commit(self, kind: str, verdict: str, demonstrated: bool | None,
                dataset_hashes: dict, decisions: list[dict]) -> dict:
         """Append the entry. demonstrated=None marks an entry that tested
@@ -263,7 +268,7 @@ class _Entry:
             gating_hashes=self.gating if tested else [],
             seed=config.seed,
             test_bearing=tested,
-            alpha_allocated=self.alpha if tested else 0.0,
+            alpha_allocated=self.recorded_alpha(demonstrated),
             alpha_carried_in=state.carry,
             alpha_carried_out=(state.advance(self.alpha, demonstrated) if tested
                                else state).carry,
@@ -273,8 +278,8 @@ class _Entry:
         )
 
 
-def _build_payload(entry: _Entry, verdict: str, checks: dict,
-                   dataset_hashes: dict) -> dict:
+def _build_payload(entry: _Entry, verdict: str, demonstrated: bool | None,
+                   checks: dict, dataset_hashes: dict) -> dict:
     config = entry.config
     plain = config.as_plain()
     return {
@@ -285,7 +290,8 @@ def _build_payload(entry: _Entry, verdict: str, checks: dict,
         "sadd": {**plain["sadd"], "content_hash": config.sadd.content_hash},
         "config": plain,
         "family": config.family_snapshot(),
-        "entry": {"index": entry.index, "alpha_allocated": entry.alpha,
+        "entry": {"index": entry.index,
+                  "alpha_allocated": entry.recorded_alpha(demonstrated),
                   "alpha_carried_in": entry.state.carry},
         "dataset_hashes": dict(sorted(dataset_hashes.items())),
         "checks": checks,
@@ -316,7 +322,7 @@ def run_audit(config: AuditConfig | str | Path) -> AuditReport:
     datasets = _load_bound_datasets(config)
     dataset_hashes = {k: d.content_hash for k, d in datasets.items()}
     # a rerun regenerates entry 0, so it must find the same data and decisions
-    first = entry.ledger.entries[0] if len(entry.ledger) else None
+    first = entry.replay.first
     if first is not None and first["dataset_hashes"] != dataset_hashes:
         raise ConfigInvalid("ledger already holds an initial certification on "
                             "different data; use recertify")
@@ -334,7 +340,7 @@ def run_audit(config: AuditConfig | str | Path) -> AuditReport:
                             "through recertify")
     if first is None:
         entry.commit("certification", verdict, demonstrated, dataset_hashes, decisions)
-    return AuditReport(_build_payload(entry, verdict, checks, dataset_hashes))
+    return AuditReport(_build_payload(entry, verdict, demonstrated, checks, dataset_hashes))
 
 
 def recertify(ledger: AuditLedger | str | Path, config: AuditConfig | str | Path,
@@ -359,7 +365,8 @@ def recertify(ledger: AuditLedger | str | Path, config: AuditConfig | str | Path
     checks, verdict, demonstrated, decisions = _certification_pass(
         config, datasets, entry.alpha)
     entry.commit("recertification", verdict, demonstrated, dataset_hashes, decisions)
-    return AuditReport(_build_payload(entry, verdict, checks, dataset_hashes)), entry.ledger
+    return (AuditReport(_build_payload(entry, verdict, demonstrated, checks, dataset_hashes)),
+            entry.ledger)
 
 
 @dataclass(frozen=True)

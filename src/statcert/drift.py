@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .core import Dataset, MetricValue, MprSpec
 from .errors import (
@@ -113,6 +112,7 @@ def ks_two_sample(x: np.ndarray, y: np.ndarray, alpha: float = 0.05,
         mode = "permutation"
     else:
         en = nx * ny / (nx + ny)
+        from scipy import special  # ~0.35 s to import: only the exact tests load it
         p_value = float(np.clip(special.kolmogorov(d_obs * np.sqrt(en)), 0.0, 1.0))
         mode = "asymptotic"
     return TestResult(
@@ -166,6 +166,7 @@ def chi2_two_sample(x: np.ndarray, y: np.ndarray, alpha: float = 0.05) -> TestRe
         expected = n_g * pooled / total
         stat += float(np.sum((obs - expected) ** 2 / expected))
     dof = m - 1
+    from scipy import special
     # chdtrc is the chi-square survival function that scipy.stats.chi2.sf calls
     p_value = float(np.clip(special.chdtrc(dof, stat), 0.0, 1.0))
     return TestResult(

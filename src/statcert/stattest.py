@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .core import METRICS, Dataset, MetricValue, MprSpec, compute_metric
 from .errors import (
@@ -74,6 +73,7 @@ def _binomial_sf_geq(k: int, n: int, p0: float) -> float:
         return 0.0
     if p0 == 1.0:
         return 1.0
+    from scipy import special  # ~0.35 s to import: only the exact tests load it
     return float(special.betainc(k, n - k + 1, p0))
 
 
@@ -85,6 +85,7 @@ def _binomial_cdf_leq(k: int, n: int, p0: float) -> float:
         return 1.0
     if p0 == 1.0:
         return 0.0
+    from scipy import special
     return float(special.betainc(n - k, k + 1, 1.0 - p0))
 
 
@@ -136,6 +137,7 @@ def clopper_pearson_bound(k: int, n: int, alpha: float, side: str) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must be in (0, 1)")
     k, n = int(k), int(n)
+    from scipy import special
     if side == "lower":
         if k == 0:
             return 0.0

@@ -360,6 +360,8 @@ class TestAcceptance:
             (work / "audit_leak_ledger.jsonl").read_text().splitlines()[0])
         assert leak_entry["alpha_allocated"] == 0.0
         assert leak_entry["test_bearing"] is False
+        # the report states the alpha its ledger entry records
+        assert leak_report["entry"]["alpha_allocated"] == leak_entry["alpha_allocated"]
 
         # grow the ledger past one entry so reorder/deletion are observable
         quiet = cli("monitor", str(work / "audit.yaml"),

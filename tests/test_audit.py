@@ -10,6 +10,7 @@ import json
 import random
 import re
 import shutil
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +20,7 @@ import yaml
 
 from statcert.audit.config import load_config
 from statcert.audit.ledger import (_REQUIRED_FIELDS, AuditLedger, FallbackState, entry_hash,
-                                   verify_ledger)
+                                   replay_ledger, verify_ledger)
 from statcert.audit.report import AuditReport, payload_hash
 from statcert.audit.runner import _Entry, monitor_step, recertify, run_audit
 from statcert.core import canonical_json, load_dataset
@@ -604,6 +605,81 @@ class TestSingleReplay:
         assert replayed.older is None
         assert (entry.index, entry.state, entry.consumed) == (
             200, replayed.state, replayed.consumed)
+
+
+def quiet_ledger(path: Path, n: int) -> None:
+    """A certification followed by n - 1 monitor entries that saw no shift:
+    the ledger a certificate grows while nothing changes. Only entry 0
+    gates data, so its replay keeps one consumed hash."""
+    ledger = AuditLedger(path)
+    ledger.append(kind="certification", model_id="m", family=FAMILY,
+                  dataset_hashes={"test": "h0"}, gating_hashes=["h0"], seed=1,
+                  test_bearing=True, alpha_allocated=0.02, alpha_carried_in=0.0,
+                  alpha_carried_out=0.02, decisions=[], demonstrated=True, verdict="pass")
+    for i in range(1, n):
+        ledger.append(kind="monitor", model_id="m", family=FAMILY,
+                      dataset_hashes={"window": f"w{i}"}, gating_hashes=[], seed=1,
+                      test_bearing=False, alpha_allocated=0.0, alpha_carried_in=0.02,
+                      alpha_carried_out=0.02, decisions=[], demonstrated=None, verdict="ok")
+
+
+class TestStreamedReplay:
+    """The replay reads one entry at a time, yet reports what a parse of the
+    whole file ahead of the walk would: a line that is not JSON outranks an
+    earlier inconsistency, and n_entries counts every entry before it."""
+
+    @pytest.fixture
+    def edited(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        seeded_ledger(path, n=8)
+        entries = load_lines(path)
+        entries[2]["seed"] = 2  # content edited, hash left as it was
+        rewrite(path, entries)
+        return path
+
+    def test_edited_entry_counts_every_entry(self, edited):
+        assert verify_ledger(edited) == {
+            "consistent": False, "first_inconsistency": 2,
+            "detail": "entry hash does not match content", "n_entries": 8}
+
+    def test_line_that_is_not_json_outranks_an_earlier_edit(self, edited):
+        lines = edited.read_text().splitlines(keepends=True)
+        edited.write_text("".join(lines[:6] + ["{oops\n"] + lines[6:]))
+        assert verify_ledger(edited) == {
+            "consistent": False, "first_inconsistency": 6,
+            "detail": "line 7 is not valid JSON", "n_entries": 6}
+        with pytest.raises(LedgerCorrupt, match=r"l\.jsonl:7: not valid JSON$"):
+            verify_ledger(AuditLedger(edited))
+
+    def test_memory_does_not_grow_with_the_ledger(self, tmp_path):
+        peaks = []
+        for n in (400, 4000):
+            path = tmp_path / f"{n}.jsonl"
+            quiet_ledger(path, n)
+            tracemalloc.start()
+            try:
+                assert replay_ledger(path).n_entries == n
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
+
+    @pytest.mark.parametrize("replayed", [False, True])
+    def test_append_continues_the_file(self, tmp_path, replayed):
+        # an unread ledger finds its tail on the first append, a replayed
+        # one keeps the tail its replay read
+        path = tmp_path / "l.jsonl"
+        quiet_ledger(path, 5)
+        ledger = AuditLedger(path)
+        if replayed:
+            assert ledger.replay_state() == FallbackState(1, 0.02)
+        entry = ledger.append(kind="monitor", model_id="m", family=FAMILY,
+                              dataset_hashes={}, gating_hashes=[], seed=1,
+                              test_bearing=False, alpha_allocated=0.0,
+                              alpha_carried_in=0.02, alpha_carried_out=0.02, decisions=[],
+                              demonstrated=None, verdict="ok")
+        assert (entry["index"], len(ledger)) == (5, 6)
+        assert verify_ledger(path)["consistent"]
 
 
 class TestRunAudit:

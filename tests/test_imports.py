@@ -2,8 +2,8 @@
 
 scipy.stats alone takes about a second to import and numpy a sixth of one,
 so `verify-ledger` and `report` must load no scipy, numpy or yaml at all,
-and the runner no scipy.stats. Each check runs in a fresh interpreter, one
-per test.
+and the runner no scipy.stats; scipy.special waits for the first exact
+test. Each check runs in a fresh interpreter, one per test.
 """
 
 import json
@@ -70,6 +70,30 @@ def test_runner_loads_no_scipy_stats():
         print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy.stats"))))
         """)
     assert loaded == []
+
+
+def test_scipy_special_loads_at_the_first_exact_test(tmp_path):
+    # the import takes about a third of a second; a monitor window with no
+    # shift runs no exact test, a certification does
+    work = tmp_path / "example"
+    shutil.copytree(EXAMPLE, work)
+    run_audit(work / "audit.yaml")
+    loaded = run_python("""
+        import json, sys
+        import statcert.cli
+        from statcert.audit.config import load_config
+        from statcert.audit.runner import monitor_step, run_audit
+        from statcert.core import load_dataset
+
+        config = load_config(sys.argv[1])
+        window = load_dataset(sys.argv[2],
+                              config.datasets[config.drift.reference].feature_columns())
+        loaded = [monitor_step(config.ledger_path, config, window).verdict,
+                  "scipy.special" in sys.modules]
+        loaded += [run_audit(config).verdict, "scipy.special" in sys.modules]
+        print(json.dumps(loaded))
+        """, str(work / "audit.yaml"), str(work / "data" / "window.csv"))
+    assert loaded == ["ok", False, "pass", True]
 
 
 def test_rank_auroc_loads_no_scipy_stats():
