@@ -325,6 +325,17 @@ def _need_dataset(name: str, datasets: dict, where: str) -> DatasetBinding:
     return datasets[name]
 
 
+def _artifact_path(raw: dict, key: str, default: str, base: Path) -> Path:
+    """The file a command writes under `key`, refused here, before any data
+    is read, when it is a directory or its directory does not exist."""
+    path = (base / _convert(raw.get(key, default), str, key)).resolve()
+    if path.is_dir():
+        raise ConfigInvalid(f"{key}: {path} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigInvalid(f"{key}: directory {path.parent} does not exist")
+    return path
+
+
 def load_config(path: str | Path) -> AuditConfig:
     # the value sets live in the check modules, which load scipy: import them
     # here, not with this module
@@ -472,8 +483,6 @@ def load_config(path: str | Path) -> AuditConfig:
         uncertainty=uncertainty,
         ood=ood,
         robustness=robustness,
-        ledger_path=(base / _convert(raw.get("ledger", "audit_ledger.jsonl"), str,
-                                     "ledger")).resolve(),
-        report_path=(base / _convert(raw.get("report", "audit_report.json"), str,
-                                     "report")).resolve(),
+        ledger_path=_artifact_path(raw, "ledger", "audit_ledger.jsonl", base),
+        report_path=_artifact_path(raw, "report", "audit_report.json", base),
     )

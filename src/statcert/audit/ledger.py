@@ -170,10 +170,10 @@ class Replay(NamedTuple):
 
 def replay_ledger(ledger: AuditLedger | str | Path) -> Replay:
     """Integrity replay, one streaming pass over the entries. On a path it
-    never raises, whatever the file holds; an inconsistent ledger yields the
-    index and description of its first inconsistency. An AuditLedger's
-    replay raises LedgerCorrupt at a line that is not JSON, as its every
-    read does, and leaves the tail its next append continues from.
+    never raises, whatever the path names or the file holds; an inconsistent
+    ledger yields the index and description of its first inconsistency. An
+    AuditLedger's replay raises LedgerCorrupt at a line that is not JSON, as
+    its every read does, and leaves the tail its next append continues from.
 
     Checks, per entry: JSON shape, index order, hash-chain linkage, the
     entry's own content hash (SHA-256 of its canonical JSON without
@@ -194,6 +194,8 @@ def replay_ledger(ledger: AuditLedger | str | Path) -> Replay:
         return _walk(_read(path))
     except _BadLine as e:
         return Replay(False, e.entries, f"line {e.line} is not valid JSON", e.entries)
+    except OSError as e:  # a directory, or a file this process may not read
+        return Replay(False, None, f"cannot read ledger: {e}", 0)
 
 
 def _walk(entries: Iterator) -> Replay:

@@ -3,11 +3,12 @@
 run, recertify and monitor write their ledger entry through one
 transaction, `_Entry`: opening it checks the ledger, `spend` refuses
 consumed gating data and then allocates the fallback alpha, and `commit`
-appends the entry. A certification runs the leakage screens first (a
-violation gates everything, and the entry spends no alpha), then the
-requirement family at the alpha `spend` allocated, then the informational
-sections. Reports carry no timestamps, so identical inputs reproduce
-identical bytes; wall-clock provenance lives in the ledger.
+appends the entry. Data files are read after it opens, by `_load`, whose
+errors name the file's role. A certification runs the leakage screens
+first (a violation gates everything, and the entry spends no alpha),
+then the requirement family at the alpha `spend` allocated, then the
+informational sections. Reports carry no timestamps, so identical inputs
+reproduce identical bytes; wall-clock provenance lives in the ledger.
 """
 
 from __future__ import annotations
@@ -41,16 +42,19 @@ from .ledger import AuditLedger, replay_ledger
 from .report import SCHEMA_VERSION, AuditReport
 
 
+def _load(what: str, path: str | Path, roles: dict[str, str]) -> Dataset:
+    """Read one data file; any error becomes DataLoadError naming its role."""
+    try:
+        return load_dataset(path, roles)
+    except (StatcertError, OSError, ValueError) as e:
+        # most loader messages name the file already
+        where = "" if str(path) in str(e) else f" at {path}"
+        raise DataLoadError(f"{what}{where}: {e}") from e
+
+
 def _load_bound_datasets(config: AuditConfig) -> dict[str, Dataset]:
-    out = {}
-    for name, binding in config.datasets.items():
-        try:
-            out[name] = load_dataset(binding.path, binding.columns)
-        except (StatcertError, OSError, ValueError) as e:
-            # most loader messages name the file already
-            where = "" if str(binding.path) in str(e) else f" at {binding.path}"
-            raise DataLoadError(f"dataset {name!r}{where}: {e}") from e
-    return out
+    return {name: _load(f"dataset {name!r}", binding.path, binding.columns)
+            for name, binding in config.datasets.items()}
 
 
 def _leakage_section(config: AuditConfig, datasets: dict[str, Dataset]):
@@ -163,7 +167,7 @@ def _aux_sections(config: AuditConfig, datasets: dict[str, Dataset]) -> dict:
                                         config.ood.target_tpr)
         rows = []
         for sc in config.ood.scenarios:
-            ood_ds = load_dataset(sc.path, _scenario_columns(config))
+            ood_ds = _load(f"ood scenario {sc.name!r}", sc.path, _scenario_columns(config))
             ev = evaluate_ood(scorer, datasets[config.ood.validation], ood_ds)
             rows.append({"scenario": sc.name, "narrative": sc.narrative,
                          "data_hash": ood_ds.content_hash,
@@ -389,8 +393,8 @@ class MonitorOutcome:
 
 
 def monitor_step(ledger: AuditLedger | str | Path, config: AuditConfig | str | Path,
-                 production_window: Dataset,
-                 point_check: Dataset | None = None) -> MonitorOutcome:
+                 production_window: Dataset | str | Path,
+                 point_check: Dataset | str | Path | None = None) -> MonitorOutcome:
     """One monitoring cycle: shift test, then optional labeled point check.
 
     No shift: verdict ok, nothing spent. Shift without labels: verdict
@@ -398,23 +402,31 @@ def monitor_step(ledger: AuditLedger | str | Path, config: AuditConfig | str | P
     the primary requirement is re-tested at the next fallback alpha, giving
     shift_benign or shift_malignant; that entry is test-bearing and consumes
     family alpha like a recertification, and like one it refuses consumed
-    data before it allocates any.
+    data before it allocates any. The window (read with the reference's
+    feature columns) and the point check (with the primary requirement's
+    dataset columns) are datasets or paths; the drift reference is the only
+    bound dataset a monitor reads.
     """
     config = _as_config(config)
     entry = _Entry(ledger, config)
-    if config.drift is None:
+    drift, primary = config.drift, config.mprs[0]
+    if drift is None:
         raise NoReferenceBatch("config declares no drift section, so no reference "
                                "batch is registered")
-
-    datasets = _load_bound_datasets(config)
-    reference = batch_from_dataset(datasets[config.drift.reference], "reference")
-    window = batch_from_dataset(production_window, "production")
+    ref = config.datasets[drift.reference]
+    if not isinstance(production_window, Dataset):
+        production_window = _load("window", production_window, ref.feature_columns())
+    if point_check is not None and not isinstance(point_check, Dataset):
+        point_check = _load("point check", point_check,
+                            config.datasets[primary.dataset].columns)
+    reference = _load(f"dataset {ref.name!r}", ref.path, ref.columns)
     shift = multivariate_shift_test(
-        reference, window, alpha=config.drift.alpha, method=config.drift.method,
-        seed=config.seed, n_perm=config.drift.n_permutations,
-        categorical_dims=config.drift.categorical_dims)
+        batch_from_dataset(reference, "reference"),
+        batch_from_dataset(production_window, "production"),
+        alpha=drift.alpha, method=drift.method, seed=config.seed,
+        n_perm=drift.n_permutations, categorical_dims=drift.categorical_dims)
 
-    dataset_hashes = {"reference": datasets[config.drift.reference].content_hash,
+    dataset_hashes = {"reference": reference.content_hash,
                       "window": production_window.content_hash}
     classification, demonstrated, decisions = None, None, []
     if shift.aggregate == "no_shift":
@@ -423,7 +435,6 @@ def monitor_step(ledger: AuditLedger | str | Path, config: AuditConfig | str | P
         verdict = "shift_unclassified"
     else:
         alpha = entry.spend([point_check.content_hash], "point-check data")
-        primary = config.mprs[0]
         classification = classify_shift(shift, point_check, primary.spec, alpha,
                                         seed=splitmix64(config.seed, 3000 + entry.index))
         verdict = "shift_benign" if classification.label == "benign" else "shift_malignant"

@@ -17,7 +17,7 @@ import click
 from .audit.ledger import AuditLedger, verify_ledger
 from .audit.report import AuditReport, checked_markdown, inconclusive_report
 from .canonical import canonical_json, parse_json
-from .errors import FamilyAlphaExhausted, LedgerCorrupt, NoReferenceBatch, StatcertError
+from .errors import FamilyAlphaExhausted, LedgerCorrupt, StatcertError
 
 # audit.config and core load numpy and yaml, audit.runner every check module
 # and scipy: only the commands that read a config import them
@@ -34,6 +34,7 @@ _EXIT_CODES = (
     (LedgerCorrupt, EXIT_LEDGER_INTEGRITY),
     (FamilyAlphaExhausted, EXIT_NOT_DEMONSTRATED),
     (StatcertError, EXIT_INVALID_INPUT),
+    (OSError, EXIT_INVALID_INPUT),
 )
 
 
@@ -52,7 +53,7 @@ def _execute(config_path: str, action: Callable[[AuditConfig], object], *,
     try:
         config = load_config(config_path)
         return config, action(config)
-    except StatcertError as e:
+    except (StatcertError, OSError) as e:
         code = next(code for kind, code in _EXIT_CODES if isinstance(e, kind))
         if report_inconclusive and isinstance(e, FamilyAlphaExhausted):
             inconclusive_report(config.model_id, str(e)).write(config.report_path)
@@ -109,21 +110,9 @@ def recertify_cmd(config_path: str, ledger_path: str) -> None:
 def monitor_cmd(config_path: str, window_path: str,
                 point_check_path: str | None) -> None:
     """One monitoring cycle against the registered reference batch."""
-    from .audit.runner import MonitorOutcome, monitor_step
-    from .core import load_dataset
-
-    def monitor(config: AuditConfig) -> MonitorOutcome:
-        if config.drift is None:
-            raise NoReferenceBatch("config declares no drift section")
-        window = load_dataset(window_path,
-                              config.datasets[config.drift.reference].feature_columns())
-        point_check = None
-        if point_check_path is not None:
-            primary = config.datasets[config.mprs[0].dataset]
-            point_check = load_dataset(point_check_path, primary.columns)
-        return monitor_step(AuditLedger(config.ledger_path), config, window, point_check)
-
-    _, outcome = _execute(config_path, monitor, report_inconclusive=False)
+    from .audit.runner import monitor_step
+    _, outcome = _execute(config_path, lambda cfg: monitor_step(
+        cfg.ledger_path, cfg, window_path, point_check_path), report_inconclusive=False)
     click.echo(canonical_json(outcome.as_plain()))
     ok = outcome.verdict in ("ok", "shift_benign")
     sys.exit(EXIT_PASS if ok else EXIT_NOT_DEMONSTRATED)

@@ -283,6 +283,9 @@ class Dataset:
         names = self.schema.names_for("score")
         if not names:
             raise MissingColumn("no score columns")
+        for n in names:
+            if not np.issubdtype(self._data[n].dtype, np.number):
+                raise ValidationError(f"score column {n!r} is not numeric")
         return np.column_stack([self._data[n].astype(float) for n in names])
 
     def subset(self, indices: Sequence[int]) -> "Dataset":

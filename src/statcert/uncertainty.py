@@ -40,6 +40,9 @@ class EnsemblePrediction:
         m = np.atleast_2d(np.asarray(self.members, dtype=float))
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 2:
             raise InvalidSimplexRow("members must be a K x C matrix with C >= 2")
+        # NaN passes every comparison below
+        if not np.all(np.isfinite(m)):
+            raise InvalidSimplexRow("non-finite probability entries")
         if np.any(m < 0):
             raise InvalidSimplexRow("negative probability entries")
         if np.max(np.abs(m.sum(axis=1) - 1.0)) > SIMPLEX_TOL:
@@ -52,7 +55,8 @@ class EnsemblePrediction:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (m.shape[0],):
                 raise ValidationError("one weight per member")
-            if np.any(w < 0) or abs(float(w.sum()) - 1.0) > SIMPLEX_TOL:
+            if (not np.all(np.isfinite(w)) or np.any(w < 0)
+                    or abs(float(w.sum()) - 1.0) > SIMPLEX_TOL):
                 raise ValidationError("weights must be >= 0 and sum to 1")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)

@@ -416,6 +416,13 @@ class TestLedgerIntegrity:
         ledger = seed_ledger(tmp_path / "l.jsonl")
         assert ledger.replay_state() == FallbackState(tests_done=2, carry=0.0)
 
+    def test_directory_is_inconsistent_not_an_error(self, tmp_path):
+        # replay of a path never raises; a directory used to raise IsADirectoryError
+        result = replay_ledger(tmp_path)
+        assert (result.consistent, result.first_inconsistency, result.n_entries) == (
+            False, None, 0)
+        assert result.detail.startswith("cannot read ledger: ")
+
     def test_reload_from_disk_identical(self, tmp_path):
         ledger = seed_ledger(tmp_path / "l.jsonl")
         assert AuditLedger(tmp_path / "l.jsonl").entries == ledger.entries
@@ -981,6 +988,24 @@ class TestMonitor:
         with pytest.raises(FamilyAlphaExhausted):
             monitor_step(cfg.ledger_path, cfg, shifted, fresh)
         assert len(AuditLedger(cfg.ledger_path)) == 1
+
+    def test_paths_are_read_like_datasets(self, tmp_path, example_copy):
+        # the CLI passes paths: the same cycle as on loaded datasets
+        cfg = load_config(example_copy / "audit.yaml")
+        run_audit(cfg)
+        twin = shutil.copytree(example_copy, tmp_path / "twin")
+        point = load_dataset(example_copy / "data" / "point_check.csv",
+                             cfg.datasets["test"].columns)
+        loaded = monitor_step(cfg.ledger_path, cfg,
+                              self.window(example_copy, "window_shift.csv"), point)
+        twin_cfg = load_config(twin / "audit.yaml")
+        read = monitor_step(twin_cfg.ledger_path, twin_cfg,
+                            twin / "data" / "window_shift.csv",
+                            twin / "data" / "point_check.csv")
+        assert read.verdict == "shift_benign"
+        assert read.as_plain() == loaded.as_plain()
+        assert read.entry["dataset_hashes"] == loaded.entry["dataset_hashes"]
+        assert read.entry["gating_hashes"] == [point.content_hash]
 
     def test_no_drift_section_refused(self, tmp_path, example_copy):
         cfg = load_config(build_workspace(tmp_path))

@@ -541,7 +541,10 @@ def test_deeply_nested_window_line_exits_2(ws):
      "ensembles.jsonl:1: an integer has too many digits to read"),
     (b'{"members": [[1' + b"0" * 400 + b', 0]]}\n', "ensembles.jsonl:1: int too large"),
     (b'{"members": [["a", "b"]]}\n', "ensembles.jsonl:1: could not convert"),
-], ids=["deep", "5000_digits", "400_digits", "text"])
+    # NaN passed every simplex check and stopped the run after the MPR tests
+    (b'{"members": [[0.9, 0.1]]}\n{"members": [[NaN, 0.5], [0.5, 0.5]]}\n',
+     "ensembles.jsonl:2: non-finite probability entries"),
+], ids=["deep", "5000_digits", "400_digits", "text", "nan"])
 def test_unreadable_ensembles_line_exits_2(ws, content, message):
     # each used to crash with a traceback and exit 1
     result = invoke("run", ws / with_ensembles(ws, content))
@@ -607,3 +610,125 @@ def test_fairness_example_demonstrates_both_requirements(ws):
     assert markdown.exit_code == 0
     assert "## Fairness requirements" in markdown.stdout
     assert "| parity_gap | 0.0133333 | 0.15 |" in markdown.stdout
+
+
+def write_ragged(ws):
+    path = ws / "data" / "ragged.csv"
+    path.write_text("x0,x1,label,prediction\n0.5,0.5,1,1\n0.5\n")
+    return path
+
+
+@pytest.mark.parametrize("option", ["--window", "--point-check"])
+def test_ledger_is_checked_before_a_monitor_file_is_read(ws, option):
+    # the CLI used to read both files before the ledger, and exit 2 here
+    certify(ws)
+    tamper_ledger(ws)
+    args = command("monitor", ws, point_check="point_check.csv")
+    args[args.index(option) + 1] = write_ragged(ws)
+    result = invoke(*args)
+    assert result.exit_code == 3
+    assert "entry 0: entry hash does not match content" in result.stderr
+
+
+@pytest.mark.parametrize("option,role", [("--window", "window"),
+                                         ("--point-check", "point check")])
+def test_monitor_file_error_names_its_role(ws, option, role):
+    certify(ws)
+    args = command("monitor", ws, point_check="point_check.csv")
+    args[args.index(option) + 1] = write_ragged(ws)
+    result = invoke(*args)
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: {role}")
+    assert "ragged row" in result.stderr
+
+
+def write_scored_jsonl(src, dst, text_cell=False):
+    """The rows of a labeled CSV file as JSONL with two score columns, p1
+    leaning towards the prediction; with text_cell, one p1 cell is text."""
+    header, *rows = src.read_text().splitlines()
+    records = []
+    for row in rows:
+        record = dict(zip(header.split(","), map(json.loads, row.split(","))))
+        p1 = 0.9 if record["prediction"] == 1 else 0.1
+        record.update(p0=round(1 - p1, 1), p1=p1)
+        records.append(record)
+    if text_cell:
+        records[0]["p1"] = "high"
+    dst.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return dst
+
+
+def with_scores(raw):
+    raw["datasets"]["test"].update(path="data/test_scored.jsonl")
+    raw["datasets"]["test"]["columns"].update(p0="score", p1="score")
+
+
+def test_point_check_with_a_text_score_exits_2(ws):
+    # used to crash with numpy's ValueError and exit 1, "not demonstrated"
+    write_scored_jsonl(ws / "data" / "test_pass.csv", ws / "data" / "test_scored.jsonl")
+    config = mutate(ws, with_scores)
+    assert certify(ws, config).exit_code == 0
+    point = write_scored_jsonl(ws / "data" / "point_check.csv",
+                               ws / "data" / "point_check.jsonl", text_cell=True)
+    result = invoke("monitor", ws / config, "--window", ws / "data" / "window.csv",
+                    "--point-check", point)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: point check")
+    assert "score column 'p1' is not numeric" in result.stderr
+
+
+def test_ood_scenario_with_a_text_score_exits_2(ws):
+    write_scored_jsonl(ws / "data" / "test_pass.csv", ws / "data" / "test_scored.jsonl")
+    write_scored_jsonl(ws / "data" / "point_check.csv", ws / "data" / "far.jsonl",
+                       text_cell=True)
+
+    def with_ood(raw):
+        with_scores(raw)
+        raw["ood"] = {"method": "max_softmax", "reference": "test", "validation": "test",
+                      "scenarios": [{"name": "far", "path": "data/far.jsonl"}]}
+
+    result = invoke("run", ws / mutate(ws, with_ood))
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ood scenario 'far'")
+    assert "score column 'p1' is not numeric" in result.stderr
+
+
+def test_monitor_reads_no_bound_dataset_but_its_reference(ws, tmp_path):
+    # a ragged train.csv, written after certification, used to exit 2
+    certify(ws)
+    twin = shutil.copytree(ws, tmp_path / "twin")
+    (twin / "data" / "train.csv").write_text("x0,x1,label\n0.5\n")
+    expected = invoke(*command("monitor", ws))
+    result = invoke(*command("monitor", twin))
+    assert expected.exit_code == 0
+    assert result.exit_code == 0, result.output
+    assert result.stdout == expected.stdout
+
+
+@pytest.mark.parametrize("value", ["data", "missing/file.json"],
+                         ids=["directory", "missing_directory"])
+@pytest.mark.parametrize("key", ["ledger", "report"])
+def test_unusable_output_path_exits_2_before_data_is_read(ws, key, value):
+    # a ledger or report directory used to crash with exit 1, a missing
+    # directory only once every test had run
+    break_test_data(ws)
+    result = invoke("run", ws / mutate(ws, lambda raw: raw.update({key: value})))
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: {key}: ")
+
+
+def test_report_directory_commits_no_entry(ws):
+    # entry 0 used to be committed before the report write crashed
+    result = invoke("run", ws / mutate(ws, lambda raw: raw.update(report="data")))
+    assert result.exit_code == 2
+    assert not (ws / "audit_ledger.jsonl").exists()
+
+
+def test_os_error_exits_2(ws, monkeypatch):
+    def full_disk(self, **entry):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("statcert.audit.ledger.AuditLedger.append", full_disk)
+    result = invoke("run", ws / "audit.yaml")
+    assert result.exit_code == 2
+    assert result.stderr == "error: [Errno 28] No space left on device\n"

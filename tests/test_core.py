@@ -176,6 +176,14 @@ class TestDatasetModel:
                 {"s0": np.array([0.9, 0.2]), "s1": np.array([0.3, 0.2])},
                 {"s0": "score", "s1": "score"})
 
+    def test_text_score_column_rejected(self, tmp_path):
+        # a JSONL file reaches the model with the text cell; it used to
+        # surface as numpy's bare ValueError
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"s0": 0.25, "s1": 0.75}\n{"s0": "high", "s1": 0.5}\n')
+        with pytest.raises(ValidationError, match="score column 's0' is not numeric"):
+            load_dataset(path, {"s0": "score", "s1": "score"})
+
     def test_single_score_column_rejected(self):
         with pytest.raises(ValidationError):
             Schema.from_roles({"s0": "score"})

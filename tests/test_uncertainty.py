@@ -118,6 +118,15 @@ class TestDecompose:
         with pytest.raises(ValidationError):
             EnsemblePrediction(np.array([[0.5, 0.5]]), weights=np.array([0.9]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_members_and_weights_rejected(self, value):
+        # NaN used to pass every simplex check
+        with pytest.raises(InvalidSimplexRow, match="non-finite"):
+            EnsemblePrediction(np.array([[value, 0.5], [0.5, 0.5]]))
+        with pytest.raises(ValidationError):
+            EnsemblePrediction(np.array([[0.5, 0.5], [0.5, 0.5]]),
+                               weights=np.array([value, 0.5]))
+
     @given(st.integers(min_value=1, max_value=12),
            st.integers(min_value=2, max_value=6), st.integers())
     @settings(max_examples=150, deadline=None)
