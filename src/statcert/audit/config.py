@@ -344,8 +344,9 @@ def load_config(path: str | Path) -> AuditConfig:
     from ..robustness import ATTACKS, NORMS, OOD_METHODS
 
     path = Path(path)
+    # as bytes, which PyYAML decodes as UTF-8 or UTF-16 whatever the locale
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.safe_load(path.read_bytes())
     except (OSError, yaml.YAMLError) as e:
         raise ConfigInvalid(f"cannot read config {path}: {e}") from e
     base = path.parent

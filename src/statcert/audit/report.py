@@ -5,13 +5,15 @@ information of its own. A report has one of two shapes: a certification
 with its checks, or an inconclusive verdict with only its reason, written
 when the family has no alpha left to give. Nothing time-dependent goes in
 here (timestamps live in the ledger), so identical inputs produce
-identical bytes.
+identical bytes. `AuditReport.write` is the one report writer.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from ..canonical import canonical_json, sha256_hex
 
@@ -37,22 +39,27 @@ class AuditReport:
     def content_hash(self) -> str:
         return payload_hash(self.payload)
 
-    def write(self, path: str | Path) -> Path:
+    def write(self, path: str | Path, commit: Callable[[], object] | None = None) -> Path:
+        """Stage the bytes in a temp file beside `path` and fsync them, run
+        `commit` (the ledger append), then rename the temp file over `path`.
+        On a failure the temp file is removed and `path` left as it was."""
         path = Path(path)
-        path.write_text(self.to_json())
+        staged = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with staged.open("wb") as fh:
+                fh.write(self.to_json().encode())
+                fh.flush()
+                os.fsync(fh.fileno())
+            if commit is not None:
+                commit()
+            os.replace(staged, path)
+        except BaseException:
+            staged.unlink(missing_ok=True)
+            raise
         return path
 
     def to_markdown(self) -> str:
         return render_markdown(self.payload)
-
-
-def inconclusive_report(model_id: str, reason: str) -> AuditReport:
-    return AuditReport({
-        "schema_version": SCHEMA_VERSION,
-        "verdict": "inconclusive",
-        "model_id": model_id,
-        "reason": reason,
-    })
 
 
 def _fmt(x) -> str:

@@ -4,11 +4,13 @@ run, recertify and monitor write their ledger entry through one
 transaction, `_Entry`: opening it checks the ledger, `spend` refuses
 consumed gating data and then allocates the fallback alpha, and `commit`
 appends the entry. Data files are read after it opens, by `_load`, whose
-errors name the file's role. A certification runs the leakage screens
-first (a violation gates everything, and the entry spends no alpha),
-then the requirement family at the alpha `spend` allocated, then the
-informational sections. Reports carry no timestamps, so identical inputs
-reproduce identical bytes; wall-clock provenance lives in the ledger.
+errors name the file's role. run and recertify share `_certify`: the
+leakage screens first (a violation gates everything, and the entry spends
+no alpha), then the requirement family at the alpha `spend` allocated,
+then the informational sections; last, the report is staged, the entry
+committed and the report renamed into place. Reports carry no timestamps,
+so identical inputs reproduce identical bytes; wall-clock provenance
+lives in the ledger.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from ..core import Dataset, load_dataset
 from ..drift import (ShiftClassification, ShiftVerdict, batch_from_dataset,
                      classify_shift, multivariate_shift_test)
 from ..errors import (ConfigInvalid, DataLoadError, FamilyAlphaExhausted,
-                      FamilyMismatch, LedgerCorrupt, LedgerVersionMismatch,
-                      NoReferenceBatch, StaleDataReuse, StatcertError)
+                      FamilyMismatch, InconclusiveVerdict, LedgerCorrupt,
+                      LedgerVersionMismatch, NoReferenceBatch, StaleDataReuse,
+                      StatcertError)
 from ..fairness import GroupedOutcomes, fairness_mpr_check
 from ..leakage import (duplicate_check, group_leakage_check, target_proxy_screen,
                        temporal_split_check)
@@ -50,11 +53,6 @@ def _load(what: str, path: str | Path, roles: dict[str, str]) -> Dataset:
         # most loader messages name the file already
         where = "" if str(path) in str(e) else f" at {path}"
         raise DataLoadError(f"{what}{where}: {e}") from e
-
-
-def _load_bound_datasets(config: AuditConfig) -> dict[str, Dataset]:
-    return {name: _load(f"dataset {name!r}", binding.path, binding.columns)
-            for name, binding in config.datasets.items()}
 
 
 def _leakage_section(config: AuditConfig, datasets: dict[str, Dataset]):
@@ -186,22 +184,6 @@ def _aux_sections(config: AuditConfig, datasets: dict[str, Dataset]) -> dict:
     return checks
 
 
-def _certification_pass(config: AuditConfig, datasets: dict[str, Dataset],
-                        entry_alpha: float):
-    """Shared certification body: gate, family, auxiliary sections."""
-    gate_failed, leak_section = _leakage_section(config, datasets)
-    checks: dict = {"leakage": leak_section, "mpr": [], "fairness": [],
-                    **dict.fromkeys(_AUX_CHECKS)}
-    if gate_failed:
-        return checks, "fail", None, []
-    all_demonstrated, mpr_rows, fairness_rows, decisions = _requirement_sections(
-        config, datasets, entry_alpha)
-    checks["mpr"] = mpr_rows
-    checks["fairness"] = fairness_rows
-    checks.update(_aux_sections(config, datasets))
-    return checks, ("pass" if all_demonstrated else "fail"), all_demonstrated, decisions
-
-
 class _Entry:
     """The one ledger transaction: open the ledger, spend alpha on fresh
     data, commit the entry. Opening checks that the ledger can take an
@@ -282,11 +264,52 @@ class _Entry:
         )
 
 
-def _build_payload(entry: _Entry, verdict: str, demonstrated: bool | None,
-                   checks: dict, dataset_hashes: dict) -> dict:
+def _as_config(config: AuditConfig | str | Path) -> AuditConfig:
+    return config if isinstance(config, AuditConfig) else load_config(config)
+
+
+def _certify(entry: _Entry, kind: str, updated_model_data: Dataset | None = None,
+             rerun_of: dict | None = None) -> AuditReport:
+    """Load the bound data (updated_model_data for each gating binding),
+    spend, test, and publish the report with the entry's commit, or the
+    inconclusive report if spend finds the family exhausted. A rerun of
+    entry 0 must reproduce that entry, and commits nothing."""
     config = entry.config
+    gating = config.gating_dataset_names()
+    datasets = {name: _load(f"dataset {name!r}", binding.path, binding.columns)
+                for name, binding in config.datasets.items()}
+    if updated_model_data is not None:
+        datasets.update(dict.fromkeys(gating, updated_model_data))
+    dataset_hashes = {k: d.content_hash for k, d in datasets.items()}
+    if rerun_of is not None and rerun_of["dataset_hashes"] != dataset_hashes:
+        raise ConfigInvalid("ledger already holds an initial certification on "
+                            "different data; use recertify")
+    try:
+        entry.spend({datasets[n].content_hash for n in gating}, "gating data")
+    except FamilyAlphaExhausted as e:
+        AuditReport({"schema_version": SCHEMA_VERSION, "verdict": "inconclusive",
+                     "model_id": config.model_id, "reason": str(e)}).write(config.report_path)
+        raise InconclusiveVerdict(str(e)) from e
+
+    gate_failed, leak_section = _leakage_section(config, datasets)
+    checks: dict = {"leakage": leak_section, "mpr": [], "fairness": [],
+                    **dict.fromkeys(_AUX_CHECKS)}
+    verdict, demonstrated, decisions = "fail", None, []
+    if not gate_failed:
+        demonstrated, checks["mpr"], checks["fairness"], decisions = (
+            _requirement_sections(config, datasets, entry.alpha))
+        verdict = "pass" if demonstrated else "fail"
+        checks.update(_aux_sections(config, datasets))
+    # equal hashes do not pin the decisions: the seed and the thresholds are
+    # outside the family, and values may differ past the 12th digit
+    if rerun_of is not None and (verdict != rerun_of["verdict"] or canonical_json(
+            decisions) != canonical_json(rerun_of["decisions"])):
+        raise ConfigInvalid("ledger entry 0 holds other decisions on this data; a "
+                            "rerun must reproduce them, and new evidence goes "
+                            "through recertify")
+
     plain = config.as_plain()
-    return {
+    report = AuditReport({
         "schema_version": SCHEMA_VERSION,
         "verdict": verdict,
         "model_id": config.model_id,
@@ -305,15 +328,15 @@ def _build_payload(entry: _Entry, verdict: str, demonstrated: bool | None,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-    }
-
-
-def _as_config(config: AuditConfig | str | Path) -> AuditConfig:
-    return config if isinstance(config, AuditConfig) else load_config(config)
+    })
+    commit = None if rerun_of is not None else lambda: entry.commit(
+        kind, verdict, demonstrated, dataset_hashes, decisions)
+    report.write(config.report_path, commit)
+    return report
 
 
 def run_audit(config: AuditConfig | str | Path) -> AuditReport:
-    """Initial certification: evaluate everything, write ledger entry 0.
+    """Initial certification: evaluate everything, write entry 0 and the report.
 
     Re-running against an existing ledger is idempotent when the family,
     the bound data and the decisions recorded at entry 0 are reproduced (the
@@ -323,33 +346,13 @@ def run_audit(config: AuditConfig | str | Path) -> AuditReport:
     """
     config = _as_config(config)
     entry = _Entry(config.ledger_path, config, initial=True)
-    datasets = _load_bound_datasets(config)
-    dataset_hashes = {k: d.content_hash for k, d in datasets.items()}
-    # a rerun regenerates entry 0, so it must find the same data and decisions
-    first = entry.replay.first
-    if first is not None and first["dataset_hashes"] != dataset_hashes:
-        raise ConfigInvalid("ledger already holds an initial certification on "
-                            "different data; use recertify")
-
-    entry.spend([datasets[n].content_hash for n in config.gating_dataset_names()],
-                "gating data")
-    checks, verdict, demonstrated, decisions = _certification_pass(
-        config, datasets, entry.alpha)
-    # equal hashes do not pin the decisions: the seed and the thresholds are
-    # outside the family, and values may differ past the 12th digit
-    if first is not None and (verdict != first["verdict"] or canonical_json(decisions)
-                              != canonical_json(first["decisions"])):
-        raise ConfigInvalid("ledger entry 0 holds other decisions on this data; a "
-                            "rerun must reproduce them, and new evidence goes "
-                            "through recertify")
-    if first is None:
-        entry.commit("certification", verdict, demonstrated, dataset_hashes, decisions)
-    return AuditReport(_build_payload(entry, verdict, demonstrated, checks, dataset_hashes))
+    return _certify(entry, "certification", rerun_of=entry.replay.first)
 
 
 def recertify(ledger: AuditLedger | str | Path, config: AuditConfig | str | Path,
               updated_model_data: Dataset | None = None) -> tuple[AuditReport, AuditLedger]:
-    """Test an updated model at the alpha the fallback recurrence allocates.
+    """Test an updated model at the alpha the fallback recurrence allocates,
+    and write the report.
 
     The gating data must be fresh: data with the content hash of any data a
     prior entry spent alpha on (the same multiset of rows at 12 significant
@@ -359,18 +362,7 @@ def recertify(ledger: AuditLedger | str | Path, config: AuditConfig | str | Path
     """
     config = _as_config(config)
     entry = _Entry(ledger, config)
-    datasets = _load_bound_datasets(config)
-    if updated_model_data is not None:
-        for name in config.gating_dataset_names():
-            datasets[name] = updated_model_data
-    dataset_hashes = {k: d.content_hash for k, d in datasets.items()}
-    entry.spend({datasets[n].content_hash for n in config.gating_dataset_names()},
-                "gating data")
-    checks, verdict, demonstrated, decisions = _certification_pass(
-        config, datasets, entry.alpha)
-    entry.commit("recertification", verdict, demonstrated, dataset_hashes, decisions)
-    return (AuditReport(_build_payload(entry, verdict, demonstrated, checks, dataset_hashes)),
-            entry.ledger)
+    return _certify(entry, "recertification", updated_model_data), entry.ledger
 
 
 @dataclass(frozen=True)

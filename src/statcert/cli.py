@@ -3,7 +3,8 @@
 Exit codes are stable for CI use: 0 the requirement is demonstrated (or
 the monitor saw nothing alarming), 1 not demonstrated (failed, inconclusive,
 or an unexplained shift), 2 invalid input or configuration, 3 ledger
-integrity failure.
+integrity failure. The runner writes every report and ledger entry, this
+module no file: `_EXIT_CODES` maps errors to exit codes, `_exit_by` verdicts.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import TYPE_CHECKING, Callable, NoReturn
 import click
 
 from .audit.ledger import AuditLedger, verify_ledger
-from .audit.report import AuditReport, checked_markdown, inconclusive_report
+from .audit.report import checked_markdown
 from .canonical import canonical_json, parse_json
-from .errors import FamilyAlphaExhausted, LedgerCorrupt, StatcertError
+from .errors import FamilyAlphaExhausted, InconclusiveVerdict, LedgerCorrupt, StatcertError
 
 # audit.config and core load numpy and yaml, audit.runner every check module
 # and scipy: only the commands that read a config import them
@@ -43,32 +44,25 @@ def _fail(code: int, message: str) -> NoReturn:
     sys.exit(code)
 
 
-def _execute(config_path: str, action: Callable[[AuditConfig], object], *,
-             report_inconclusive: bool) -> tuple[AuditConfig, object]:
+def _execute(config_path: str, action: Callable[[AuditConfig], object]
+             ) -> tuple[AuditConfig, object]:
     """Load the config and run `action` on it, exiting through _EXIT_CODES
-    on a toolkit error. With report_inconclusive, an exhausted family still
-    writes a report, whose verdict is inconclusive."""
+    on a toolkit or operating-system error. An InconclusiveVerdict, raised
+    once its report is written, is a verdict on stdout, not an error."""
     from .audit.config import load_config
-    config = None
     try:
         config = load_config(config_path)
         return config, action(config)
     except (StatcertError, OSError) as e:
-        code = next(code for kind, code in _EXIT_CODES if isinstance(e, kind))
-        if report_inconclusive and isinstance(e, FamilyAlphaExhausted):
-            inconclusive_report(config.model_id, str(e)).write(config.report_path)
-            click.echo(f"inconclusive: {e}")
-            sys.exit(code)
-        _fail(code, str(e))
+        if isinstance(e, InconclusiveVerdict):
+            _exit_by("inconclusive", f"inconclusive: {e}")
+        _fail(next(code for kind, code in _EXIT_CODES if isinstance(e, kind)), str(e))
 
 
-def _report_verdict(config: AuditConfig, report: AuditReport, *lines: str) -> NoReturn:
-    report.write(config.report_path)
-    click.echo(f"verdict: {report.verdict}")
-    click.echo(f"report: {config.report_path}")
-    for line in lines:
-        click.echo(line)
-    sys.exit(EXIT_PASS if report.verdict == "pass" else EXIT_NOT_DEMONSTRATED)
+def _exit_by(verdict: str, *lines: str) -> NoReturn:
+    """Print `lines`; exit 0 on a demonstrated verdict or a benign monitor."""
+    click.echo("\n".join(lines))
+    sys.exit(EXIT_PASS if verdict in ("pass", "ok", "shift_benign") else EXIT_NOT_DEMONSTRATED)
 
 
 @click.group()
@@ -81,8 +75,9 @@ def main() -> None:
 def run_cmd(config_path: str) -> None:
     """Initial certification from a config file."""
     from .audit.runner import run_audit
-    config, report = _execute(config_path, run_audit, report_inconclusive=True)
-    _report_verdict(config, report, f"ledger: {config.ledger_path}")
+    config, report = _execute(config_path, run_audit)
+    _exit_by(report.verdict, f"verdict: {report.verdict}",
+             f"report: {config.report_path}", f"ledger: {config.ledger_path}")
 
 
 @main.command("recertify")
@@ -94,9 +89,8 @@ def recertify_cmd(config_path: str, ledger_path: str) -> None:
     """Test an updated model at the next fallback alpha."""
     from .audit.runner import recertify
     config, (report, _) = _execute(
-        config_path, lambda cfg: recertify(AuditLedger(ledger_path), cfg),
-        report_inconclusive=True)
-    _report_verdict(config, report)
+        config_path, lambda cfg: recertify(AuditLedger(ledger_path), cfg))
+    _exit_by(report.verdict, f"verdict: {report.verdict}", f"report: {config.report_path}")
 
 
 @main.command("monitor")
@@ -112,10 +106,8 @@ def monitor_cmd(config_path: str, window_path: str,
     """One monitoring cycle against the registered reference batch."""
     from .audit.runner import monitor_step
     _, outcome = _execute(config_path, lambda cfg: monitor_step(
-        cfg.ledger_path, cfg, window_path, point_check_path), report_inconclusive=False)
-    click.echo(canonical_json(outcome.as_plain()))
-    ok = outcome.verdict in ("ok", "shift_benign")
-    sys.exit(EXIT_PASS if ok else EXIT_NOT_DEMONSTRATED)
+        cfg.ledger_path, cfg, window_path, point_check_path))
+    _exit_by(outcome.verdict, canonical_json(outcome.as_plain()))
 
 
 @main.command("verify-ledger")

@@ -169,6 +169,10 @@ class FamilyAlphaExhausted(StatcertError):
     """No fallback weight remains for a new ledger entry."""
 
 
+class InconclusiveVerdict(FamilyAlphaExhausted):
+    """The family is exhausted and the inconclusive report is written."""
+
+
 class FamilyMismatch(StatcertError):
     """Config declares a different hypothesis family than the ledger."""
 

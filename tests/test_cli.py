@@ -7,8 +7,11 @@ verdict is inconclusive; `monitor` writes no report.
 """
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -732,3 +735,109 @@ def test_os_error_exits_2(ws, monkeypatch):
     result = invoke("run", ws / "audit.yaml")
     assert result.exit_code == 2
     assert result.stderr == "error: [Errno 28] No space left on device\n"
+
+
+def full_disk(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+
+def staged_files(ws):
+    return sorted(p.name for p in ws.iterdir() if p.name.endswith(".tmp"))
+
+
+def no_space_to_write(monkeypatch):
+    """A full disk for files opened to write, not for the ledger's append."""
+    real_open = Path.open
+
+    def open_(self, mode="r", *args, **kwargs):
+        if "w" in mode:
+            full_disk()
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_)
+
+
+@pytest.mark.parametrize("failure", ("open", "fsync"))
+@pytest.mark.parametrize("name", ("run", "recertify"))
+def test_failed_report_staging_commits_no_entry(ws, name, failure, monkeypatch):
+    # the report used to be written after the entry was committed, outside
+    # the exit-code map: exit 1 with a traceback, and the entry kept
+    ledger, report = ws / "audit_ledger.jsonl", ws / "audit_report.json"
+    if name == "recertify":
+        certify(ws)
+        refresh_test_data(ws)
+    else:
+        report.write_bytes(b"an earlier report\n")
+    before = {p: p.read_bytes() for p in (ledger, report) if p.exists()}
+    if failure == "open":
+        no_space_to_write(monkeypatch)
+    else:
+        monkeypatch.setattr("os.fsync", full_disk)
+    result = invoke(*command(name, ws))
+    assert result.exit_code == 2
+    assert result.stderr == "error: [Errno 28] No space left on device\n"
+    assert {p: p.read_bytes() for p in (ledger, report) if p.exists()} == before
+    assert staged_files(ws) == []
+
+
+def test_failed_report_rename_keeps_the_entry_and_a_rerun_writes_the_report(
+        ws, monkeypatch):
+    ledger, report = ws / "audit_ledger.jsonl", ws / "audit_report.json"
+    assert certify(ws).exit_code == 0
+    expected = report.read_bytes()
+    ledger.unlink()
+    report.unlink()
+    with monkeypatch.context() as m:
+        m.setattr("os.replace", full_disk)
+        result = invoke("run", ws / "audit.yaml")
+    assert result.exit_code == 2
+    assert result.stderr == "error: [Errno 28] No space left on device\n"
+    assert len(ledger.read_text().splitlines()) == 1
+    assert not report.exists()
+    assert staged_files(ws) == []
+    rerun = invoke("run", ws / "audit.yaml")
+    assert rerun.exit_code == 0
+    assert report.read_bytes() == expected
+    assert len(ledger.read_text().splitlines()) == 1
+
+
+def test_failed_append_leaves_no_staged_report(ws, monkeypatch):
+    # a guard, which passes where the report is written after the commit too
+    monkeypatch.setattr("statcert.audit.ledger.AuditLedger.append", full_disk)
+    before = sorted(ws.iterdir())
+    result = invoke("run", ws / "audit.yaml")
+    assert result.exit_code == 2
+    assert sorted(ws.iterdir()) == before
+
+
+def test_config_that_is_not_text_exits_2(ws):
+    # a UnicodeDecodeError traceback, exit 1, while the config was read as text
+    config = ws / "audit.yaml"
+    config.write_bytes(config.read_bytes() + b"# \xff\n")
+    result = invoke("run", config)
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: cannot read config {config}: ")
+    assert not (ws / "audit_ledger.jsonl").exists()
+
+
+def test_config_is_read_as_utf8_whatever_the_locale(ws):
+    # an ASCII locale used to end `run` in a UnicodeDecodeError, exit 1
+    raw = yaml.safe_load((ws / "audit.yaml").read_text(encoding="utf-8"))
+    raw["sadd"]["operating_context"] = "Capteurs déployés sur la flotte."
+    config = ws / "accented.yaml"
+    config.write_text(yaml.safe_dump(raw, allow_unicode=True), encoding="utf-8")
+    assert "é".encode() in config.read_bytes()
+
+    def run(**env):
+        result = subprocess.run([sys.executable, "-m", "statcert.cli", "run", config],
+                                capture_output=True, env={**os.environ, **env})
+        assert result.returncode == 0, result.stderr
+        report = ws / "audit_report.json"
+        written = report.read_bytes()
+        report.unlink()
+        (ws / "audit_ledger.jsonl").unlink()
+        return written
+
+    utf8 = run(PYTHONUTF8="1")
+    assert run(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0") == utf8
+    assert json.loads(utf8)["sadd"]["operating_context"].startswith("Capteurs déployés")
