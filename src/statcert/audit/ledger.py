@@ -5,18 +5,34 @@ entry and of its own canonical serialization, so any edit, deletion, or
 reordering after the fact is detectable by replay. Alpha allocations across
 entries follow the fallback recurrence over the family frozen at entry 0:
 a test-bearing entry i receives carry + alpha * w_i, and passes its whole
-allocation forward only if it demonstrated its requirement. Each entry
-records the report schema version it was written under, because dataset
-hashes are only comparable within one version. Every read streams the file
-a line at a time, so no command holds the whole ledger in memory.
+allocation forward only if it demonstrated its requirement; its gating data
+must be fresh, so a gating hash an earlier entry consumed is an
+inconsistency. Each entry records the report schema version it was written
+under, because dataset hashes are only comparable within one version. Every
+read streams the file a line at a time, so no command holds the whole
+ledger in memory.
+
+The commands that write an entry keep two sidecar files beside the ledger,
+neither part of the record: `<ledger>.lock`, which they hold under an
+exclusive flock for their whole transaction, and `<ledger>.ckpt`, the state
+a verified prefix of the ledger left, with that prefix's length and
+SHA-256, from which the next such command resumes its replay instead of
+walking every entry again. Deleting either costs time only. The hash chain
+has no key, so the checkpoint is as trustworthy as the ledger beside it and
+no more; `verify_ledger` never reads it.
 """
 
 from __future__ import annotations
 
+import contextlib
 from datetime import datetime, timezone
+import fcntl
+import hashlib
 import math
+import os
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from types import MappingProxyType
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 from ..canonical import FallbackState, canonical_json, parse_json, sha256_hex
 from ..errors import LedgerCorrupt
@@ -32,11 +48,20 @@ _REQUIRED_FIELDS = (
 )
 _REQUIRED = frozenset(_REQUIRED_FIELDS)
 
+# bump whenever the walk gains a check, so no checkpoint vouches for a
+# prefix that an older walk verified
+_CHECKPOINT_VERSION = 1
+_CHUNK = 1 << 20  # bytes read at a time when a checkpoint's prefix is hashed
+
 
 def entry_hash(entry: Mapping) -> str:
     body = dict(entry)
     body.pop("entry_hash", None)
     return sha256_hex(canonical_json(body))
+
+
+def _sidecar(path: Path, suffix: str) -> Path:
+    return path.with_name(path.name + suffix)
 
 
 class _BadLine(LedgerCorrupt):
@@ -47,25 +72,51 @@ class _BadLine(LedgerCorrupt):
         self.line, self.entries = line, entries
 
 
-def _read(path: Path) -> Iterator:
-    """The entries of a ledger file in order, parsed one line at a time, so
-    memory does not grow with the ledger. Blank lines are skipped; a line
-    that is not valid UTF-8 JSON raises _BadLine, and a NaN or Infinity
-    literal makes its line invalid."""
-    lineno = entries = 0
-    with path.open("rb") as fh:
-        for chunk in fh:
-            # a lone \r ends a line too, as in a split of the whole file
-            for line in chunk.splitlines():
-                lineno += 1
-                if not line.strip():
-                    continue
-                try:
-                    entry = parse_json(line.decode("utf-8"))
-                except (ValueError, RecursionError):  # not UTF-8, not JSON, too deep
-                    raise _BadLine(path, lineno, entries) from None
-                entries += 1
-                yield entry
+class _Cursor(NamedTuple):
+    """A line boundary in a ledger file: the bytes, lines and entries before it."""
+
+    offset: int = 0
+    line: int = 0
+    entries: int = 0
+
+
+class _Reader:
+    """The entries of a ledger file in order from a cursor, parsed one line
+    at a time, so memory does not grow with the ledger. Blank lines are
+    skipped; a line that is not valid UTF-8 JSON raises _BadLine, and a NaN
+    or Infinity literal makes its line invalid. Line numbers and entry
+    counts are absolute. Read to the end, it holds the cursor there (`at`),
+    the offset of the last entry's line (`last_line`) and whether the file
+    ends with a newline (`ends_line`); a `digest` it is given takes every
+    byte it reads."""
+
+    def __init__(self, path: Path, at: _Cursor = _Cursor(), digest=None):
+        self.path, self.at, self.digest = path, at, digest
+        self.last_line: int | None = None
+        self.ends_line = True
+
+    def __iter__(self) -> Iterator:
+        offset, lineno, entries = self.at
+        last_line, chunk = self.last_line, b"\n"
+        with self.path.open("rb") as fh:
+            fh.seek(offset)
+            for chunk in fh:
+                if self.digest is not None:
+                    self.digest.update(chunk)
+                # a lone \r ends a line too, as in a split of the whole file
+                for line in chunk.splitlines(keepends=True):
+                    lineno += 1
+                    start, offset = offset, offset + len(line)
+                    if not line.strip():
+                        continue
+                    try:
+                        entry = parse_json(line.decode("utf-8"))
+                    except (ValueError, RecursionError):  # not UTF-8, not JSON, too deep
+                        raise _BadLine(self.path, lineno, entries) from None
+                    entries, last_line = entries + 1, start
+                    yield entry
+        self.at, self.last_line = _Cursor(offset, lineno, entries), last_line
+        self.ends_line = chunk.endswith(b"\n")
 
 
 class AuditLedger:
@@ -74,16 +125,19 @@ class AuditLedger:
     LedgerCorrupt at a line that is not JSON; verify_ledger(path) is the
     check that never raises. append continues from the tail (the entry
     count and the last entry) that the last read to the end or append
-    left, so a series of appends reads the file at most once."""
+    left, so a series of appends reads the file at most once. A writer
+    holds lock() from the read its entry continues from to the append."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._tail: tuple[int, dict | None] | None = None
 
-    def _stream(self) -> Iterator:
-        count, last = 0, None
-        if self.path.exists():
-            for last in _read(self.path):
+    def _stream(self, reader: _Reader | None = None, last: dict | None = None) -> Iterator:
+        # the entries from the reader's cursor, `last` being the one before it
+        reader = reader or _Reader(self.path)
+        count = reader.at.entries
+        if reader.at.offset or self.path.exists():
+            for last in reader:
                 count += 1
                 yield last
         self._tail = (count, last)
@@ -100,6 +154,17 @@ class AuditLedger:
 
     def __len__(self) -> int:
         return self._known_tail()[0]
+
+    def lock(self) -> IO:
+        """Wait for an exclusive flock on `<ledger>.lock` and return the open
+        lock file; closing it releases the lock."""
+        fh = _sidecar(self.path, ".lock").open("ab")
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+        except BaseException:
+            fh.close()
+            raise
+        return fh
 
     # views of one replay_ledger walk, for a caller that needs one field:
     # bench/traced.py times the runner's stages through them
@@ -145,22 +210,29 @@ class AuditLedger:
 class Replay(NamedTuple):
     """What the one walk over a ledger's entries yields: the integrity
     verdict and, from a consistent ledger, what the next entry is written
-    against. The last four fields keep their defaults on an inconsistent
-    ledger. A named tuple, not a frozen dataclass: every command imports
-    this module, and a dataclass takes about ten times as long to create."""
+    against. The fields after n_entries keep their defaults on an
+    inconsistent ledger. A named tuple, not a frozen dataclass: every
+    command imports this module, and a dataclass takes about ten times as
+    long to create."""
 
     consistent: bool
     first_inconsistency: int | None
     detail: str | None
     n_entries: int
     state: FallbackState = FallbackState(0, 0.0)
-    consumed: frozenset[str] = frozenset()  # the gating hashes of every entry
+    # every entry's gating hashes, each with the index of the first entry that held it
+    consumed_at: Mapping[str, int] = MappingProxyType({})
     first: dict | None = None  # entry 0
     older: dict | None = None  # the first entry written under another schema version
+    last: dict | None = None  # the last entry
 
     @property
     def family(self) -> dict | None:
         return None if self.first is None else self.first["family"]
+
+    @property
+    def consumed(self) -> frozenset[str]:
+        return frozenset(self.consumed_at)
 
     def as_plain(self) -> dict:
         return {"consistent": self.consistent,
@@ -168,22 +240,27 @@ class Replay(NamedTuple):
                 "detail": self.detail, "n_entries": self.n_entries}
 
 
+_EMPTY = Replay(True, None, None, 0)
+
+
 def replay_ledger(ledger: AuditLedger | str | Path) -> Replay:
-    """Integrity replay, one streaming pass over the entries. On a path it
-    never raises, whatever the path names or the file holds; an inconsistent
-    ledger yields the index and description of its first inconsistency. An
-    AuditLedger's replay raises LedgerCorrupt at a line that is not JSON, as
-    its every read does, and leaves the tail its next append continues from.
+    """Integrity replay, one streaming pass over every entry, reading no
+    checkpoint. On a path it never raises, whatever the path names or the
+    file holds; an inconsistent ledger yields the index and description of
+    its first inconsistency. An AuditLedger's replay raises LedgerCorrupt
+    at a line that is not JSON, as its every read does, and leaves the tail
+    its next append continues from.
 
     Checks, per entry: JSON shape, index order, hash-chain linkage, the
     entry's own content hash (SHA-256 of its canonical JSON without
     `entry_hash`, taken on the entry as parsed), family identity with
-    entry 0, the fallback alpha recurrence over test-bearing entries, and
-    gating hashes that are a list of strings. Entry 0's family must carry a
-    numeric `alpha` and a sequence of numeric `weights`; they are read once,
-    there. The schema version is not checked: an entry written under
-    another one is reported in `older`, because it is consistent, only not
-    comparable.
+    entry 0, the fallback alpha recurrence over test-bearing entries,
+    gating hashes that are a list of strings, and, on a test-bearing entry,
+    gating hashes that no earlier entry consumed. Entry 0's family must
+    carry a numeric `alpha` and a sequence of numeric `weights`; they are
+    read once, there. The schema version is not checked: an entry written
+    under another one is reported in `older`, because it is consistent,
+    only not comparable.
     """
     if isinstance(ledger, AuditLedger):
         return _walk(ledger._stream())
@@ -191,24 +268,52 @@ def replay_ledger(ledger: AuditLedger | str | Path) -> Replay:
     if not path.exists():
         return Replay(False, None, f"ledger file not found: {path}", 0)
     try:
-        return _walk(_read(path))
+        return _walk(_Reader(path))
     except _BadLine as e:
         return Replay(False, e.entries, f"line {e.line} is not valid JSON", e.entries)
     except OSError as e:  # a directory, or a file this process may not read
         return Replay(False, None, f"cannot read ledger: {e}", 0)
 
 
-def _walk(entries: Iterator) -> Replay:
-    """replay_ledger's checks, keeping only what the next entry needs."""
-    walk = enumerate(entries)
+def resume_replay(ledger: AuditLedger) -> Replay:
+    """replay_ledger(ledger) for a command that appends to it, under its
+    lock(). The entries that `<ledger>.ckpt` covers are not walked again
+    while the ledger still starts with the bytes the checkpoint was written
+    for; a checkpoint that is missing, unreadable or does not match is
+    ignored, and the ledger replayed in full. When the walk verified
+    entries the checkpoint did not cover, it is rewritten for the whole
+    ledger; a failure to write it changes nothing else."""
+    start, reader = (_resume_point(ledger.path)
+                     or (_EMPTY, _Reader(ledger.path, digest=hashlib.sha256())))
+    replayed = _walk(ledger._stream(reader, start.last), start)
+    if replayed.consistent and replayed.n_entries > start.n_entries and reader.ends_line:
+        _write_checkpoint(ledger.path, replayed, reader)
+    return replayed
+
+
+def _family_numbers(family) -> tuple[float, tuple[float, ...]]:
+    return float(family["alpha"]), tuple(float(w) for w in family["weights"])
+
+
+def _walk(entries: Iterable, start: Replay = _EMPTY) -> Replay:
+    """replay_ledger's checks on the entries after the ones `start`
+    replayed, keeping only what the next entry needs. `start` is the
+    consistent replay of the entries before them; a full replay starts
+    from the empty one."""
+    walk = enumerate(entries, start.n_entries)
 
     def bad(index, detail):
         # the rest is parsed but not checked: a line that is not JSON
         # anywhere outranks an earlier inconsistency, and every entry counts
         return Replay(False, index, detail, index + 1 + sum(1 for _ in walk))
 
-    first = family = alpha = weights = older = prev_hash = None
-    state, consumed, n = FallbackState(0, 0.0), set(), 0
+    first, older, last, state, n = (start.first, start.older, start.last, start.state,
+                                    start.n_entries)
+    consumed = dict(start.consumed_at)
+    family = alpha = weights = prev_hash = None
+    if first is not None:
+        family, (alpha, weights) = first["family"], _family_numbers(first["family"])
+        prev_hash = last["entry_hash"]
     for i, e in walk:
         if not isinstance(e, dict):
             return bad(i, "entry is not an object")
@@ -227,8 +332,7 @@ def _walk(entries: Iterator) -> Replay:
         if i == 0:
             first, family = e, e["family"]
             try:
-                alpha = float(family["alpha"])
-                weights = tuple(float(w) for w in family["weights"])
+                alpha, weights = _family_numbers(family)
             except (KeyError, TypeError, ValueError, OverflowError):
                 return bad(i, "family needs a numeric alpha and numeric weights")
         elif e["family"] != family:
@@ -257,12 +361,96 @@ def _walk(entries: Iterator) -> Replay:
         gating = e["gating_hashes"]
         if not (isinstance(gating, list) and all(isinstance(h, str) for h in gating)):
             return bad(i, "gating hashes are not a list of strings")
-        consumed.update(gating)
+        if gating:
+            for h in gating:  # FWER control holds only on fresh data
+                if e["test_bearing"] and h in consumed:
+                    return bad(i, f"gating hash {h[:12]} was consumed by entry {consumed[h]}")
+            for h in gating:
+                consumed.setdefault(h, i)
         # entries without the field predate it: they were written under version 1
         if older is None and e.get("schema_version", 1) != SCHEMA_VERSION:
             older = e
-        prev_hash, n = e["entry_hash"], i + 1
-    return Replay(True, None, None, n, state, frozenset(consumed), first, older)
+        prev_hash, last, n = e["entry_hash"], e, i + 1
+    return Replay(True, None, None, n, state, consumed, first, older, last)
+
+
+def _resume_point(path: Path) -> tuple[Replay, _Reader] | None:
+    """The replay of the prefix `<ledger>.ckpt` covers and a reader at its
+    end that carries on the prefix's digest, or None. The checkpoint is
+    used only if the ledger's first bytes hash to the prefix's SHA-256, the
+    prefix ends with its last entry's line, and the ledger's own entry 0
+    and last entry give the checkpoint's entry 0, entry count and carry."""
+    try:
+        ck = parse_json(_sidecar(path, ".ckpt").read_bytes().decode("utf-8"))
+        size, lines, count, tests, at = (ck[k] for k in (
+            "bytes", "lines", "entries", "tests_done", "last_line"))
+        consumed, older = ck["consumed"], ck["older"]
+        # the last entry's line is read whole, so it may not be long
+        if not (ck["version"] == _CHECKPOINT_VERSION
+                and all(type(v) is int for v in (size, lines, count, tests, at))
+                and 0 <= at < size and size - at <= _CHUNK and count >= 1 and tests >= 0
+                and isinstance(consumed, dict)
+                and all(type(v) is int for v in consumed.values())
+                and (older is None or isinstance(older, dict))):
+            return None
+        digest = hashlib.sha256()
+        with path.open("rb") as fh:
+            left = size
+            while left:
+                block = fh.read(min(left, _CHUNK))
+                if not block:  # the ledger is shorter than the prefix
+                    return None
+                digest.update(block)
+                left -= len(block)
+            if digest.hexdigest() != ck["sha256"]:
+                return None
+            fh.seek(max(at - 1, 0))
+            before = fh.read(1) if at else b"\n"
+            tail = fh.read(size - at)
+            fh.seek(0)
+            first = next(parse_json(line.decode("utf-8"))
+                         for chunk in fh for line in chunk.splitlines() if line.strip())
+        # the last entry's line starts on a line boundary, and only blank
+        # lines follow it to the prefix's end, which ends a line
+        last_line, *rest = tail.splitlines()
+        last = parse_json(last_line.decode("utf-8"))
+        if (before not in (b"\n", b"\r") or not tail.endswith(b"\n")
+                or not last_line.strip() or any(r.strip() for r in rest)
+                or not all(isinstance(e, dict) and _REQUIRED.issubset(e)
+                           for e in (first, last))
+                or first != ck["first"] or last["index"] + 1 != count):
+            return None
+        carry = float(last["alpha_carried_out"])
+        if repr(carry) != repr(float(ck["carry"])):
+            return None
+        _family_numbers(first["family"])
+    except (OSError, ValueError, RecursionError, KeyError, TypeError, OverflowError,
+            StopIteration):
+        return None
+    replay = Replay(True, None, None, count, FallbackState(tests, carry), consumed,
+                    first, older, last)
+    return replay, _Reader(path, _Cursor(size, lines, count), digest)
+
+
+def _write_checkpoint(path: Path, replayed: Replay, reader: _Reader) -> None:
+    """Record the replay of the ledger's bytes the reader read, by rename
+    and without fsync: the file is a cache."""
+    state = replayed.state
+    body = canonical_json({
+        "version": _CHECKPOINT_VERSION, "bytes": reader.at.offset,
+        "lines": reader.at.line, "sha256": reader.digest.hexdigest(),
+        "last_line": reader.last_line, "entries": replayed.n_entries,
+        "tests_done": state.tests_done, "carry": state.carry,
+        "consumed": dict(replayed.consumed_at), "first": replayed.first,
+        "older": replayed.older})
+    target = _sidecar(path, ".ckpt")
+    staged = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        staged.write_bytes(body.encode("utf-8"))
+        os.replace(staged, target)
+    except OSError:  # the next command replays in full, and that is all
+        with contextlib.suppress(OSError):
+            staged.unlink()
 
 
 def verify_ledger(ledger: AuditLedger | str | Path) -> dict:

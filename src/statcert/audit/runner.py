@@ -1,9 +1,10 @@
 """End-to-end audit orchestration.
 
 run, recertify and monitor write their ledger entry through one
-transaction, `_Entry`: opening it checks the ledger, `spend` refuses
-consumed gating data and then allocates the fallback alpha, and `commit`
-appends the entry. Data files are read after it opens, by `_load`, whose
+transaction, `_Entry`: opening it locks the ledger and checks it, `spend`
+refuses consumed gating data and then allocates the fallback alpha, and
+`commit` appends the entry; the lock is released when the transaction's
+with block ends. Data files are read after it opens, by `_load`, whose
 errors name the file's role. run and recertify share `_certify`: the
 leakage screens first (a violation gates everything, and the entry spends
 no alpha), then the requirement family at the alpha `spend` allocated,
@@ -41,7 +42,7 @@ from ..stattest import evaluate_mpr
 from ..uncertainty import (decompose, evaluate_uncertainty_quality, load_ensembles,
                            uncertainty_fallback)
 from .config import AuditConfig, load_config
-from .ledger import AuditLedger, replay_ledger
+from .ledger import AuditLedger, resume_replay
 from .report import SCHEMA_VERSION, AuditReport
 
 
@@ -185,8 +186,12 @@ def _aux_sections(config: AuditConfig, datasets: dict[str, Dataset]) -> dict:
 
 
 class _Entry:
-    """The one ledger transaction: open the ledger, spend alpha on fresh
-    data, commit the entry. Opening checks that the ledger can take an
+    """The one ledger transaction: lock the ledger, open it, spend alpha on
+    fresh data, commit the entry. Construction takes the ledger's write
+    lock and holds it until the with block that uses the transaction ends,
+    so no other writer moves the tail the entry continues from. Opening
+    replays the ledger, from the checkpoint of the prefix the last writer
+    verified where that still matches, and checks that it can take an
     entry under this config: integrity, schema version, entries present
     (unless the entry is the initial one), family. An initial entry is
     entry 0, which a rerun regenerates: it starts the fallback recurrence
@@ -196,28 +201,40 @@ class _Entry:
                  initial: bool = False):
         self.ledger = ledger if isinstance(ledger, AuditLedger) else AuditLedger(ledger)
         self.config = config
-        self.replay = replayed = replay_ledger(self.ledger)
-        if not replayed.consistent:
-            raise LedgerCorrupt(f"entry {replayed.first_inconsistency}: {replayed.detail}")
-        older = replayed.older
-        if older is not None:
-            raise LedgerVersionMismatch(
-                f"ledger entry {older['index']} was written under report schema version "
-                f"{older.get('schema_version', 1)}, not {SCHEMA_VERSION}; its dataset "
-                "hashes cannot tell fresh data from consumed data under this version, "
-                "so start a new ledger")
-        if replayed.n_entries == 0:
-            if not initial:
-                raise ConfigInvalid("ledger is empty; run the initial certification first")
-        elif replayed.family != config.family_snapshot():
-            raise FamilyMismatch("requirement family differs from the one frozen at "
-                                 "ledger entry 0")
+        self._lock = self.ledger.lock()
+        try:
+            self.replay = replayed = resume_replay(self.ledger)
+            if not replayed.consistent:
+                raise LedgerCorrupt(
+                    f"entry {replayed.first_inconsistency}: {replayed.detail}")
+            older = replayed.older
+            if older is not None:
+                raise LedgerVersionMismatch(
+                    f"ledger entry {older['index']} was written under report schema "
+                    f"version {older.get('schema_version', 1)}, not {SCHEMA_VERSION}; its "
+                    "dataset hashes cannot tell fresh data from consumed data under this "
+                    "version, so start a new ledger")
+            if replayed.n_entries == 0:
+                if not initial:
+                    raise ConfigInvalid("ledger is empty; run the initial certification first")
+            elif replayed.family != config.family_snapshot():
+                raise FamilyMismatch("requirement family differs from the one frozen at "
+                                     "ledger entry 0")
+        except BaseException:
+            self._lock.close()
+            raise
         if initial:
             self.index, self.state, self.consumed = 0, FallbackState(0, 0.0), frozenset()
         else:
             self.index, self.state, self.consumed = (replayed.n_entries, replayed.state,
                                                      replayed.consumed)
         self.alpha, self.gating = 0.0, []
+
+    def __enter__(self) -> "_Entry":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._lock.close()
 
     def spend(self, gating_hashes, what: str) -> float:
         """Refuse gating data that a prior entry consumed, since FWER
@@ -345,8 +362,8 @@ def run_audit(config: AuditConfig | str | Path) -> AuditReport:
     evidence goes through recertify.
     """
     config = _as_config(config)
-    entry = _Entry(config.ledger_path, config, initial=True)
-    return _certify(entry, "certification", rerun_of=entry.replay.first)
+    with _Entry(config.ledger_path, config, initial=True) as entry:
+        return _certify(entry, "certification", rerun_of=entry.replay.first)
 
 
 def recertify(ledger: AuditLedger | str | Path, config: AuditConfig | str | Path,
@@ -361,8 +378,8 @@ def recertify(ledger: AuditLedger | str | Path, config: AuditConfig | str | Path
     reloaded from disk.
     """
     config = _as_config(config)
-    entry = _Entry(ledger, config)
-    return _certify(entry, "recertification", updated_model_data), entry.ledger
+    with _Entry(ledger, config) as entry:
+        return _certify(entry, "recertification", updated_model_data), entry.ledger
 
 
 @dataclass(frozen=True)
@@ -400,39 +417,39 @@ def monitor_step(ledger: AuditLedger | str | Path, config: AuditConfig | str | P
     bound dataset a monitor reads.
     """
     config = _as_config(config)
-    entry = _Entry(ledger, config)
-    drift, primary = config.drift, config.mprs[0]
-    if drift is None:
-        raise NoReferenceBatch("config declares no drift section, so no reference "
-                               "batch is registered")
-    ref = config.datasets[drift.reference]
-    if not isinstance(production_window, Dataset):
-        production_window = _load("window", production_window, ref.feature_columns())
-    if point_check is not None and not isinstance(point_check, Dataset):
-        point_check = _load("point check", point_check,
-                            config.datasets[primary.dataset].columns)
-    reference = _load(f"dataset {ref.name!r}", ref.path, ref.columns)
-    shift = multivariate_shift_test(
-        batch_from_dataset(reference, "reference"),
-        batch_from_dataset(production_window, "production"),
-        alpha=drift.alpha, method=drift.method, seed=config.seed,
-        n_perm=drift.n_permutations, categorical_dims=drift.categorical_dims)
+    with _Entry(ledger, config) as entry:
+        drift, primary = config.drift, config.mprs[0]
+        if drift is None:
+            raise NoReferenceBatch("config declares no drift section, so no reference "
+                                   "batch is registered")
+        ref = config.datasets[drift.reference]
+        if not isinstance(production_window, Dataset):
+            production_window = _load("window", production_window, ref.feature_columns())
+        if point_check is not None and not isinstance(point_check, Dataset):
+            point_check = _load("point check", point_check,
+                                config.datasets[primary.dataset].columns)
+        reference = _load(f"dataset {ref.name!r}", ref.path, ref.columns)
+        shift = multivariate_shift_test(
+            batch_from_dataset(reference, "reference"),
+            batch_from_dataset(production_window, "production"),
+            alpha=drift.alpha, method=drift.method, seed=config.seed,
+            n_perm=drift.n_permutations, categorical_dims=drift.categorical_dims)
 
-    dataset_hashes = {"reference": reference.content_hash,
-                      "window": production_window.content_hash}
-    classification, demonstrated, decisions = None, None, []
-    if shift.aggregate == "no_shift":
-        verdict = "ok"
-    elif point_check is None:
-        verdict = "shift_unclassified"
-    else:
-        alpha = entry.spend([point_check.content_hash], "point-check data")
-        classification = classify_shift(shift, point_check, primary.spec, alpha,
-                                        seed=splitmix64(config.seed, 3000 + entry.index))
-        verdict = "shift_benign" if classification.label == "benign" else "shift_malignant"
-        demonstrated = classification.test.rejected
-        dataset_hashes["point_check"] = point_check.content_hash
-        decisions = [_decision(primary.name, classification.test)]
+        dataset_hashes = {"reference": reference.content_hash,
+                          "window": production_window.content_hash}
+        classification, demonstrated, decisions = None, None, []
+        if shift.aggregate == "no_shift":
+            verdict = "ok"
+        elif point_check is None:
+            verdict = "shift_unclassified"
+        else:
+            alpha = entry.spend([point_check.content_hash], "point-check data")
+            classification = classify_shift(shift, point_check, primary.spec, alpha,
+                                            seed=splitmix64(config.seed, 3000 + entry.index))
+            verdict = "shift_benign" if classification.label == "benign" else "shift_malignant"
+            demonstrated = classification.test.rejected
+            dataset_hashes["point_check"] = point_check.content_hash
+            decisions = [_decision(primary.name, classification.test)]
 
-    return MonitorOutcome(verdict, shift, classification, entry.commit(
-        "monitor", verdict, demonstrated, dataset_hashes, decisions))
+        return MonitorOutcome(verdict, shift, classification, entry.commit(
+            "monitor", verdict, demonstrated, dataset_hashes, decisions))

@@ -6,10 +6,13 @@ the way an after-the-fact edit would, and every one must surface at the
 right entry index on replay.
 """
 
+import fcntl
 import json
 import random
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,11 +22,11 @@ import pytest
 import yaml
 
 from statcert.audit.config import load_config
-from statcert.audit.ledger import (_REQUIRED_FIELDS, AuditLedger, FallbackState, entry_hash,
-                                   replay_ledger, verify_ledger)
+from statcert.audit.ledger import (_REQUIRED_FIELDS, AuditLedger, FallbackState, _resume_point,
+                                   entry_hash, replay_ledger, resume_replay, verify_ledger)
 from statcert.audit.report import AuditReport, payload_hash
 from statcert.audit.runner import _Entry, monitor_step, recertify, run_audit
-from statcert.core import canonical_json, load_dataset
+from statcert.core import canonical_json, load_dataset, sha256_hex
 from statcert.errors import (
     ConfigInvalid,
     FamilyAlphaExhausted,
@@ -603,8 +606,8 @@ class TestSingleReplay:
 
     def test_open_returns_the_reference(self, ledger):
         config = SimpleNamespace(family_snapshot=lambda: FAMILY)
-        entry = _Entry(ledger, config)
-        replayed = entry.replay
+        with _Entry(ledger, config) as entry:
+            replayed = entry.replay
         assert replayed.consistent and replayed.n_entries == 200
         assert replayed.state == reference_replay_state(ledger.entries)
         assert replayed.consumed == reference_consumed_hashes(ledger.entries)
@@ -687,6 +690,381 @@ class TestStreamedReplay:
                               demonstrated=None, verdict="ok")
         assert (entry["index"], len(ledger)) == (5, 6)
         assert verify_ledger(path)["consistent"]
+
+
+def rechain(entries: list[dict], start: int) -> None:
+    """Link and hash entries[start:] again, as an editor covering an edit would."""
+    for i in range(start, len(entries)):
+        entries[i]["prev_hash"] = entries[i - 1]["entry_hash"] if i else None
+        entries[i]["entry_hash"] = entry_hash(entries[i])
+
+
+def lines(entries) -> str:
+    return "".join(canonical_json(e) + "\n" for e in entries)
+
+
+K = 12  # entries the checkpoint covers in the resume battery
+
+
+def first_test_after_k(entries) -> int:
+    return next(i for i in range(K + 1, len(entries)) if entries[i]["test_bearing"])
+
+
+def reuse_after_k(entries):
+    consumed = next(h for e in entries[:K] for h in e["gating_hashes"])
+    j = first_test_after_k(entries)
+    entries[j]["gating_hashes"] = [consumed]
+    rechain(entries, j)
+    return lines(entries)
+
+
+def forge_alpha_after_k(entries):
+    j = first_test_after_k(entries)
+    entries[j]["alpha_allocated"] += 0.01
+    rechain(entries, j)
+    return lines(entries)
+
+
+def version_1_after_k(entries):
+    del entries[K + 2]["schema_version"]
+    rechain(entries, K + 2)
+    return lines(entries)
+
+
+def break_chain_after_k(entries):
+    entries[K + 2]["prev_hash"] = "0" * 64
+    rechain(entries, K + 3)
+    entries[K + 2]["entry_hash"] = entry_hash(entries[K + 2])
+    return lines(entries)
+
+
+def blank_and_cr_after_k(entries, then=""):
+    # blank lines, lone \r and \r\n endings: line numbers past them stay absolute
+    cr = "\r".join(canonical_json(e) for e in entries[K:K + 3])
+    return (lines(entries[:K]) + "\n  \n" + cr + "\r\n\n" + then
+            + "\r\n".join(canonical_json(e) for e in entries[K + 3:]) + "\r\n")
+
+
+# the ledger after the checkpoint's prefix, damaged in each of these ways
+RESUME_BATTERY = {
+    "intact": lines,
+    "nothing after L": lambda es: lines(es[:K]),
+    "torn last line": lambda es: lines(es)[:-10],
+    "bad JSON after L": lambda es: lines(es[:K + 3]) + "{oops\n" + lines(es[K + 3:]),
+    "NaN after L": lambda es: lines(es[:K + 1]) + '{"index": NaN}\n' + lines(es[K + 1:]),
+    "not an object after L": lambda es: lines(es[:K + 1]) + "[1]\n" + lines(es[K + 1:]),
+    "deleted entry after L": lambda es: lines(es[:K + 1] + es[K + 2:]),
+    "edit after L": lambda es: lines(es[:K + 1]) + lines(es[K + 1:]).replace(
+        '"seed":1', '"seed":2', 1),
+    "broken chain after L": break_chain_after_k,
+    "alpha forgery after L": forge_alpha_after_k,
+    "reuse after L": reuse_after_k,
+    "version-1 entry after L": version_1_after_k,
+    "blank and CR lines after L": blank_and_cr_after_k,
+    "blank and CR lines, then bad JSON": lambda es: blank_and_cr_after_k(es, "{oops\n"),
+}
+
+
+def replay_outcome(replay, path: Path):
+    """A replay of the ledger at path, and the tail it leaves, or the error."""
+    ledger = AuditLedger(path)
+    try:
+        return replay(ledger), ledger._tail
+    except LedgerCorrupt as e:
+        return str(e)
+
+
+def ckpt_path(path: Path) -> Path:
+    return path.with_name(path.name + ".ckpt")
+
+
+def checkpoint(path: Path, prefix: str) -> None:
+    """Leave at path the checkpoint a write command's replay writes for
+    the ledger `prefix`."""
+    path.write_text(prefix)
+    resume_replay(AuditLedger(path))
+    assert _resume_point(path) is not None
+
+
+def battery_entries(tmp_path: Path, older_before_k: bool = False) -> list[dict]:
+    entries = list(seeded_ledger(tmp_path / "seeded.jsonl", n=30).entries)
+    assert any(e["gating_hashes"] for e in entries[:K])
+    if older_before_k:
+        del entries[2]["schema_version"]
+        rechain(entries, 2)
+    return entries
+
+
+class TestResumedReplay:
+    """A write command resumes its replay from `<ledger>.ckpt`, and must
+    reach what a full replay reaches, field by field, detail strings and
+    the tail its append continues from included."""
+
+    @pytest.fixture(params=[False, True], ids=["current", "version-1 entry before L"])
+    def entries(self, tmp_path, request):
+        return battery_entries(tmp_path, older_before_k=request.param)
+
+    @pytest.mark.parametrize("damage", RESUME_BATTERY.values(), ids=RESUME_BATTERY)
+    def test_resumed_replay_equals_the_full_one(self, tmp_path, entries, damage):
+        path = tmp_path / "l.jsonl"
+        checkpoint(path, lines(entries[:K]))
+        path.write_text(damage([json.loads(canonical_json(e)) for e in entries]))
+        start, reader = _resume_point(path)  # the checkpoint still holds
+        assert (start.n_entries, reader.at.offset) == (K, len(lines(entries[:K])))
+        full = replay_outcome(replay_ledger, path)
+        assert replay_outcome(resume_replay, path) == full
+        # a second resumed replay starts from the checkpoint the first left
+        assert replay_outcome(resume_replay, path) == full
+
+    def test_battery_is_what_the_full_replay_reports(self, tmp_path):
+        # each damage surfaces at its own entry or line, past the checkpoint
+        path, found, entries = tmp_path / "l.jsonl", {}, battery_entries(tmp_path)
+        for name, damage in RESUME_BATTERY.items():
+            path.write_text(damage([json.loads(canonical_json(e)) for e in entries]))
+            outcome = replay_outcome(replay_ledger, path)
+            if isinstance(outcome, str):
+                found[name] = outcome.removeprefix(f"{path}:")
+            else:
+                replayed = outcome[0]
+                found[name] = (replayed.first_inconsistency, replayed.detail,
+                               replayed.n_entries, replayed.older is not None)
+        assert found == {
+            "intact": (None, None, 30, False),
+            "nothing after L": (None, None, K, False),
+            "torn last line": "30: not valid JSON",
+            "bad JSON after L": "16: not valid JSON",
+            "NaN after L": "14: not valid JSON",
+            "not an object after L": (13, "entry is not an object", 31, False),
+            "deleted entry after L": (13, "index 14 at position 13", 29, False),
+            "edit after L": (13, "entry hash does not match content", 30, False),
+            "broken chain after L": (14, "broken hash chain", 30, False),
+            "alpha forgery after L": (14, "allocated alpha 0.01 != replayed 0.0", 30, False),
+            "reuse after L": (14, "gating hash 07c15471a451 was consumed by entry 3", 30,
+                              False),
+            "version-1 entry after L": (None, None, 30, True),
+            "blank and CR lines after L": (None, None, 30, False),
+            "blank and CR lines, then bad JSON": "19: not valid JSON",
+        }
+
+    def test_checkpoint_covers_the_new_entries(self, tmp_path, entries):
+        path = tmp_path / "l.jsonl"
+        checkpoint(path, lines(entries[:K]))
+        path.write_text(lines(entries))
+        resume_replay(AuditLedger(path))
+        start, reader = _resume_point(path)
+        assert start == replay_ledger(AuditLedger(path))
+        assert reader.at == (len(lines(entries)), len(entries), len(entries))
+
+    @pytest.mark.parametrize("edited", [0, K // 2, K - 1])
+    def test_edit_before_the_checkpoint_is_caught(self, tmp_path, entries, edited):
+        # entry 0 and the last entry are read again; only the prefix's hash
+        # guards the entries between them
+        path = tmp_path / "l.jsonl"
+        checkpoint(path, lines(entries[:K]))
+        entries[edited]["seed"] = 2  # content edited, hash left as it was
+        path.write_text(lines(entries))
+        assert _resume_point(path) is None
+        full = replay_outcome(replay_ledger, path)
+        assert full[0].as_plain() == {
+            "consistent": False, "first_inconsistency": edited,
+            "detail": "entry hash does not match content", "n_entries": 30}
+        assert replay_outcome(resume_replay, path) == full
+
+    def forged(self, path: Path, **fields) -> None:
+        ck = json.loads(ckpt_path(path).read_text())
+        ckpt_path(path).write_text(canonical_json({**ck, **fields}))
+
+    @pytest.mark.parametrize("ckpt", [
+        "stale", "ledger truncated", "other ledger", "truncated", "garbage", "empty object",
+        "not an object", "deep", "count", "carry", "first", "last line inside a line",
+        "last line too early", "prefix inside a line", "version", "consumed not indices",
+        "negative size"])
+    def test_checkpoint_that_does_not_match_is_ignored(self, tmp_path, entries, ckpt):
+        path = tmp_path / "l.jsonl"
+        checkpoint(path, lines(entries[:K]))
+        good = json.loads(ckpt_path(path).read_text())
+        prefix = lines(entries[:K])
+        if ckpt == "stale":  # the ledger was rewritten since
+            path.write_text(lines(seeded_ledger(tmp_path / "other.jsonl", n=30, seed=9).entries))
+        elif ckpt == "ledger truncated":
+            path.write_text(lines(entries[:K - 1]))
+        elif ckpt == "other ledger":
+            other = tmp_path / "other.jsonl"
+            checkpoint(other, lines(seeded_ledger(tmp_path / "o.jsonl", n=K, seed=9).entries))
+            shutil.copyfile(ckpt_path(other), ckpt_path(path))
+        elif ckpt == "truncated":
+            raw = ckpt_path(path).read_bytes()
+            ckpt_path(path).write_bytes(raw[:len(raw) // 2])
+        elif ckpt == "garbage":
+            ckpt_path(path).write_bytes(b"\xff\x00garbage")
+        elif ckpt == "empty object":
+            ckpt_path(path).write_text("{}")
+        elif ckpt == "not an object":
+            ckpt_path(path).write_text("[1, 2]")
+        elif ckpt == "deep":
+            ckpt_path(path).write_text("[" * 100_000 + "]" * 100_000)
+        elif ckpt == "count":
+            self.forged(path, entries=K - 1)
+        elif ckpt == "carry":
+            self.forged(path, carry=good["carry"] + 0.01)
+        elif ckpt == "first":
+            self.forged(path, first={**good["first"], "seed": 7})
+        elif ckpt == "last line inside a line":
+            self.forged(path, last_line=good["last_line"] + 1)
+        elif ckpt == "last line too early":
+            self.forged(path, last_line=0)
+        elif ckpt == "prefix inside a line":
+            cut = len(prefix) - 5
+            self.forged(path, bytes=cut, sha256=sha256_hex(prefix[:cut]))
+        elif ckpt == "version":
+            self.forged(path, version=0)
+        elif ckpt == "consumed not indices":
+            self.forged(path, consumed=dict.fromkeys(good["consumed"], "x"))
+        elif ckpt == "negative size":
+            self.forged(path, bytes=-1)
+        if ckpt not in ("stale", "ledger truncated"):
+            path.write_text(lines(entries))
+        assert _resume_point(path) is None
+        full = replay_outcome(replay_ledger, path)
+        assert replay_outcome(resume_replay, path) == full
+        # the full replay left a checkpoint that holds
+        assert _resume_point(path)[0] == full[0]
+
+    def test_checkpoint_is_written_only_for_new_entries(self, tmp_path, entries):
+        path = tmp_path / "l.jsonl"
+        checkpoint(path, lines(entries))
+        ckpt_path(path).write_bytes(ckpt_path(path).read_bytes() + b" ")
+        resume_replay(AuditLedger(path))
+        assert ckpt_path(path).read_bytes().endswith(b" ")
+
+    @pytest.mark.parametrize("ledger", ["inconsistent", "unterminated", "empty", "missing"])
+    def test_no_checkpoint_without_new_verified_entries(self, tmp_path, entries, ledger):
+        path = tmp_path / "l.jsonl"
+        text = {"inconsistent": lines(entries).replace('"seed":1', '"seed":2', 1),
+                "unterminated": lines(entries)[:-1], "empty": ""}.get(ledger)
+        if text is not None:
+            path.write_text(text)
+        replayed = resume_replay(AuditLedger(path))
+        assert replayed.consistent == (ledger != "inconsistent")
+        assert not ckpt_path(path).exists()
+
+    def test_failed_checkpoint_write_changes_nothing(self, tmp_path, entries):
+        path = tmp_path / "l.jsonl"
+        path.write_text(lines(entries))
+        ckpt_path(path).mkdir()  # no file can be renamed over it
+        (ckpt_path(path) / "keep").touch()
+        assert resume_replay(AuditLedger(path)) == replay_ledger(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "l.jsonl", "l.jsonl.ckpt", "seeded.jsonl"]
+
+
+class TestReusedGatingData:
+    """FWER control holds only on fresh data: a test-bearing entry whose
+    gating hash an earlier entry consumed is an inconsistency."""
+
+    def test_reused_gating_hash_flagged_naming_the_consumer(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        seed_ledger(path)
+        entries = load_lines(path)
+        entries[2]["gating_hashes"] = ["h0"]
+        rechain(entries, 2)
+        rewrite(path, entries)
+        assert verify_ledger(path) == {
+            "consistent": False, "first_inconsistency": 2,
+            "detail": "gating hash h0 was consumed by entry 0", "n_entries": 3}
+        config = SimpleNamespace(family_snapshot=lambda: FAMILY)
+        with pytest.raises(LedgerCorrupt, match="entry 2: gating hash h0 was consumed"):
+            _Entry(path, config)
+
+    def test_non_test_entry_may_repeat_a_hash(self, tmp_path):
+        # only a test-bearing entry spends alpha on its gating data
+        path = tmp_path / "l.jsonl"
+        seed_ledger(path)
+        entries = load_lines(path)
+        entries[1]["gating_hashes"] = ["h0"]
+        rechain(entries, 1)
+        rewrite(path, entries)
+        assert verify_ledger(path)["consistent"]
+        assert replay_ledger(path).consumed_at == {"h0": 0, "h2": 2}
+
+    @pytest.mark.parametrize("forged", ["consumed", "tests_done"])
+    def test_forged_checkpoint_leaves_an_entry_verify_catches(self, example_copy, forged):
+        # the checkpoint is trusted as far as the ledger beside it: an edit
+        # that lets consumed data in, or misplaces the recurrence, leaves
+        # an entry that the full replay refuses
+        cfg = load_config(example_copy / "audit.yaml")
+        run_audit(cfg)
+        window = TestMonitor().window(example_copy, "window.csv")
+        monitor_step(cfg.ledger_path, cfg, window)
+        ckpt = ckpt_path(cfg.ledger_path)
+        raw = json.loads(ckpt.read_text())
+        raw.update(consumed={}) if forged == "consumed" else raw.update(tests_done=0)
+        ckpt.write_text(canonical_json(raw))
+        data = "test_pass.csv" if forged == "consumed" else "point_check.csv"
+        point = load_dataset(example_copy / "data" / data, cfg.datasets["test"].columns)
+        monitor_step(cfg.ledger_path, cfg,
+                     TestMonitor().window(example_copy, "window_shift.csv"), point)
+        result = verify_ledger(cfg.ledger_path)
+        assert (result["consistent"], result["first_inconsistency"]) == (False, 2)
+        assert result["detail"].startswith(
+            "gating hash" if forged == "consumed" else "allocated alpha 0.1 ")
+
+
+STEPS = """
+import sys
+from statcert.audit.config import load_config
+from statcert.audit.runner import monitor_step
+from statcert.core import load_dataset
+cfg = load_config(sys.argv[1])
+window = load_dataset(sys.argv[2], cfg.datasets["test"].feature_columns())
+for _ in range(int(sys.argv[3])):
+    assert monitor_step(cfg.ledger_path, cfg, window).verdict == "ok"
+"""
+
+
+class TestConcurrentWriters:
+    """Each write command holds the ledger's lock from its replay to its
+    commit, so writers that overlap append one after another."""
+
+    def test_monitors_in_parallel_all_land(self, example_copy):
+        config = mutate_yaml(example_copy / "audit.yaml",
+                             lambda raw: raw["drift"].update(n_permutations=20))
+        cfg = load_config(config)
+        run_audit(cfg)
+        workers, steps = 3, 15
+        procs = [subprocess.Popen([sys.executable, "-c", STEPS, str(config),
+                                   str(example_copy / "data" / "window.csv"), str(steps)],
+                                  stderr=subprocess.PIPE, text=True)
+                 for _ in range(workers)]
+        errors = [p.communicate(timeout=300)[1] for p in procs]
+        assert [p.returncode for p in procs] == [0] * workers, errors
+        assert verify_ledger(cfg.ledger_path) == {
+            "consistent": True, "first_inconsistency": None, "detail": None,
+            "n_entries": 1 + workers * steps}
+
+    def lock_is_free(self, ledger: Path) -> bool:
+        with ledger.with_name(ledger.name + ".lock").open("ab") as fh:
+            try:
+                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                return False
+            return True
+
+    def test_lock_held_for_the_transaction(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        seed_ledger(path)
+        config = SimpleNamespace(family_snapshot=lambda: FAMILY)
+        with _Entry(path, config):
+            assert not self.lock_is_free(path)
+        assert self.lock_is_free(path)
+
+    def test_lock_released_when_the_ledger_is_refused(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        seed_ledger(path)
+        config = SimpleNamespace(family_snapshot=lambda: {**FAMILY, "alpha": 0.1})
+        with pytest.raises(FamilyMismatch):
+            _Entry(path, config)
+        assert self.lock_is_free(path)
 
 
 class TestRunAudit:

@@ -804,7 +804,8 @@ def test_failed_report_rename_keeps_the_entry_and_a_rerun_writes_the_report(
 def test_failed_append_leaves_no_staged_report(ws, monkeypatch):
     # a guard, which passes where the report is written after the commit too
     monkeypatch.setattr("statcert.audit.ledger.AuditLedger.append", full_disk)
-    before = sorted(ws.iterdir())
+    # the ledger's lock file is the one file a write command leaves behind
+    before = sorted([*ws.iterdir(), ws / "audit_ledger.jsonl.lock"])
     result = invoke("run", ws / "audit.yaml")
     assert result.exit_code == 2
     assert sorted(ws.iterdir()) == before
@@ -841,3 +842,98 @@ def test_config_is_read_as_utf8_whatever_the_locale(ws):
     utf8 = run(PYTHONUTF8="1")
     assert run(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0") == utf8
     assert json.loads(utf8)["sadd"]["operating_context"].startswith("Capteurs déployés")
+
+
+def sidecar(ws, suffix):
+    return ws / f"audit_ledger.jsonl{suffix}"
+
+
+def checkpointed(ws):
+    """Certify, then monitor a window with no shift: the monitor leaves the
+    checkpoint of the prefix it verified, entry 0."""
+    certify(ws)
+    assert invoke(*command("monitor", ws)).exit_code == 0
+    assert sidecar(ws, ".ckpt").exists()
+
+
+def outcomes(ws):
+    """Exit code and output of a no-shift monitor, a shifted one with a
+    point check, and verify-ledger, in that order."""
+    runs = [invoke(*command("monitor", ws)),
+            invoke(*command("monitor", ws, point_check="point_check.csv")),
+            invoke("verify-ledger", ws / "audit_ledger.jsonl")]
+    return [(r.exit_code, r.stdout) for r in runs]
+
+
+def test_edit_before_the_checkpoint_exits_3(ws):
+    checkpointed(ws)
+    ledger = ws / "audit_ledger.jsonl"
+    raw = ledger.read_bytes()
+    ledger.write_bytes(raw.replace(b'"seed":20240901', b'"seed":20240902', 1))
+    result = invoke(*command("monitor", ws))
+    assert result.exit_code == 3
+    assert "entry 0: entry hash does not match content" in result.stderr
+
+
+@pytest.mark.parametrize("tampered", [False, True], ids=["intact", "tampered"])
+@pytest.mark.parametrize("kind", ["stale", "rewound ledger", "truncated", "garbage",
+                                  "other ledger"])
+def test_checkpoint_never_changes_a_verdict(tmp_path, ws, kind, tampered):
+    other = shutil.copytree(ws, tmp_path / "other")
+    checkpointed(ws)
+    ckpt = sidecar(ws, ".ckpt")
+    if kind in ("stale", "rewound ledger"):
+        saved = ckpt.read_bytes()
+        assert invoke(*command("monitor", ws)).exit_code == 0
+        if kind == "stale":  # a checkpoint of an earlier prefix
+            ckpt.write_bytes(saved)
+        else:  # a checkpoint of a longer ledger than the one now there
+            ledger = ws / "audit_ledger.jsonl"
+            ledger.write_bytes(ledger.read_bytes().splitlines(keepends=True)[0])
+    elif kind == "truncated":
+        ckpt.write_bytes(ckpt.read_bytes()[:100])
+    elif kind == "garbage":
+        ckpt.write_bytes(b"{}\x00\xff garbage")
+    else:
+        checkpointed(other)
+        shutil.copyfile(sidecar(other, ".ckpt"), ckpt)
+    if tampered:
+        tamper_ledger(ws)
+    # the same ledger without a checkpoint
+    twin = shutil.copytree(ws, tmp_path / "twin")
+    sidecar(twin, ".ckpt").unlink()
+    expected = outcomes(twin)
+    assert outcomes(ws) == expected
+    assert [code for code, _ in expected] == ([3, 3, 3] if tampered else [0, 0, 0])
+
+
+@pytest.mark.parametrize("ckpt", ["garbage", "from before an edit"])
+def test_verify_ledger_never_touches_a_sidecar(ws, ckpt):
+    checkpointed(ws)
+    ledger = ws / "audit_ledger.jsonl"
+    if ckpt == "garbage":
+        sidecar(ws, ".ckpt").write_bytes(b"\xff garbage")
+    else:
+        tamper_ledger(ws)
+    kept = sidecar(ws, ".ckpt").read_bytes()
+    sidecar(ws, ".lock").unlink()
+    with_ckpt = invoke("verify-ledger", ledger)
+    assert sidecar(ws, ".ckpt").read_bytes() == kept
+    assert not sidecar(ws, ".lock").exists()
+    sidecar(ws, ".ckpt").unlink()
+    without = invoke("verify-ledger", ledger)
+    assert (with_ckpt.exit_code, with_ckpt.stdout) == (without.exit_code, without.stdout)
+    assert with_ckpt.exit_code == (0 if ckpt == "garbage" else 3)
+    assert sorted(p.name for p in ws.glob("audit_ledger.jsonl*")) == ["audit_ledger.jsonl"]
+
+
+def test_removed_ledger_with_its_checkpoint_left_is_a_fresh_ledger(ws):
+    def cycle():
+        run = invoke("run", ws / "audit.yaml")
+        return run.exit_code, run.stdout, (ws / "audit_report.json").read_bytes(), outcomes(ws)
+
+    expected = cycle()
+    assert sidecar(ws, ".ckpt").exists()
+    (ws / "audit_ledger.jsonl").unlink()
+    (ws / "audit_report.json").unlink()
+    assert cycle() == expected
