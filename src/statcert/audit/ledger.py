@@ -1,16 +1,20 @@
 """Append-only certification ledger.
 
-One JSON object per line. Each entry carries the SHA-256 of the previous
-entry and of its own canonical serialization, so any edit, deletion, or
-reordering after the fact is detectable by replay. Alpha allocations across
-entries follow the fallback recurrence over the family frozen at entry 0:
-a test-bearing entry i receives carry + alpha * w_i, and passes its whole
-allocation forward only if it demonstrated its requirement; its gating data
-must be fresh, so a gating hash an earlier entry consumed is an
-inconsistency. Each entry records the report schema version it was written
-under, because dataset hashes are only comparable within one version. Every
-read streams the file a line at a time, so no command holds the whole
-ledger in memory.
+One JSON object per line, each line ending with a newline as `append`
+writes it, so line N holds entry N-1: a blank line, or two entries joined
+by a lone carriage return, is not valid JSON, and a last line without its
+newline is refused too, so no append glues an entry onto it. Each entry
+carries the SHA-256 of the previous entry and of its own canonical
+serialization, so any edit, deletion, or reordering after the fact is
+detectable by replay. Alpha allocations across entries follow the
+fallback recurrence over the family frozen at entry 0: a test-bearing
+entry i receives carry + alpha * w_i, and passes its whole allocation
+forward only if it demonstrated its requirement; its gating data must be
+fresh, so a gating hash an earlier entry consumed is an inconsistency.
+Each entry records the report schema version it was written under,
+because dataset hashes are only comparable within one version. Every read
+streams the file a line at a time, so no command holds the whole ledger
+in memory.
 
 The commands that write an entry keep two sidecar files beside the ledger,
 neither part of the record: `<ledger>.lock`, which they hold under an
@@ -50,7 +54,7 @@ _REQUIRED = frozenset(_REQUIRED_FIELDS)
 
 # bump whenever the walk gains a check, so no checkpoint vouches for a
 # prefix that an older walk verified
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 _CHUNK = 1 << 20  # bytes read at a time when a checkpoint's prefix is hashed
 
 
@@ -65,68 +69,60 @@ def _sidecar(path: Path, suffix: str) -> Path:
 
 
 class _BadLine(LedgerCorrupt):
-    """A line that is not valid UTF-8 JSON, read after `entries` entries."""
+    """The line after `entries` entries, which is not valid UTF-8 JSON
+    ("is not valid JSON") or, the last, has no newline ("has no newline")."""
 
-    def __init__(self, path: Path, line: int, entries: int):
-        super().__init__(f"{path}:{line}: not valid JSON")
-        self.line, self.entries = line, entries
+    def __init__(self, path: Path, entries: int, problem: str):
+        line = entries + 1
+        super().__init__(f"{path}:{line}: {problem.removeprefix('is ')}")
+        self.entries, self.detail = entries, f"line {line} {problem}"
 
 
 class _Cursor(NamedTuple):
-    """A line boundary in a ledger file: the bytes, lines and entries before it."""
+    """A line boundary in a ledger file: the bytes and entries before it."""
 
     offset: int = 0
-    line: int = 0
     entries: int = 0
 
 
 class _Reader:
-    """The entries of a ledger file in order from a cursor, parsed one line
-    at a time, so memory does not grow with the ledger. Blank lines are
-    skipped; a line that is not valid UTF-8 JSON raises _BadLine, and a NaN
-    or Infinity literal makes its line invalid. Line numbers and entry
-    counts are absolute. Read to the end, it holds the cursor there (`at`),
-    the offset of the last entry's line (`last_line`) and whether the file
-    ends with a newline (`ends_line`); a `digest` it is given takes every
-    byte it reads."""
+    """The entries of a ledger file in order from a cursor, one per line,
+    parsed one line at a time, so memory does not grow with the ledger. A
+    line that is not valid UTF-8 JSON raises _BadLine, a NaN or Infinity
+    literal making its line invalid, and so does a last line that parses
+    but has no newline. Read to the end, it holds the cursor there (`at`);
+    a `digest` it is given takes every byte it reads."""
 
     def __init__(self, path: Path, at: _Cursor = _Cursor(), digest=None):
         self.path, self.at, self.digest = path, at, digest
-        self.last_line: int | None = None
-        self.ends_line = True
 
     def __iter__(self) -> Iterator:
-        offset, lineno, entries = self.at
-        last_line, chunk = self.last_line, b"\n"
+        offset, entries = self.at
         with self.path.open("rb") as fh:
             fh.seek(offset)
-            for chunk in fh:
+            for line in fh:
                 if self.digest is not None:
-                    self.digest.update(chunk)
-                # a lone \r ends a line too, as in a split of the whole file
-                for line in chunk.splitlines(keepends=True):
-                    lineno += 1
-                    start, offset = offset, offset + len(line)
-                    if not line.strip():
-                        continue
-                    try:
-                        entry = parse_json(line.decode("utf-8"))
-                    except (ValueError, RecursionError):  # not UTF-8, not JSON, too deep
-                        raise _BadLine(self.path, lineno, entries) from None
-                    entries, last_line = entries + 1, start
-                    yield entry
-        self.at, self.last_line = _Cursor(offset, lineno, entries), last_line
-        self.ends_line = chunk.endswith(b"\n")
+                    self.digest.update(line)
+                try:
+                    entry = parse_json(line.decode("utf-8"))
+                except (ValueError, RecursionError):  # not UTF-8, not JSON, too deep
+                    raise _BadLine(self.path, entries, "is not valid JSON") from None
+                if not line.endswith(b"\n"):
+                    raise _BadLine(self.path, entries, "has no newline")
+                offset, entries = offset + len(line), entries + 1
+                yield entry
+        self.at = _Cursor(offset, entries)
 
 
 class AuditLedger:
     """File-backed entry sequence. Building one reads nothing; each read
     streams the file, a missing file being an empty ledger, and raises
-    LedgerCorrupt at a line that is not JSON; verify_ledger(path) is the
-    check that never raises. append continues from the tail (the entry
-    count and the last entry) that the last read to the end or append
-    left, so a series of appends reads the file at most once. A writer
-    holds lock() from the read its entry continues from to the append."""
+    LedgerCorrupt at a line that is not JSON or a last line without its
+    newline; verify_ledger(path) is the check that never raises. append
+    continues from the tail (the entry count and the last entry) that the
+    last read to the end or append left, so a series of appends reads the
+    file at most once. A writer holds lock() from the read its entry
+    continues from to the append, and sync()s the append."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -201,10 +197,16 @@ class AuditLedger:
             "prev_hash": last["entry_hash"] if last is not None else None,
         }
         entry["entry_hash"] = entry_hash(entry)
-        with self.path.open("a") as fh:
-            fh.write(canonical_json(entry) + "\n")
+        with self.path.open("ab") as fh:
+            fh.write((canonical_json(entry) + "\n").encode("utf-8"))
         self._tail = (count + 1, entry)
         return entry
+
+    def sync(self) -> None:
+        """fsync the ledger file, so the lines appended so far survive a
+        crash. Each write command syncs once its entry is appended."""
+        with self.path.open("ab") as fh:
+            os.fsync(fh.fileno())
 
 
 class Replay(NamedTuple):
@@ -248,8 +250,8 @@ def replay_ledger(ledger: AuditLedger | str | Path) -> Replay:
     checkpoint. On a path it never raises, whatever the path names or the
     file holds; an inconsistent ledger yields the index and description of
     its first inconsistency. An AuditLedger's replay raises LedgerCorrupt
-    at a line that is not JSON, as its every read does, and leaves the tail
-    its next append continues from.
+    at a line that is not JSON or a last line without its newline, as its
+    every read does, and leaves the tail its next append continues from.
 
     Checks, per entry: JSON shape, index order, hash-chain linkage, the
     entry's own content hash (SHA-256 of its canonical JSON without
@@ -270,7 +272,7 @@ def replay_ledger(ledger: AuditLedger | str | Path) -> Replay:
     try:
         return _walk(_Reader(path))
     except _BadLine as e:
-        return Replay(False, e.entries, f"line {e.line} is not valid JSON", e.entries)
+        return Replay(False, e.entries, e.detail, e.entries)
     except OSError as e:  # a directory, or a file this process may not read
         return Replay(False, None, f"cannot read ledger: {e}", 0)
 
@@ -286,7 +288,7 @@ def resume_replay(ledger: AuditLedger) -> Replay:
     start, reader = (_resume_point(ledger.path)
                      or (_EMPTY, _Reader(ledger.path, digest=hashlib.sha256())))
     replayed = _walk(ledger._stream(reader, start.last), start)
-    if replayed.consistent and replayed.n_entries > start.n_entries and reader.ends_line:
+    if replayed.consistent and replayed.n_entries > start.n_entries:
         _write_checkpoint(ledger.path, replayed, reader)
     return replayed
 
@@ -377,59 +379,50 @@ def _walk(entries: Iterable, start: Replay = _EMPTY) -> Replay:
 def _resume_point(path: Path) -> tuple[Replay, _Reader] | None:
     """The replay of the prefix `<ledger>.ckpt` covers and a reader at its
     end that carries on the prefix's digest, or None. The checkpoint is
-    used only if the ledger's first bytes hash to the prefix's SHA-256, the
-    prefix ends with its last entry's line, and the ledger's own entry 0
-    and last entry give the checkpoint's entry 0, entry count and carry."""
+    used only if the ledger's first bytes hash to the prefix's SHA-256, and
+    the ledger's own entry 0, its first line, and the prefix's last entry
+    give the checkpoint's entry 0, entry count and carry. That last entry
+    is the line that ends the prefix's final `_CHUNK` bytes, read in the
+    hash's own pass, so a last line of `_CHUNK` bytes or more means a full
+    replay."""
     try:
         ck = parse_json(_sidecar(path, ".ckpt").read_bytes().decode("utf-8"))
-        size, lines, count, tests, at = (ck[k] for k in (
-            "bytes", "lines", "entries", "tests_done", "last_line"))
+        size, count, tests = ck["bytes"], ck["entries"], ck["tests_done"]
         consumed, older = ck["consumed"], ck["older"]
-        # the last entry's line is read whole, so it may not be long
         if not (ck["version"] == _CHECKPOINT_VERSION
-                and all(type(v) is int for v in (size, lines, count, tests, at))
-                and 0 <= at < size and size - at <= _CHUNK and count >= 1 and tests >= 0
+                and all(type(v) is int for v in (size, count, tests))
+                and size > 0 and count >= 1 and tests >= 0
                 and isinstance(consumed, dict)
                 and all(type(v) is int for v in consumed.values())
                 and (older is None or isinstance(older, dict))):
             return None
-        digest = hashlib.sha256()
+        digest, left, step = hashlib.sha256(), size, (size - 1) % _CHUNK + 1
         with path.open("rb") as fh:
-            left = size
-            while left:
-                block = fh.read(min(left, _CHUNK))
-                if not block:  # the ledger is shorter than the prefix
+            first = parse_json(fh.readline().decode("utf-8"))
+            fh.seek(0)
+            while left:  # the last block read is the prefix's final _CHUNK bytes
+                block = fh.read(step)
+                if len(block) < step:  # the ledger is shorter than the prefix
                     return None
                 digest.update(block)
-                left -= len(block)
-            if digest.hexdigest() != ck["sha256"]:
-                return None
-            fh.seek(max(at - 1, 0))
-            before = fh.read(1) if at else b"\n"
-            tail = fh.read(size - at)
-            fh.seek(0)
-            first = next(parse_json(line.decode("utf-8"))
-                         for chunk in fh for line in chunk.splitlines() if line.strip())
-        # the last entry's line starts on a line boundary, and only blank
-        # lines follow it to the prefix's end, which ends a line
-        last_line, *rest = tail.splitlines()
-        last = parse_json(last_line.decode("utf-8"))
-        if (before not in (b"\n", b"\r") or not tail.endswith(b"\n")
-                or not last_line.strip() or any(r.strip() for r in rest)
-                or not all(isinstance(e, dict) and _REQUIRED.issubset(e)
-                           for e in (first, last))
+                left, step = left - step, _CHUNK
+        start = block.rfind(b"\n", 0, -1) + 1
+        if (digest.hexdigest() != ck["sha256"] or not block.endswith(b"\n")
+                or (start == 0 and len(block) < size)):
+            return None
+        last = parse_json(block[start:].decode("utf-8"))
+        if (not all(isinstance(e, dict) and _REQUIRED.issubset(e) for e in (first, last))
                 or first != ck["first"] or last["index"] + 1 != count):
             return None
         carry = float(last["alpha_carried_out"])
         if repr(carry) != repr(float(ck["carry"])):
             return None
         _family_numbers(first["family"])
-    except (OSError, ValueError, RecursionError, KeyError, TypeError, OverflowError,
-            StopIteration):
+    except (OSError, ValueError, RecursionError, KeyError, TypeError, OverflowError):
         return None
     replay = Replay(True, None, None, count, FallbackState(tests, carry), consumed,
                     first, older, last)
-    return replay, _Reader(path, _Cursor(size, lines, count), digest)
+    return replay, _Reader(path, _Cursor(size, count), digest)
 
 
 def _write_checkpoint(path: Path, replayed: Replay, reader: _Reader) -> None:
@@ -438,8 +431,7 @@ def _write_checkpoint(path: Path, replayed: Replay, reader: _Reader) -> None:
     state = replayed.state
     body = canonical_json({
         "version": _CHECKPOINT_VERSION, "bytes": reader.at.offset,
-        "lines": reader.at.line, "sha256": reader.digest.hexdigest(),
-        "last_line": reader.last_line, "entries": replayed.n_entries,
+        "sha256": reader.digest.hexdigest(), "entries": replayed.n_entries,
         "tests_done": state.tests_done, "carry": state.carry,
         "consumed": dict(replayed.consumed_at), "first": replayed.first,
         "older": replayed.older})

@@ -3,15 +3,15 @@
 run, recertify and monitor write their ledger entry through one
 transaction, `_Entry`: opening it locks the ledger and checks it, `spend`
 refuses consumed gating data and then allocates the fallback alpha, and
-`commit` appends the entry; the lock is released when the transaction's
-with block ends. Data files are read after it opens, by `_load`, whose
-errors name the file's role. run and recertify share `_certify`: the
-leakage screens first (a violation gates everything, and the entry spends
-no alpha), then the requirement family at the alpha `spend` allocated,
-then the informational sections; last, the report is staged, the entry
-committed and the report renamed into place. Reports carry no timestamps,
-so identical inputs reproduce identical bytes; wall-clock provenance
-lives in the ledger.
+`commit` appends the entry and fsyncs the ledger; the lock is released
+when the transaction's with block ends. Data files are read after it
+opens, by `_load`, whose errors name the file's role. run and recertify
+share `_certify`: the leakage screens first (a violation gates
+everything, and the entry spends no alpha), then the requirement family
+at the alpha `spend` allocated, then the informational sections; last,
+the report is staged, the entry committed and the report renamed into
+place. Reports carry no timestamps, so identical inputs reproduce
+identical bytes; wall-clock provenance lives in the ledger.
 """
 
 from __future__ import annotations
@@ -259,11 +259,12 @@ class _Entry:
 
     def commit(self, kind: str, verdict: str, demonstrated: bool | None,
                dataset_hashes: dict, decisions: list[dict]) -> dict:
-        """Append the entry. demonstrated=None marks an entry that tested
-        nothing: it spends no alpha, gates no data, and passes the carry on."""
+        """Append the entry and fsync the ledger. demonstrated=None marks an
+        entry that tested nothing: it spends no alpha, gates no data, and
+        passes the carry on."""
         tested = demonstrated is not None
         config, state = self.config, self.state
-        return self.ledger.append(
+        entry = self.ledger.append(
             kind=kind,
             model_id=config.model_id,
             family=config.family_snapshot(),
@@ -279,6 +280,8 @@ class _Entry:
             demonstrated=demonstrated,
             verdict=verdict,
         )
+        self.ledger.sync()
+        return entry
 
 
 def _as_config(config: AuditConfig | str | Path) -> AuditConfig:

@@ -8,6 +8,7 @@ right entry index on replay.
 
 import fcntl
 import json
+import os
 import random
 import re
 import shutil
@@ -22,8 +23,9 @@ import pytest
 import yaml
 
 from statcert.audit.config import load_config
-from statcert.audit.ledger import (_REQUIRED_FIELDS, AuditLedger, FallbackState, _resume_point,
-                                   entry_hash, replay_ledger, resume_replay, verify_ledger)
+from statcert.audit.ledger import (_CHUNK, _REQUIRED_FIELDS, AuditLedger, FallbackState,
+                                   _resume_point, entry_hash, replay_ledger, resume_replay,
+                                   verify_ledger)
 from statcert.audit.report import AuditReport, payload_hash
 from statcert.audit.runner import _Entry, monitor_step, recertify, run_audit
 from statcert.core import canonical_json, load_dataset, sha256_hex
@@ -674,6 +676,20 @@ class TestStreamedReplay:
                 tracemalloc.stop()
         assert peaks[1] <= 2 * peaks[0], peaks
 
+    def test_append_refuses_a_last_line_without_its_newline(self, tmp_path):
+        # it used to glue its entry onto that line, which then read as not JSON
+        path = tmp_path / "l.jsonl"
+        quiet_ledger(path, 3)
+        path.write_bytes(path.read_bytes()[:-1])
+        kept = path.read_bytes()
+        with pytest.raises(LedgerCorrupt, match=r"l\.jsonl:3: has no newline$"):
+            AuditLedger(path).append(kind="monitor", model_id="m", family=FAMILY,
+                                     dataset_hashes={}, gating_hashes=[], seed=1,
+                                     test_bearing=False, alpha_allocated=0.0,
+                                     alpha_carried_in=0.02, alpha_carried_out=0.02,
+                                     decisions=[], demonstrated=None, verdict="ok")
+        assert path.read_bytes() == kept
+
     @pytest.mark.parametrize("replayed", [False, True])
     def test_append_continues_the_file(self, tmp_path, replayed):
         # an unread ledger finds its tail on the first append, a replayed
@@ -739,7 +755,7 @@ def break_chain_after_k(entries):
 
 
 def blank_and_cr_after_k(entries, then=""):
-    # blank lines, lone \r and \r\n endings: line numbers past them stay absolute
+    # blank lines, lone \r and \r\n endings: the first blank line is not JSON
     cr = "\r".join(canonical_json(e) for e in entries[K:K + 3])
     return (lines(entries[:K]) + "\n  \n" + cr + "\r\n\n" + then
             + "\r\n".join(canonical_json(e) for e in entries[K + 3:]) + "\r\n")
@@ -842,8 +858,8 @@ class TestResumedReplay:
             "reuse after L": (14, "gating hash 07c15471a451 was consumed by entry 3", 30,
                               False),
             "version-1 entry after L": (None, None, 30, True),
-            "blank and CR lines after L": (None, None, 30, False),
-            "blank and CR lines, then bad JSON": "19: not valid JSON",
+            "blank and CR lines after L": "13: not valid JSON",
+            "blank and CR lines, then bad JSON": "13: not valid JSON",
         }
 
     def test_checkpoint_covers_the_new_entries(self, tmp_path, entries):
@@ -853,7 +869,7 @@ class TestResumedReplay:
         resume_replay(AuditLedger(path))
         start, reader = _resume_point(path)
         assert start == replay_ledger(AuditLedger(path))
-        assert reader.at == (len(lines(entries)), len(entries), len(entries))
+        assert reader.at == (len(lines(entries)), len(entries))
 
     @pytest.mark.parametrize("edited", [0, K // 2, K - 1])
     def test_edit_before_the_checkpoint_is_caught(self, tmp_path, entries, edited):
@@ -876,9 +892,8 @@ class TestResumedReplay:
 
     @pytest.mark.parametrize("ckpt", [
         "stale", "ledger truncated", "other ledger", "truncated", "garbage", "empty object",
-        "not an object", "deep", "count", "carry", "first", "last line inside a line",
-        "last line too early", "prefix inside a line", "version", "consumed not indices",
-        "negative size"])
+        "not an object", "deep", "count", "carry", "first", "prefix inside a line",
+        "version", "consumed not indices", "negative size"])
     def test_checkpoint_that_does_not_match_is_ignored(self, tmp_path, entries, ckpt):
         path = tmp_path / "l.jsonl"
         checkpoint(path, lines(entries[:K]))
@@ -909,10 +924,6 @@ class TestResumedReplay:
             self.forged(path, carry=good["carry"] + 0.01)
         elif ckpt == "first":
             self.forged(path, first={**good["first"], "seed": 7})
-        elif ckpt == "last line inside a line":
-            self.forged(path, last_line=good["last_line"] + 1)
-        elif ckpt == "last line too early":
-            self.forged(path, last_line=0)
         elif ckpt == "prefix inside a line":
             cut = len(prefix) - 5
             self.forged(path, bytes=cut, sha256=sha256_hex(prefix[:cut]))
@@ -944,9 +955,33 @@ class TestResumedReplay:
                 "unterminated": lines(entries)[:-1], "empty": ""}.get(ledger)
         if text is not None:
             path.write_text(text)
-        replayed = resume_replay(AuditLedger(path))
-        assert replayed.consistent == (ledger != "inconsistent")
+        if ledger == "unterminated":
+            with pytest.raises(LedgerCorrupt, match=r"l\.jsonl:30: has no newline$"):
+                resume_replay(AuditLedger(path))
+        else:
+            replayed = resume_replay(AuditLedger(path))
+            assert replayed.consistent == (ledger != "inconsistent")
         assert not ckpt_path(path).exists()
+
+    @pytest.mark.parametrize("long_entry", [K - 2, K - 1], ids=["before the last", "last"])
+    def test_line_longer_than_a_chunk(self, tmp_path, entries, long_entry):
+        # the prefix's last entry is the line that ends its final _CHUNK
+        # bytes: a long line before it still lets the replay resume, even
+        # where chunks counted from the start would split the last line in
+        # two; a last line longer than _CHUNK means a full replay
+        path = tmp_path / "l.jsonl"
+        last, size = len(lines(entries[K - 1:K])), len(lines(entries[:K]))
+        pad = _CHUNK + last // 2 - size if long_entry == K - 2 else _CHUNK
+        entries[long_entry]["model_id"] += "m" * pad
+        rechain(entries, long_entry)
+        path.write_text(lines(entries[:K]))
+        resume_replay(AuditLedger(path))
+        assert ckpt_path(path).exists()
+        assert (_resume_point(path) is None) == (long_entry == K - 1)
+        path.write_text(lines(entries))
+        full = replay_outcome(replay_ledger, path)
+        assert full[0].consistent
+        assert replay_outcome(resume_replay, path) == full
 
     def test_failed_checkpoint_write_changes_nothing(self, tmp_path, entries):
         path = tmp_path / "l.jsonl"
@@ -956,6 +991,30 @@ class TestResumedReplay:
         assert resume_replay(AuditLedger(path)) == replay_ledger(path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "l.jsonl", "l.jsonl.ckpt", "seeded.jsonl"]
+
+
+class TestDurableCommit:
+    """A write command fsyncs the ledger once its entry is appended."""
+
+    @pytest.mark.parametrize("command", ["run", "monitor"])
+    def test_committed_entry_is_fsynced(self, example_copy, monkeypatch, command):
+        cfg = load_config(example_copy / "audit.yaml")
+        if command == "monitor":
+            run_audit(cfg)
+        synced, fsync = [], os.fsync
+
+        def recorded(fd):
+            st = os.fstat(fd)
+            synced.append((st.st_ino, st.st_size))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recorded)
+        if command == "run":
+            run_audit(cfg)
+        else:
+            monitor_step(cfg.ledger_path, cfg, TestMonitor().window(example_copy, "window.csv"))
+        ledger = cfg.ledger_path.stat()
+        assert (ledger.st_ino, ledger.st_size) in synced
 
 
 class TestReusedGatingData:

@@ -294,6 +294,58 @@ def test_non_utf8_ledger_exits_3(ws, name):
     assert "2: not valid JSON" in result.stderr
 
 
+def strip_final_newline(ws):
+    ledger = ws / "audit_ledger.jsonl"
+    ledger.write_bytes(ledger.read_bytes()[:-1])
+    return ledger
+
+
+def test_ledger_without_its_final_newline_is_inconsistent_exits_3(ws):
+    # it used to verify, and the next append glued its entry onto line 1
+    certify(ws)
+    result = invoke("verify-ledger", strip_final_newline(ws))
+    assert result.exit_code == 3
+    assert json.loads(result.stdout) == {
+        "consistent": False, "detail": "line 1 has no newline",
+        "first_inconsistency": 0, "n_entries": 0}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_ledger_without_its_final_newline_exits_3_unchanged(ws, name):
+    certify(ws)
+    kept = strip_final_newline(ws).read_bytes()
+    result = invoke(*command(name, ws))
+    assert result.exit_code == 3
+    assert "audit_ledger.jsonl:1: has no newline" in result.stderr
+    assert (ws / "audit_ledger.jsonl").read_bytes() == kept
+
+
+@pytest.mark.parametrize("joint, detail, entries", [
+    (b"\n\n", "line 2 is not valid JSON", 1), (b"\r", "line 1 is not valid JSON", 0)],
+    ids=["blank line", "lone CR"])
+def test_line_that_is_not_one_entry_exits_3(ws, joint, detail, entries):
+    certify(ws)
+    assert invoke(*command("monitor", ws)).exit_code == 0
+    ledger = ws / "audit_ledger.jsonl"
+    first, second = ledger.read_bytes().splitlines()
+    ledger.write_bytes(first + joint + second + b"\n")
+    result = invoke("verify-ledger", ledger)
+    assert result.exit_code == 3
+    assert json.loads(result.stdout) == {
+        "consistent": False, "detail": detail, "first_inconsistency": entries,
+        "n_entries": entries}
+
+
+def test_ledger_with_crlf_line_endings_verifies(ws):
+    certify(ws)
+    assert invoke(*command("monitor", ws)).exit_code == 0
+    ledger = ws / "audit_ledger.jsonl"
+    ledger.write_bytes(ledger.read_bytes().replace(b"\n", b"\r\n"))
+    result = invoke("verify-ledger", ledger)
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["n_entries"] == 2
+
+
 def rehash_entry_0(ws, **fields):
     """Entry 0 with `fields` replaced and its hash recomputed, so only its
     content, not its integrity, is wrong."""
