@@ -19,7 +19,8 @@ from typing import Mapping, get_args, get_origin, get_type_hints
 
 import yaml
 
-from ..core import METRICS, ROLES, MprSpec, SaddRecord
+from ..core import (ATTACKS, DUPLICATE_KEYS, FAIRNESS_METRICS, METRICS, NORMS, OOD_METHODS,
+                    ROLES, MprSpec, SaddRecord)
 from ..errors import ConfigInvalid, ValidationError
 
 SHARE_TOL = 1e-9
@@ -337,12 +338,6 @@ def _artifact_path(raw: dict, key: str, default: str, base: Path) -> Path:
 
 
 def load_config(path: str | Path) -> AuditConfig:
-    # the value sets live in the check modules, which load scipy: import them
-    # here, not with this module
-    from ..fairness import FAIRNESS_METRICS
-    from ..leakage import DUPLICATE_KEYS
-    from ..robustness import ATTACKS, NORMS, OOD_METHODS
-
     path = Path(path)
     # as bytes, which PyYAML decodes as UTF-8 or UTF-16 whatever the locale
     try:

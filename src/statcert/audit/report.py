@@ -11,9 +11,8 @@ identical bytes. `AuditReport.write` is the one report writer.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..canonical import canonical_json, sha256_hex
 
@@ -24,8 +23,9 @@ def payload_hash(payload: dict) -> str:
     return sha256_hex(canonical_json(payload) + "\n")
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
+    """One report: its payload, and the bytes and hash written from it."""
+
     payload: dict
 
     @property

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .. import __version__
 from ..canonical import FallbackState, canonical_json
@@ -32,15 +31,8 @@ from ..errors import (ConfigInvalid, DataLoadError, FamilyAlphaExhausted,
                       FamilyMismatch, InconclusiveVerdict, LedgerCorrupt,
                       LedgerVersionMismatch, NoReferenceBatch, StaleDataReuse,
                       StatcertError)
-from ..fairness import GroupedOutcomes, fairness_mpr_check
-from ..leakage import (duplicate_check, group_leakage_check, target_proxy_screen,
-                       temporal_split_check)
-from ..robustness import (SubprocessPredictor, calibrate_threshold, evaluate_ood,
-                          fit_ood_scorer, robust_accuracy)
 from ..sampling import splitmix64
 from ..stattest import evaluate_mpr
-from ..uncertainty import (decompose, evaluate_uncertainty_quality, load_ensembles,
-                           uncertainty_fallback)
 from .config import AuditConfig, load_config
 from .ledger import AuditLedger, resume_replay
 from .report import SCHEMA_VERSION, AuditReport
@@ -60,6 +52,8 @@ def _leakage_section(config: AuditConfig, datasets: dict[str, Dataset]):
     settings = config.leakage
     if not settings.enabled:
         return False, {"gate": "skipped", "reports": []}
+    from ..leakage import (duplicate_check, group_leakage_check, target_proxy_screen,
+                           temporal_split_check)
     train = datasets[settings.train]
     test = datasets[settings.test]
     reports = [duplicate_check(train, test, key=settings.duplicate_key)]
@@ -99,6 +93,8 @@ def _requirement_sections(config: AuditConfig, datasets: dict[str, Dataset],
         mpr_rows.append(row(req, test, req.spec.metric_id, metric.value,
                             req.spec.threshold, metric.n, direction=req.spec.direction))
     fairness_rows = []
+    if config.fairness:
+        from ..fairness import GroupedOutcomes, fairness_mpr_check
     for j, req in enumerate(config.fairness):
         test = fairness_mpr_check(
             GroupedOutcomes.from_dataset(datasets[req.dataset]),
@@ -137,6 +133,8 @@ def _aux_sections(config: AuditConfig, datasets: dict[str, Dataset]) -> dict:
         }
 
     if config.uncertainty is not None:
+        from ..uncertainty import (decompose, evaluate_uncertainty_quality,
+                                   load_ensembles, uncertainty_fallback)
         ensembles = load_ensembles(config.uncertainty.ensembles)
         decomps = [decompose(e) for e in ensembles]
         thresholds = config.uncertainty.abstain_thresholds
@@ -160,6 +158,7 @@ def _aux_sections(config: AuditConfig, datasets: dict[str, Dataset]) -> dict:
         checks["uncertainty"] = section
 
     if config.ood is not None:
+        from ..robustness import calibrate_threshold, evaluate_ood, fit_ood_scorer
         scorer = fit_ood_scorer(datasets[config.ood.reference], config.ood.method,
                                 config.ood.params)
         threshold = calibrate_threshold(scorer, datasets[config.ood.validation],
@@ -174,6 +173,7 @@ def _aux_sections(config: AuditConfig, datasets: dict[str, Dataset]) -> dict:
         checks["ood"] = rows
 
     if config.robustness is not None:
+        from ..robustness import SubprocessPredictor, robust_accuracy
         rs = config.robustness
         command = [str(config.base_dir / c) if (config.base_dir / c).is_file() else c
                    for c in rs.predictor_command]
@@ -328,6 +328,7 @@ def _certify(entry: _Entry, kind: str, updated_model_data: Dataset | None = None
                             "rerun must reproduce them, and new evidence goes "
                             "through recertify")
 
+    import scipy  # for its version only
     plain = config.as_plain()
     report = AuditReport({
         "schema_version": SCHEMA_VERSION,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def _numpy_value(obj):
@@ -66,14 +66,15 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class FallbackState:
+class FallbackState(NamedTuple):
     """Position in the fallback recurrence: how many hypotheses have been
     tested and the alpha carried into the next one.
 
     This is the one statement of the rule that the procedure, the
     simulator, and the certification ledger all replay. The carry may be a
-    numpy array to advance many independent sequences at once.
+    numpy array to advance many independent sequences at once. A named
+    tuple, not a frozen dataclass, like `ledger.Replay`: `dataclasses`
+    loads `inspect`, which `verify-ledger` and `report` need not pay for.
     """
 
     tests_done: int

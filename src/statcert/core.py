@@ -46,6 +46,15 @@ _SINGLETON_ROLES = ("label", "prediction", "group", "group_id", "timestamp", "sp
 
 SPLIT_TAGS = ("train", "validation", "test", "production")
 
+# the values of the check modules' options: here, not in those modules, so
+# that the config validates them without loading the modules
+FAIRNESS_METRICS = ("statistical_parity", "equal_opportunity", "equalized_odds")
+DUPLICATE_KEYS = ("exact_features", "feature_hash")
+OOD_METHODS = ("density_histogram", "density_kde", "distance_centroid",
+               "distance_knn", "max_softmax")
+NORMS = ("l1", "l2", "linf")
+ATTACKS = ("random_search", "coordinate_descent", "gradient_free_boundary")
+
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 

@@ -16,8 +16,6 @@ from .core import Dataset
 from .errors import EmptyCell, EmptyGroup, InvalidResampleCount, ValidationError
 from .stattest import BOOTSTRAP_MIN_B, TestResult, percentile_pvalue
 
-FAIRNESS_METRICS = ("statistical_parity", "equal_opportunity", "equalized_odds")
-
 
 @dataclass(frozen=True)
 class GroupedOutcomes:

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import DUPLICATE_KEYS, Dataset
 from .errors import MissingColumn, SchemaMismatch, TooFewSamples, ValidationError
 from .stattest import rank_auroc
 
-DUPLICATE_KEYS = ("exact_features", "feature_hash")
 PROXY_MIN_ROWS = 100
 
 

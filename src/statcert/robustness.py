@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Dataset
+from .core import ATTACKS, NORMS, OOD_METHODS, Dataset
 from .errors import (
     BudgetZero,
     DegenerateScores,
@@ -31,8 +31,6 @@ from .stattest import rank_auroc
 
 logger = logging.getLogger(__name__)
 
-OOD_METHODS = ("density_histogram", "density_kde", "distance_centroid",
-               "distance_knn", "max_softmax")
 DENSITY_FLOOR = 1e-12
 
 
@@ -245,9 +243,6 @@ class SubprocessPredictor:
         self.close()
 
 
-NORMS = ("l1", "l2", "linf")
-
-
 @dataclass(frozen=True)
 class RobustnessResult:
     """Attack outcome. robust_accuracy_lower_bound keeps its traditional
@@ -293,9 +288,6 @@ def _unit_ball_sample(rng: np.random.Generator, d: int, norm: str) -> np.ndarray
 def _gray_corner(index: int, d: int) -> np.ndarray:
     g = index ^ (index >> 1)
     return np.array([1.0 if (g >> j) & 1 else -1.0 for j in range(d)])
-
-
-ATTACKS = ("random_search", "coordinate_descent", "gradient_free_boundary")
 
 
 def _attack_sample(predict: Callable[[np.ndarray], int], x: np.ndarray, y: int,

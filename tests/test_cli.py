@@ -16,13 +16,13 @@ from pathlib import Path
 
 import pytest
 import yaml
-from click.testing import CliRunner
 
 from statcert.audit.config import load_config
 from statcert.audit.ledger import entry_hash
-from statcert.cli import main
 from statcert.core import canonical_json
 from statcert.errors import ConfigInvalid
+
+from cli_runner import invoke
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "example"
 COMMANDS = ("run", "recertify", "monitor")
@@ -33,10 +33,6 @@ def ws(tmp_path):
     dst = tmp_path / "example"
     shutil.copytree(EXAMPLE, dst)
     return dst
-
-
-def invoke(*args):
-    return CliRunner().invoke(main, [str(a) for a in args])
 
 
 def command(name, ws, config="audit.yaml", point_check=None):
@@ -55,7 +51,7 @@ def command(name, ws, config="audit.yaml", point_check=None):
 
 def certify(ws, config="audit.yaml"):
     result = invoke("run", ws / config)
-    assert result.exit_code in (0, 1), result.output
+    assert result.exit_code in (0, 1), result.stderr
     return result
 
 
@@ -270,7 +266,7 @@ def test_ensembles_string_may_hold_a_line_separator(ws):
     lines = ['{"members": [[0.9, 0.1]], "note": "a\u2028b", "correct": true}',
              '{"members": [[0.2, 0.8]], "correct": false}']
     result = invoke("run", ws / with_ensembles(ws, "\n".join(lines).encode() + b"\n"))
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 0, result.stderr
 
 
 def test_non_utf8_ledger_is_inconsistent_exits_3(ws):
@@ -650,7 +646,7 @@ def test_ledger_of_older_schema_version_exits_2(ws, name):
 
 def test_fairness_example_demonstrates_both_requirements(ws):
     result = invoke("run", ws / "audit_fairness.yaml")
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 0, result.stderr
     assert result.stdout.startswith("verdict: pass\n")
     report = ws / "audit_fairness_report.json"
     [row] = json.loads(report.read_text())["checks"]["fairness"]
@@ -756,7 +752,7 @@ def test_monitor_reads_no_bound_dataset_but_its_reference(ws, tmp_path):
     expected = invoke(*command("monitor", ws))
     result = invoke(*command("monitor", twin))
     assert expected.exit_code == 0
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 0, result.stderr
     assert result.stdout == expected.stdout
 
 
@@ -873,13 +869,23 @@ def test_config_that_is_not_text_exits_2(ws):
     assert not (ws / "audit_ledger.jsonl").exists()
 
 
-def test_config_is_read_as_utf8_whatever_the_locale(ws):
-    # an ASCII locale used to end `run` in a UnicodeDecodeError, exit 1
+def accented_config(ws):
+    """A copy of the example config whose SADD text holds an `é`."""
     raw = yaml.safe_load((ws / "audit.yaml").read_text(encoding="utf-8"))
     raw["sadd"]["operating_context"] = "Capteurs déployés sur la flotte."
     config = ws / "accented.yaml"
     config.write_text(yaml.safe_dump(raw, allow_unicode=True), encoding="utf-8")
     assert "é".encode() in config.read_bytes()
+    return config
+
+
+# the C locale, with no UTF-8 mode to override it: stdout encodes ASCII
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def test_config_is_read_as_utf8_whatever_the_locale(ws):
+    # an ASCII locale used to end `run` in a UnicodeDecodeError, exit 1
+    config = accented_config(ws)
 
     def run(**env):
         result = subprocess.run([sys.executable, "-m", "statcert.cli", "run", config],
@@ -892,8 +898,101 @@ def test_config_is_read_as_utf8_whatever_the_locale(ws):
         return written
 
     utf8 = run(PYTHONUTF8="1")
-    assert run(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0") == utf8
+    assert run(**ASCII_LOCALE) == utf8
     assert json.loads(utf8)["sadd"]["operating_context"].startswith("Capteurs déployés")
+
+
+def test_markdown_report_is_utf8_whatever_the_locale(ws):
+    # print() to an ASCII stdout would raise UnicodeEncodeError, exit 1
+    certify(ws, accented_config(ws).name)
+
+    def render(**env):
+        result = subprocess.run([sys.executable, "-m", "statcert.cli", "report", "--path",
+                                 ws / "audit_report.json", "--format", "markdown"],
+                                capture_output=True, env={**os.environ, **env})
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == b""
+        return result.stdout
+
+    utf8 = render(PYTHONUTF8="1")
+    assert render(**ASCII_LOCALE) == utf8
+    assert "1. Capteurs déployés sur la flotte.\n".encode() in utf8
+
+
+def test_markdown_report_drops_ansi_escapes_off_a_terminal(ws):
+    certify(ws)
+    path = ws / "audit_report.json"
+    payload = json.loads(path.read_text())
+    payload["sadd"]["operating_context"] = "\x1b[31mred\x1b[0m sensors"
+    path.write_text(json.dumps(payload))
+    result = invoke("report", "--path", path, "--format", "markdown")
+    assert result.exit_code == 0
+    assert "\n1. red sensors\n" in result.stdout
+    assert "\x1b" not in result.stdout
+
+
+def tree(root):
+    return sorted((p.relative_to(root), p.stat().st_mtime_ns) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("args", [
+    (),
+    ("certify", "audit.yaml"),
+    ("run",),
+    ("run", "missing.yaml"),
+    ("run", "data"),
+    ("run", "audit.yaml", "extra.yaml"),
+    ("recertify", "audit.yaml"),
+    ("recertify", "missing.yaml", "--ledger", "audit_ledger.jsonl"),
+    ("recertify", "audit.yaml", "--ledger", "missing.jsonl"),
+    ("recertify", "audit.yaml", "--ledger", "data"),
+    ("monitor", "audit.yaml"),
+    ("monitor", "missing.yaml", "--window", "data/window.csv"),
+    ("monitor", "audit.yaml", "--window", "data/missing.csv"),
+    ("monitor", "audit.yaml", "--window", "data/window.csv", "--point-check",
+     "data/missing.csv"),
+    # option names are never abbreviated
+    ("monitor", "audit.yaml", "--window", "data/window.csv", "--point",
+     "data/point_check.csv"),
+    ("verify-ledger",),
+    ("verify-ledger", "data"),
+    ("report", "--path", "missing.json"),
+    ("report", "--path", "audit_report.json", "--format", "xml"),
+    ("report", "--path", "audit_report.json", "--format", "JSON"),
+], ids=" ".join)
+def test_usage_error_exits_2_before_the_command_runs(ws, monkeypatch, args):
+    certify(ws)
+    monkeypatch.chdir(ws)
+    before = tree(ws)
+    result = invoke(*args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "usage:" in result.stderr.lower()
+    assert tree(ws) == before
+
+
+def test_report_without_the_default_file_exits_2(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    result = invoke("report")
+    assert result.exit_code == 2
+    assert "audit_report.json" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["", "run", "recertify", "monitor", "verify-ledger",
+                                     "report"])
+def test_help_exits_0(command):
+    result = invoke(*command.split(), "--help")
+    assert result.exit_code == 0
+    assert result.stdout.lower().startswith("usage:")
+    assert result.stderr == ""
+
+
+def test_verify_ledger_on_a_missing_file_is_inconsistent_exits_3(ws):
+    result = invoke("verify-ledger", ws / "missing.jsonl")
+    assert result.exit_code == 3
+    assert json.loads(result.stdout) == {
+        "consistent": False, "detail": f"ledger file not found: {ws / 'missing.jsonl'}",
+        "first_inconsistency": None, "n_entries": 0}
 
 
 def sidecar(ws, suffix):

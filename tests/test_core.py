@@ -1,5 +1,6 @@
 """Dataset model, metric registry, and empirical risk."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -430,6 +431,18 @@ class TestCanonicalCells:
         one_to_one, distinct = same_partition(*columns)
         assert one_to_one
         assert distinct < sum(len(c) for c in columns)  # "1.5" is 1.5, 5 is 5.0
+
+
+    def test_row_digests_hash_every_byte_of_each_row(self):
+        # a cell of 0.0 or of 1e11 and above ends in the zero high bytes of
+        # its little-endian int64 exponent, which a NUL-stripping `S` view
+        # of the row would drop
+        ds = build_dataset({"a": [0.0, 1.0, -2.5, 3.0], "b": [0.0, 1e11, 1.5e14, 0.0]},
+                           {"a": "feature", "b": "feature"})
+        rows = ds.canonical_rows(["a", "b"])
+        assert all(row[-1] == 0 for row in rows)
+        want = [hashlib.blake2b(bytes(row), digest_size=16).digest() for row in rows]
+        assert ds.row_digests(["b", "a"]).tolist() == want
 
 
 class TestSaddRecord:

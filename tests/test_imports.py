@@ -2,8 +2,11 @@
 
 scipy.stats alone takes about a second to import and numpy a sixth of one,
 so `verify-ledger` and `report` must load no scipy, numpy or yaml at all,
-and the runner no scipy.stats; scipy.special waits for the first exact
-test. Each check runs in a fresh interpreter, one per test.
+nor the `dataclasses` module and the `inspect` it pulls in; the CLI is
+argparse, with no click. The runner loads no scipy.stats, and a monitor
+window with no shift no scipy and none of the check modules its config
+does not run; scipy.special waits for the first exact test. Each check
+runs in a fresh interpreter, one per test.
 """
 
 import json
@@ -15,7 +18,8 @@ from pathlib import Path
 
 from statcert.audit.runner import run_audit
 
-EXAMPLE = Path(__file__).resolve().parent.parent / "example"
+TESTS = Path(__file__).resolve().parent
+EXAMPLE = TESTS.parent / "example"
 
 
 def run_python(code: str, *args: str) -> list:
@@ -28,16 +32,17 @@ def run_python(code: str, *args: str) -> list:
 
 def modules_loaded_by_ledger_commands(tmp_path, roots: tuple[str, ...]) -> list:
     """The loaded modules under any of `roots`: after `import statcert.cli`,
-    then after `verify-ledger` and after `report` run through CliRunner."""
+    then after `verify-ledger` and after `report` run in process."""
     work = tmp_path / "example"
     shutil.copytree(EXAMPLE, work)
     run_audit(work / "audit.yaml").write(work / "audit_report.json")
     return run_python("""
         import json, sys
-        from click.testing import CliRunner
         import statcert.cli
 
         roots = set(sys.argv[3].split(","))
+        sys.path.insert(0, sys.argv[4])
+        from cli_runner import invoke
 
         def loaded_modules():
             return sorted(m for m in sys.modules if m.split(".")[0] in roots)
@@ -45,12 +50,12 @@ def modules_loaded_by_ledger_commands(tmp_path, roots: tuple[str, ...]) -> list:
         loaded = [loaded_modules()]
         for args in (["verify-ledger", sys.argv[1]],
                      ["report", "--path", sys.argv[2], "--format", "markdown"]):
-            result = CliRunner().invoke(statcert.cli.main, args)
-            assert result.exit_code == 0, result.output
+            result = invoke(*args)
+            assert result.exit_code == 0, result.stderr
             loaded.append(loaded_modules())
         print(json.dumps(loaded))
         """, str(work / "audit_ledger.jsonl"), str(work / "audit_report.json"),
-        ",".join(roots))
+        ",".join(roots), str(TESTS))
 
 
 def test_cli_and_its_ledger_and_report_commands_load_no_scipy(tmp_path):
@@ -61,6 +66,13 @@ def test_cli_and_its_ledger_and_report_commands_load_no_numpy_or_yaml(tmp_path):
     # canonical JSON, the ledger replay and the markdown view are standard
     # library code
     assert modules_loaded_by_ledger_commands(tmp_path, ("numpy", "yaml")) == [[], [], []]
+
+
+def test_cli_and_its_ledger_and_report_commands_load_no_click_or_dataclasses(tmp_path):
+    # `dataclasses` imports `inspect`: with click, about half of what
+    # `import statcert.cli` cost over a bare interpreter
+    assert modules_loaded_by_ledger_commands(
+        tmp_path, ("click", "dataclasses", "inspect")) == [[], [], []]
 
 
 def test_runner_loads_no_scipy_stats():
@@ -94,6 +106,27 @@ def test_scipy_special_loads_at_the_first_exact_test(tmp_path):
         print(json.dumps(loaded))
         """, str(work / "audit.yaml"), str(work / "data" / "window.csv"))
     assert loaded == ["ok", False, "pass", True]
+
+
+def test_monitor_without_a_shift_loads_no_scipy_and_no_unused_check(tmp_path):
+    # a monitor runs no leakage screen, fairness test, uncertainty or OOD or
+    # robustness section, whatever its config declares (the example's
+    # declares the leakage gate), and a window with no shift no exact test
+    work = tmp_path / "example"
+    shutil.copytree(EXAMPLE, work)
+    run_audit(work / "audit.yaml")
+    loaded = run_python("""
+        import json, sys
+        from statcert.audit.runner import monitor_step
+
+        verdict = monitor_step(sys.argv[1], sys.argv[2], sys.argv[3]).verdict
+        print(json.dumps([verdict, sorted(
+            m for m in sys.modules if m.split(".")[0] == "scipy" or m in (
+                "statcert.fairness", "statcert.leakage", "statcert.robustness",
+                "statcert.uncertainty"))]))
+        """, str(work / "audit_ledger.jsonl"), str(work / "audit.yaml"),
+        str(work / "data" / "window.csv"))
+    assert loaded == ["ok", []]
 
 
 def test_rank_auroc_loads_no_scipy_stats():
