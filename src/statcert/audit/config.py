@@ -326,14 +326,19 @@ def _need_dataset(name: str, datasets: dict, where: str) -> DatasetBinding:
     return datasets[name]
 
 
-def _artifact_path(raw: dict, key: str, default: str, base: Path) -> Path:
+def _artifact_path(raw: dict, key: str, default: str, base: Path,
+                   taken: dict[Path, str]) -> Path:
     """The file a command writes under `key`, refused here, before any data
-    is read, when it is a directory or its directory does not exist."""
+    is read, when it is a directory, its directory does not exist or it is
+    a file `taken` names, which it would overwrite; then added to `taken`."""
     path = (base / _convert(raw.get(key, default), str, key)).resolve()
     if path.is_dir():
         raise ConfigInvalid(f"{key}: {path} is a directory")
     if not path.parent.is_dir():
         raise ConfigInvalid(f"{key}: directory {path.parent} does not exist")
+    if path in taken:
+        raise ConfigInvalid(f"{key}: {path} is the same file as {taken[path]}")
+    taken[path] = key
     return path
 
 
@@ -464,6 +469,13 @@ def load_config(path: str | Path) -> AuditConfig:
         _need_roles(_need_dataset(robustness.dataset, datasets, "robustness.dataset"),
                     ("feature", "label"), "robustness")
 
+    # every file the config names, resolved: neither artifact may overwrite one
+    taken = {path.resolve(): "config",
+             **{b.path: f"datasets.{b.name}.path" for b in datasets.values()}}
+    if uncertainty is not None:
+        taken[uncertainty.ensembles] = "uncertainty.ensembles"
+    for i, scenario in enumerate(ood.scenarios if ood is not None else ()):
+        taken[scenario.path] = f"ood.scenarios[{i}].path"
     return AuditConfig(
         base_dir=base,
         seed=_convert(raw.get("seed", 0), int, "seed"),
@@ -479,6 +491,6 @@ def load_config(path: str | Path) -> AuditConfig:
         uncertainty=uncertainty,
         ood=ood,
         robustness=robustness,
-        ledger_path=_artifact_path(raw, "ledger", "audit_ledger.jsonl", base),
-        report_path=_artifact_path(raw, "report", "audit_report.json", base),
+        ledger_path=_artifact_path(raw, "ledger", "audit_ledger.jsonl", base, taken),
+        report_path=_artifact_path(raw, "report", "audit_report.json", base, taken),
     )

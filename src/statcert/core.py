@@ -411,21 +411,8 @@ def _load_csv_text(path: Path, roles: Mapping[str, str]) -> Dataset:
 # which numpy's C reader splits as csv.reader does and parses as float() and
 # int() do: both round decimals correctly.
 _PLAIN_BYTES = b"0123456789.+-eE,\n"
-
-
-def _read_plain(data: bytes, dtype, usecols: list[int] | None = None) -> np.ndarray | None:
-    """The body of `data` as a 2-D array read by numpy's C reader, or None
-    on a cell it refuses: a malformed number, an empty cell, a row of
-    another length, an integer outside `dtype`, or no row at all."""
-    try:
-        with warnings.catch_warnings():
-            # numpy warns on a body of blank lines, and older numpy reads
-            # '3.0' as the int64 3 under a DeprecationWarning
-            warnings.simplefilter("error")
-            return np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",",
-                              comments=None, skiprows=1, usecols=usecols, ndmin=2)
-    except (ValueError, Warning):
-        return None
+# the first non-blank line after the header's newline
+_FIRST_ROW = re.compile(rb"\n+([^\n]*)")
 
 
 def _plain_numeric_columns(data: bytes, roles: Mapping[str, str]
@@ -433,8 +420,10 @@ def _plain_numeric_columns(data: bytes, roles: Mapping[str, str]
     """The declared columns of CSV file content `data` parsed in C, when
     every byte after the header line is a digit, one of '.+-eE', a comma
     or a newline; equal in dtype and bytes to what `_load_csv_text` makes
-    of it. None when the file is not plain numeric or a cell needs
-    `_load_csv_text` to decide, which then reads the whole file."""
+    of it. The first data row picks the dtypes: int64 for a declared
+    column whose cell there is an integer, float64 for every other
+    column. None when the file is not plain numeric or numpy's reader
+    refuses a cell, and `_load_csv_text` then reads the whole file."""
     if any(role in ("group_id", "split") for role in roles.values()):
         return None
     end = data.find(b"\n")
@@ -449,38 +438,38 @@ def _plain_numeric_columns(data: bytes, roles: Mapping[str, str]
     try:
         # strict: a quoted name left open at the newline is an error
         header = next(csv.reader([header_line.decode("utf-8") + "\n"], strict=True))
-    except (UnicodeDecodeError, csv.Error):
+        idx = {name: header.index(name) for name in roles}
+    except (UnicodeDecodeError, csv.Error, ValueError):  # ValueError: a name is absent
         return None
-    if any(name not in header for name in roles):
+    first = _FIRST_ROW.match(data, end).group(1).decode().split(",")
+    if len(first) != len(header):
         return None
-    values = _read_plain(data, np.float64)
-    if values is None or values.shape[1] != len(header):
+    # a timestamp is int64 whatever its first cell, so one that is not an
+    # integer is refused
+    integers = {j for name, j in idx.items()
+                if roles[name] == "timestamp" or _INT_RE.match(first[j])}
+    dtype = [(str(j), np.int64 if j in integers else np.float64)
+             for j in range(len(header))]
+    try:
+        with warnings.catch_warnings():
+            # numpy warns on a body of blank lines, and older numpy reads
+            # '3.0' as the int64 3 under a DeprecationWarning
+            warnings.simplefilter("error")
+            # a malformed number, an empty cell, a row of another length or
+            # an integer outside int64 is a ValueError
+            body = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",",
+                              comments=None, skiprows=1, ndmin=1)
+    except (ValueError, Warning):
         return None
-    idx = {name: header.index(name) for name in roles}
-    # every integer token is an integral float, so only these columns can
-    # be all-integer; the strict int64 parse decides
-    integral = {j for j in idx.values()
-                if np.all(values[:, j] == np.trunc(values[:, j]))}
-    integers = {j: a[:, 0] for j in integral
-                if (a := _read_plain(data, np.int64, [j])) is not None}
-    columns = {}
-    for name, role in roles.items():
-        j = idx[name]
-        if j in integers:
-            columns[name] = integers[j]
-        elif role == "timestamp" or (j in integral and np.abs(values[:, j]).max() >= 2.0**63):
-            # not integers, or integers outside int64: `_load_csv_text` says which
-            return None
-        else:
-            columns[name] = values[:, j]
-    return columns
+    return {name: body[str(j)] for name, j in idx.items()}
 
 
 def load_csv(path: str | Path, roles: Mapping[str, str]) -> Dataset:
     """Ingest a CSV file with a header row. Only columns named in `roles`
     are kept; numbers are parsed as decimal, all-integer columns as ints.
-    A plain numeric file is parsed in C, any other through csv.reader, to
-    the same dataset."""
+    A plain numeric file is parsed in C in one pass, with dtypes its first
+    row picks; a cell that pass refuses, and any other file, goes through
+    csv.reader, to the same dataset."""
     path = Path(path)
     columns = _plain_numeric_columns(path.read_bytes(), roles)
     if columns is None:
@@ -540,15 +529,12 @@ def load_jsonl(path: str | Path, roles: Mapping[str, str]) -> Dataset:
     return Dataset(schema, arrays)
 
 
-def load_dataset(path: str | Path, roles: Mapping[str, str],
-                 fmt: str | None = None) -> Dataset:
+def load_dataset(path: str | Path, roles: Mapping[str, str]) -> Dataset:
+    """A JSONL file when `path` ends in `.jsonl`, else a CSV file."""
     path = Path(path)
-    fmt = fmt or ("jsonl" if path.suffix == ".jsonl" else "csv")
-    if fmt == "csv":
-        return load_csv(path, roles)
-    if fmt == "jsonl":
+    if path.suffix == ".jsonl":
         return load_jsonl(path, roles)
-    raise DataLoadError(f"unknown dataset format {fmt!r}")
+    return load_csv(path, roles)
 
 
 @dataclass(frozen=True)

@@ -768,6 +768,36 @@ def test_unusable_output_path_exits_2_before_data_is_read(ws, key, value):
     assert result.stderr.startswith(f"error: {key}: ")
 
 
+OOD_SCENARIO = {"ood": {"method": "distance_centroid", "reference": "train",
+                        "validation": "test",
+                        "scenarios": [{"name": "far", "path": "data/point_check.csv"}]}}
+OVERLAPS = [
+    ("report", "audit_ledger.jsonl", {}, "ledger"),
+    ("report", "data/test_pass.csv", {}, "datasets.test.path"),
+    ("ledger", "data/train.csv", {}, "datasets.train.path"),
+    ("ledger", "mutated.yaml", {}, "config"),
+    ("report", "data/window.csv", {"uncertainty": {"ensembles": "data/window.csv"}},
+     "uncertainty.ensembles"),
+    ("ledger", "data/point_check.csv", OOD_SCENARIO, "ood.scenarios[0].path"),
+]
+
+
+@pytest.mark.parametrize("key, value, sections, other", OVERLAPS,
+                         ids=[o[-1] for o in OVERLAPS])
+@pytest.mark.parametrize("name", ("run", "monitor"))
+def test_artifact_path_naming_another_file_exits_2_writing_nothing(ws, name, key, value,
+                                                                    sections, other):
+    # a report on the ledger used to be renamed over the entry just committed,
+    # and one on a dataset used to overwrite the data
+    config = mutate(ws, lambda raw: raw.update({key: value}, **sections))
+    before = {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()}
+    result = invoke(*command(name, ws, config))
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: {key}: ")
+    assert result.stderr.rstrip().endswith(f"is the same file as {other}")
+    assert {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()} == before
+
+
 def test_report_directory_commits_no_entry(ws):
     # entry 0 used to be committed before the report write crashed
     result = invoke("run", ws / mutate(ws, lambda raw: raw.update(report="data")))
