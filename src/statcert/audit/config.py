@@ -19,9 +19,10 @@ from typing import Mapping, get_args, get_origin, get_type_hints
 
 import yaml
 
-from ..core import (ATTACKS, DUPLICATE_KEYS, FAIRNESS_METRICS, METRICS, NORMS, OOD_METHODS,
-                    ROLES, MprSpec, SaddRecord)
+from ..core import (ATTACKS, DRIFT_METHODS, DUPLICATE_KEYS, FAIRNESS_METRICS, METRICS, NORMS,
+                    OOD_METHODS, ROLES, MprSpec, SaddRecord)
 from ..errors import ConfigInvalid, ValidationError
+from .ledger import sidecars
 
 SHARE_TOL = 1e-9
 
@@ -327,18 +328,23 @@ def _need_dataset(name: str, datasets: dict, where: str) -> DatasetBinding:
 
 
 def _artifact_path(raw: dict, key: str, default: str, base: Path,
-                   taken: dict[Path, str]) -> Path:
+                   taken: dict[Path, str], with_sidecars: bool = False) -> Path:
     """The file a command writes under `key`, refused here, before any data
     is read, when it is a directory, its directory does not exist or it is
-    a file `taken` names, which it would overwrite; then added to `taken`."""
+    a file `taken` names, which it would overwrite, and likewise when one
+    of its ledger sidecars is; then added to `taken`, with its sidecars."""
     path = (base / _convert(raw.get(key, default), str, key)).resolve()
     if path.is_dir():
         raise ConfigInvalid(f"{key}: {path} is a directory")
     if not path.parent.is_dir():
         raise ConfigInvalid(f"{key}: directory {path.parent} does not exist")
-    if path in taken:
-        raise ConfigInvalid(f"{key}: {path} is the same file as {taken[path]}")
-    taken[path] = key
+    claims = {path: "", **(sidecars(path) if with_sidecars else {})}
+    for claim, what in claims.items():
+        if claim in taken:
+            named = f"its {what} " if what else ""
+            raise ConfigInvalid(f"{key}: {named}{claim} is the same file as {taken[claim]}")
+    taken.update({claim: f"the {key}'s {what}" if what else key
+                  for claim, what in claims.items()})
     return path
 
 
@@ -423,8 +429,7 @@ def load_config(path: str | Path) -> AuditConfig:
         drift = _build(DriftSettings, raw["drift"], "drift")
         _need_roles(_need_dataset(drift.reference, datasets, "drift.reference"),
                     ("feature",), "drift")
-        _need_choice(drift.method, ("mmd_permutation", "univariate_bonferroni"), "method",
-                     "drift.method")
+        _need_choice(drift.method, DRIFT_METHODS, "method", "drift.method")
         if not 0.0 < drift.alpha < 1.0:
             raise ConfigInvalid("drift.alpha must be in (0, 1)")
         if drift.n_permutations < 1:
@@ -469,7 +474,8 @@ def load_config(path: str | Path) -> AuditConfig:
         _need_roles(_need_dataset(robustness.dataset, datasets, "robustness.dataset"),
                     ("feature", "label"), "robustness")
 
-    # every file the config names, resolved: neither artifact may overwrite one
+    # every file the config names, resolved: neither artifact, nor a ledger
+    # sidecar, may overwrite one
     taken = {path.resolve(): "config",
              **{b.path: f"datasets.{b.name}.path" for b in datasets.values()}}
     if uncertainty is not None:
@@ -491,6 +497,7 @@ def load_config(path: str | Path) -> AuditConfig:
         uncertainty=uncertainty,
         ood=ood,
         robustness=robustness,
-        ledger_path=_artifact_path(raw, "ledger", "audit_ledger.jsonl", base, taken),
+        ledger_path=_artifact_path(raw, "ledger", "audit_ledger.jsonl", base, taken,
+                                   with_sidecars=True),
         report_path=_artifact_path(raw, "report", "audit_report.json", base, taken),
     )

@@ -68,6 +68,12 @@ def _sidecar(path: Path, suffix: str) -> Path:
     return path.with_name(path.name + suffix)
 
 
+def sidecars(path: Path) -> dict[Path, str]:
+    """The files a write command keeps beside the ledger at `path`, each
+    with what it is."""
+    return {_sidecar(path, ".ckpt"): "checkpoint", _sidecar(path, ".lock"): "lock file"}
+
+
 class _BadLine(LedgerCorrupt):
     """The line after `entries` entries, which is not valid UTF-8 JSON
     ("is not valid JSON") or, the last, has no newline ("has no newline")."""

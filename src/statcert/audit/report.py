@@ -58,9 +58,6 @@ class AuditReport(NamedTuple):
             raise
         return path
 
-    def to_markdown(self) -> str:
-        return render_markdown(self.payload)
-
 
 def _fmt(x) -> str:
     if isinstance(x, bool) or x is None:
@@ -78,25 +75,23 @@ def _test_line(name: str, entry: dict) -> str:
             f"{_fmt(t['alpha_used'])} | {mark} |")
 
 
-def checked_markdown(payload) -> str:
-    """The markdown view of a parsed report, which is the one shape check
-    for both views: a payload lacking a key `render_markdown` requires
-    (verdict, model_id, family, entry, seed, schema_version,
-    dataset_hashes, sadd, checks.leakage/mpr/fairness), or holding a value
-    of the wrong type there, is ValueError. Optional sections and keys read
-    through `.get` are not checked."""
+def render_markdown(payload) -> str:
+    """The markdown view of a parsed report of either shape, which is the
+    one shape check for both views: a payload lacking a key the view
+    requires (verdict, model_id, family, entry, seed, schema_version,
+    dataset_hashes, sadd, checks.leakage/mpr/fairness, environment, and
+    the config echo's robustness attack under a robustness section), or
+    holding a value of the wrong type there, is ValueError. Optional
+    sections and keys read through `.get` are not checked."""
     try:
-        return render_markdown(payload)
+        return _markdown(payload)
     except KeyError as e:
         raise ValueError(f"report lacks key {e}") from e
     except (TypeError, AttributeError) as e:
         raise ValueError(f"malformed report: {e}") from e
 
 
-def render_markdown(payload: dict) -> str:
-    """Markdown view of either shape. A key the shape needs and the payload
-    lacks is KeyError; a value of the wrong type, TypeError or
-    AttributeError."""
+def _markdown(payload: dict) -> str:
     if payload["verdict"] == "inconclusive" and "checks" not in payload:
         return (f"# Audit report: {payload['model_id']}\n\n"
                 f"**Verdict: INCONCLUSIVE** — {payload['reason']}")
@@ -188,7 +183,9 @@ def render_markdown(payload: dict) -> str:
         r = checks["robustness"]
         lines.append("## Robustness")
         lines.append("")
-        lines.append(f"- {r['attack']} attack, {r['norm']} ball, epsilon "
+        # the result leaves the attack out; the config echo holds it
+        attack = payload["config"]["robustness"]["attack"]
+        lines.append(f"- {attack} attack, {r['norm']} ball, epsilon "
                      f"{_fmt(r['epsilon'])}, budget {r['attack_budget']}")
         lines.append(f"- clean accuracy {_fmt(r['clean_accuracy'])}, surviving "
                      f"fraction {_fmt(r['robust_accuracy_lower_bound'])} "

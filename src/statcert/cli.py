@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
 from .audit.ledger import AuditLedger, verify_ledger
-from .audit.report import checked_markdown
+from .audit.report import render_markdown
 from .canonical import canonical_json, parse_json
 from .errors import FamilyAlphaExhausted, InconclusiveVerdict, LedgerCorrupt, StatcertError
 
@@ -132,7 +132,7 @@ def report_cmd(report_path: str, fmt: str) -> NoReturn:
     except (OSError, ValueError, RecursionError) as e:
         _fail(EXIT_INVALID_INPUT, f"cannot read report: {e}")
     try:
-        markdown = checked_markdown(payload)
+        markdown = render_markdown(payload)
     except ValueError as e:
         _fail(EXIT_INVALID_INPUT, str(e))
     _echo(markdown if fmt == "markdown" else text)

@@ -25,7 +25,6 @@ from .errors import (
     DataLoadError,
     EmptyDataset,
     MissingColumn,
-    UnknownLoss,
     UnknownMetric,
     ValidationError,
 )
@@ -50,6 +49,7 @@ SPLIT_TAGS = ("train", "validation", "test", "production")
 # that the config validates them without loading the modules
 FAIRNESS_METRICS = ("statistical_parity", "equal_opportunity", "equalized_odds")
 DUPLICATE_KEYS = ("exact_features", "feature_hash")
+DRIFT_METHODS = ("mmd_permutation", "univariate_bonferroni")
 OOD_METHODS = ("density_histogram", "density_kde", "distance_centroid",
                "distance_knn", "max_softmax")
 NORMS = ("l1", "l2", "linf")
@@ -335,13 +335,6 @@ class Dataset:
             h.update(np.sort(self.row_digests(list(self._data))).tobytes())
             self._hash = h.hexdigest()
         return self._hash
-
-    def to_jsonl(self, path: str | Path) -> None:
-        names = [c.name for c in self.schema.columns]
-        with open(path, "w", encoding="utf-8") as fh:
-            for i in range(self.n_rows):
-                rec = {n: self._data[n][i].item() for n in names}
-                fh.write(json.dumps(rec, allow_nan=False) + "\n")
 
 
 def _outside(path: Path, name: str, dtype) -> DataLoadError:
@@ -683,32 +676,3 @@ def compute_metric(dataset: Dataset, metric_id: str) -> MetricValue:
     if dataset.n_rows == 0:
         raise EmptyDataset("cannot compute a metric on zero rows")
     return METRICS[metric_id].compute(dataset)
-
-
-LOSSES: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "zero_one": lambda y, yhat: (y != yhat).astype(float),
-    "squared": lambda y, yhat: (yhat.astype(float) - y.astype(float)) ** 2,
-    "absolute": lambda y, yhat: np.abs(yhat.astype(float) - y.astype(float)),
-}
-
-
-def register_loss(loss_id: str, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
-    LOSSES[loss_id] = fn
-
-
-def empirical_risk(dataset: Dataset, loss_id: str) -> MetricValue:
-    """Mean per-sample loss, the Monte Carlo estimate of the expected risk."""
-    if loss_id not in LOSSES:
-        raise UnknownLoss(loss_id)
-    if dataset.n_rows == 0:
-        raise EmptyDataset("cannot compute risk on zero rows")
-    y, yhat = _labels_and_predictions(dataset)
-    losses = LOSSES[loss_id](y, yhat)
-    n = dataset.n_rows
-    if loss_id == "zero_one":
-        # complement of the success proportion; 1.0 - (k/n) makes
-        # accuracy + risk == 1.0 bit-exact, mean() does not
-        k = n - int(np.sum(losses))
-        return MetricValue("risk_zero_one", 1.0 - (k / n), n,
-                           per_sample_losses=losses, successes=n - k)
-    return MetricValue(f"risk_{loss_id}", float(np.mean(losses)), n, per_sample_losses=losses)

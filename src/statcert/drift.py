@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, MetricValue, MprSpec
+from .core import DRIFT_METHODS, Dataset, MetricValue, MprSpec
 from .errors import (
     DegenerateTable,
     DimensionMismatch,
@@ -504,6 +504,8 @@ def multivariate_shift_test(ref: EncodedBatch, prod: EncodedBatch, alpha: float 
         raise DimensionMismatch(f"reference d={ref.d}, production d={prod.d}")
     if ref.n == 0 or prod.n == 0:
         raise ValidationError("empty batch")
+    if method not in DRIFT_METHODS:
+        raise ValidationError(f"unknown shift method {method!r}")
     if method == "univariate_bonferroni":
         per_alpha = alpha / ref.d
         results = []
@@ -522,18 +524,16 @@ def multivariate_shift_test(ref: EncodedBatch, prod: EncodedBatch, alpha: float 
             alpha=alpha,
             details={"per_dimension_alpha": per_alpha, "d": ref.d},
         )
-    if method == "mmd_permutation":
-        result = mmd_permutation_test(ref.data, prod.data, n_perm=n_perm,
-                                      seed=seed, alpha=alpha)
-        return ShiftVerdict(
-            method=method,
-            aggregate="shift" if result.rejected else "no_shift",
-            per_feature=(result,),
-            severity=result.statistic,
-            alpha=alpha,
-            details={"bandwidth": result.params["bandwidth"], "n_perm": n_perm},
-        )
-    raise ValidationError(f"unknown shift method {method!r}")
+    result = mmd_permutation_test(ref.data, prod.data, n_perm=n_perm,
+                                  seed=seed, alpha=alpha)
+    return ShiftVerdict(
+        method=method,
+        aggregate="shift" if result.rejected else "no_shift",
+        per_feature=(result,),
+        severity=result.statistic,
+        alpha=alpha,
+        details={"bandwidth": result.params["bandwidth"], "n_perm": n_perm},
+    )
 
 
 @dataclass(frozen=True)

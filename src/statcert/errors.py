@@ -33,14 +33,10 @@ class ValidationError(StatcertError):
     """Row-level contract violation (bad score vector, bad class index)."""
 
 
-# metrics and losses
+# metrics
 
 class UnknownMetric(StatcertError):
     """Metric identifier not present in the registry."""
-
-
-class UnknownLoss(StatcertError):
-    """Loss identifier not present in the registry."""
 
 
 # sampling designs

@@ -1,11 +1,11 @@
 """Family-wise error rate control across requirement tests.
 
-Three procedures: Bonferroni splitting, Fixed Sequence Testing, and the
-Fallback procedure. Fixed sequence is the Fallback special case w = (1, 0,
-..., 0), except on the measure-zero corner p = 0 after a failed gatekeeper,
-where a level-0 Fallback test still rejects; both behaviors follow their
-stated rules exactly. A simulation harness estimates the realized FWER for
-any true/false null pattern.
+Two procedures: Fixed Sequence Testing and the Fallback procedure. Fixed
+sequence is the Fallback special case w = (1, 0, ..., 0), except on the
+measure-zero corner p = 0 after a failed gatekeeper, where a level-0
+Fallback test still rejects; both behaviors follow their stated rules
+exactly. A simulation harness estimates the realized FWER for any
+true/false null pattern, of these two and of Bonferroni splitting.
 """
 
 from __future__ import annotations
@@ -79,29 +79,6 @@ class HypothesisDecision:
 class SequentialDecision:
     procedure: str
     decisions: tuple[HypothesisDecision, ...]
-
-    def as_plain(self) -> dict:
-        return {
-            "procedure": self.procedure,
-            "decisions": [
-                {
-                    "hypothesis_id": d.hypothesis_id,
-                    "alpha_allocated": d.alpha_allocated,
-                    "decision": d.decision,
-                    "alpha_carried_forward": d.alpha_carried_forward,
-                }
-                for d in self.decisions
-            ],
-        }
-
-
-def bonferroni_adjust(family_alpha: float, n_tests: int) -> float:
-    """Per-test level family_alpha / n_tests."""
-    if not 0.0 < family_alpha < 1.0:
-        raise InvalidAlpha(f"alpha {family_alpha} outside (0, 1)")
-    if n_tests < 1:
-        raise ValidationError("need at least one test")
-    return family_alpha / n_tests
 
 
 def fixed_sequence_test(family: HypothesisFamily) -> SequentialDecision:

@@ -62,10 +62,6 @@ class EnsemblePrediction:
         object.__setattr__(self, "weights", w)
 
     @property
-    def k_members(self) -> int:
-        return self.members.shape[0]
-
-    @property
     def n_classes(self) -> int:
         return self.members.shape[1]
 
@@ -89,10 +85,6 @@ class UncertaintyDecomposition:
         if name not in ("total", "aleatoric", "epistemic"):
             raise ValidationError(f"unknown component {name!r}")
         return getattr(self, name)
-
-    def as_plain(self) -> dict:
-        return {"total": self.total, "aleatoric": self.aleatoric,
-                "epistemic": self.epistemic}
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -152,13 +144,6 @@ class UncertaintyQuality:
     n_flagged: int
     n_clear: int
     risk_coverage: tuple[tuple[float, float], ...] | None = None
-
-    def as_plain(self) -> dict:
-        out = {"task": self.task, "auroc": self.auroc,
-               "n_flagged": self.n_flagged, "n_clear": self.n_clear}
-        if self.risk_coverage is not None:
-            out["risk_coverage"] = [list(pt) for pt in self.risk_coverage]
-        return out
 
 
 TASKS = ("misclassification_detection", "ood_detection", "selective_prediction")

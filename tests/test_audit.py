@@ -26,7 +26,7 @@ from statcert.audit.config import load_config
 from statcert.audit.ledger import (_CHUNK, _REQUIRED_FIELDS, AuditLedger, FallbackState,
                                    _resume_point, entry_hash, replay_ledger, resume_replay,
                                    verify_ledger)
-from statcert.audit.report import AuditReport, payload_hash
+from statcert.audit.report import AuditReport, payload_hash, render_markdown
 from statcert.audit.runner import _Entry, monitor_step, recertify, run_audit
 from statcert.core import canonical_json, load_dataset, sha256_hex
 from statcert.errors import (
@@ -1471,14 +1471,14 @@ class TestReport:
 
     def test_markdown_view(self, example_copy):
         report = run_audit(load_config(example_copy / "audit.yaml"))
-        md = report.to_markdown()
+        md = render_markdown(report.payload)
         assert "Verdict: PASS" in md
         assert "accuracy_floor" in md
         assert report.content_hash in md
 
     def test_markdown_for_gated_run(self, example_copy):
         report = run_audit(load_config(example_copy / "audit_leak.yaml"))
-        md = report.to_markdown()
+        md = render_markdown(report.payload)
         assert "Verdict: FAIL" in md
         assert "No requirement was tested" in md
 

@@ -779,6 +779,10 @@ OVERLAPS = [
     ("report", "data/window.csv", {"uncertainty": {"ensembles": "data/window.csv"}},
      "uncertainty.ensembles"),
     ("ledger", "data/point_check.csv", OOD_SCENARIO, "ood.scenarios[0].path"),
+    # a checkpoint write used to replace the report, and a report rename the
+    # lock file a later writer would lock
+    ("report", "audit_ledger.jsonl.ckpt", {}, "the ledger's checkpoint"),
+    ("report", "audit_ledger.jsonl.lock", {}, "the ledger's lock file"),
 ]
 
 
@@ -796,6 +800,80 @@ def test_artifact_path_naming_another_file_exits_2_writing_nothing(ws, name, key
     assert result.stderr.startswith(f"error: {key}: ")
     assert result.stderr.rstrip().endswith(f"is the same file as {other}")
     assert {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("suffix, sidecar", [(".ckpt", "checkpoint"), (".lock", "lock file")])
+@pytest.mark.parametrize("name", ("run", "monitor"))
+def test_ledger_whose_sidecar_is_another_file_exits_2_writing_nothing(ws, name, suffix,
+                                                                       sidecar):
+    # with `ledger: data/train`, a write command would lock or checkpoint
+    # over the training data at data/train.lock or data/train.ckpt
+    shutil.copy(ws / "data" / "train.csv", ws / "data" / f"train{suffix}")
+
+    def train_beside_ledger(raw):
+        raw["datasets"]["train"]["path"] = f"data/train{suffix}"
+        raw["ledger"] = "data/train"
+
+    config = mutate(ws, train_beside_ledger)
+    before = {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()}
+    result = invoke(*command(name, ws, config))
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: ledger: its {sidecar} ")
+    assert result.stderr.rstrip().endswith("is the same file as datasets.train.path")
+    assert {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()} == before
+
+
+PREDICTOR = """\
+import sys
+
+for line in sys.stdin:
+    x0, x1 = map(float, line.split(","))
+    print(int(x0 + x1 > 0), flush=True)
+"""
+
+
+def with_auxiliary_sections(raw):
+    """Every informational section: uncertainty with `correct` flags (so its
+    error-flagging AUROC is computed), one OOD scenario, and robustness with
+    the predictor in predict.py."""
+    raw.update(OOD_SCENARIO,
+               uncertainty={"ensembles": "data/ensembles.jsonl",
+                            "abstain_thresholds": {"total": 0.5}},
+               robustness={"dataset": "test", "epsilon": 0.1, "budget": 8,
+                           "predictor": {"command": [sys.executable, "predict.py"]}})
+
+
+def test_report_with_every_auxiliary_section_reruns_and_renders(ws):
+    # `report` used to exit 2 on any report with a robustness section, in
+    # both formats: the markdown view read the attack from the robustness
+    # result, which does not hold it
+    (ws / "predict.py").write_text(PREDICTOR)
+    (ws / "data" / "ensembles.jsonl").write_text("".join(
+        json.dumps({"members": [[p, 1 - p], [p + 0.05, 0.95 - p]], "correct": correct}) + "\n"
+        for p, correct in [(0.9, True), (0.5, False), (0.8, True), (0.55, False),
+                           (0.7, True), (0.85, True)]))
+    config = ws / mutate(ws, with_auxiliary_sections)
+    report = ws / "audit_report.json"
+    first = invoke("run", config)
+    assert first.exit_code == 0, first.stderr
+    saved = report.read_bytes()
+    rerun = invoke("run", config)
+    assert rerun.exit_code == 0, rerun.stderr
+    assert report.read_bytes() == saved
+    checks = json.loads(saved)["checks"]
+    assert checks["uncertainty"]["flag_quality_auroc"] is not None
+    assert [row["scenario"] for row in checks["ood"]] == ["far"]
+    assert checks["robustness"]["attack_budget"] == 8
+
+    as_json = invoke("report", "--path", report, "--format", "json")
+    assert as_json.exit_code == 0, as_json.stderr
+    assert as_json.stdout == saved.decode()
+    as_markdown = invoke("report", "--path", report, "--format", "markdown")
+    assert as_markdown.exit_code == 0, as_markdown.stderr
+    for line in ("## Uncertainty", "- error-flagging AUROC ", "## Out-of-distribution scenarios",
+                 "| far | ", "## Robustness", "- coordinate_descent attack, linf ball, epsilon 0.1, "
+                 "budget 8"):
+        assert line in as_markdown.stdout
 
 
 def test_report_directory_commits_no_entry(ws):

@@ -1,4 +1,4 @@
-"""Dataset model, metric registry, and empirical risk."""
+"""Dataset model and metric registry."""
 
 import hashlib
 import json
@@ -19,16 +19,13 @@ from statcert.core import (
     canonical_cells,
     canonical_json,
     compute_metric,
-    empirical_risk,
     load_dataset,
-    register_loss,
     sha256_hex,
 )
 from statcert.errors import (
     DataLoadError,
     EmptyDataset,
     MissingColumn,
-    UnknownLoss,
     UnknownMetric,
     ValidationError,
 )
@@ -93,35 +90,6 @@ class TestComputeMetric:
                 shuffled, metric).value
 
 
-class TestEmpiricalRisk:
-    def test_zero_one_complement_of_accuracy(self):
-        labels, preds = counts_to_rows(100, 94)
-        risk = empirical_risk(labeled(labels, preds), "zero_one")
-        assert risk.value == pytest.approx(0.06, abs=1e-15)
-
-    def test_accuracy_plus_risk_is_one_exactly(self, rng):
-        labels = rng.integers(0, 2, size=83)
-        preds = rng.integers(0, 2, size=83)
-        ds = labeled(labels, preds)
-        acc = compute_metric(ds, "accuracy").value
-        risk = empirical_risk(ds, "zero_one").value
-        assert acc + risk == 1.0
-
-    def test_registered_zero_loss(self):
-        register_loss("always_zero", lambda y, yhat: np.zeros_like(
-            np.asarray(y, dtype=float)))
-        ds = labeled([0, 1, 1], [1, 0, 1])
-        assert empirical_risk(ds, "always_zero").value == 0.0
-
-    def test_absolute_error_hand_value(self):
-        ds = labeled([0.0, 1.0], [0.5, 0.5])
-        assert empirical_risk(ds, "absolute").value == 0.5
-
-    def test_unknown_loss(self):
-        with pytest.raises(UnknownLoss):
-            empirical_risk(labeled([0], [0]), "hinge")
-
-
 class TestDatasetModel:
     def test_content_hash_survives_jsonl_round_trip(self, tmp_path, rng):
         x = rng.normal(size=(25, 3)).round(6)
@@ -131,7 +99,9 @@ class TestDatasetModel:
                  "label": "label"}
         ds = build_dataset(columns, roles)
         path = tmp_path / "round_trip.jsonl"
-        ds.to_jsonl(path)
+        path.write_text("".join(
+            json.dumps({n: ds.column(n)[i].item() for n in columns}) + "\n"
+            for i in range(ds.n_rows)))
         again = load_dataset(path, roles)
         assert again.content_hash == ds.content_hash
 

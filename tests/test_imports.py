@@ -141,6 +141,8 @@ def test_rank_auroc_loads_no_scipy_stats():
 
 
 def test_package_names_resolve_on_first_access():
+    # every exported name resolves, and every lazy one is exported: a name
+    # deleted from its module but left in `_LAZY` or `__all__` fails here
     resolved = run_python("""
         import json, sys
         import statcert
@@ -148,7 +150,11 @@ def test_package_names_resolve_on_first_access():
         test = statcert.drift.mmd_permutation_test
         from statcert.audit import run_audit
         from statcert import *
+        from statcert.audit import *
+        audit = sys.modules["statcert.audit"]
         print(json.dumps([before, test.__module__, run_audit.__module__,
-                          [name for name in statcert.__all__ if name not in globals()]]))
+                          [name for name in statcert.__all__ + audit.__all__
+                           if name not in globals()],
+                          sorted(set(audit._LAZY) - set(audit.__all__))]))
         """)
-    assert resolved == [False, "statcert.drift", "statcert.audit.runner", []]
+    assert resolved == [False, "statcert.drift", "statcert.audit.runner", [], []]

@@ -1,4 +1,4 @@
-"""Family-wise error control: Bonferroni, fixed sequence, fallback."""
+"""Family-wise error control: fixed sequence, fallback, FWER simulation."""
 
 import itertools
 
@@ -16,7 +16,6 @@ from statcert.errors import (
 from statcert.multiplicity import (
     Hypothesis,
     HypothesisFamily,
-    bonferroni_adjust,
     fallback_test,
     fixed_sequence_test,
     simulate_fwer,
@@ -29,20 +28,6 @@ def family(p_values, alpha=0.05, weights=None):
     hyps = tuple(Hypothesis(f"h{i}", p, w)
                  for i, (p, w) in enumerate(zip(p_values, weights)))
     return HypothesisFamily(hyps, alpha)
-
-
-class TestBonferroni:
-    def test_twenty_way_split(self):
-        assert bonferroni_adjust(0.05, 20) == 0.0025
-
-    def test_single_test_unchanged(self):
-        assert bonferroni_adjust(0.05, 1) == 0.05
-
-    def test_validation(self):
-        with pytest.raises(InvalidAlpha):
-            bonferroni_adjust(1.5, 3)
-        with pytest.raises(ValidationError):
-            bonferroni_adjust(0.05, 0)
 
 
 class TestFixedSequence:

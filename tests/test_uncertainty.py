@@ -225,7 +225,7 @@ class TestLoadEnsembles:
             '{"members": [[0.5, 0.5]], "weights": [1.0]}\n')
         loaded = load_ensembles(path)
         assert len(loaded) == 2
-        assert loaded[0].k_members == 2
+        assert loaded[0].members.shape == (2, 2)
         d = decompose(loaded[0])
         assert d.total == pytest.approx(h2(0.7), abs=1e-12)
 
