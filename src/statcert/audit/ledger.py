@@ -6,7 +6,12 @@ by a lone carriage return, is not valid JSON, and a last line without its
 newline is refused too, so no append glues an entry onto it. Each entry
 carries the SHA-256 of the previous entry and of its own canonical
 serialization, so any edit, deletion, or reordering after the fact is
-detectable by replay. Alpha allocations across entries follow the
+detectable by replay. Replay hashes the bytes each line holds, less its
+line ending and its `"entry_hash"` member, not a re-encoding of what it
+parsed from them, so a line that is no longer the canonical form `append`
+wrote (keys sorted, no spaces, every float in its shortest round-trip
+spelling) no longer matches its hash, and a number that reads as infinity
+is refused whatever the hash. Alpha allocations across entries follow the
 fallback recurrence over the family frozen at entry 0: a test-bearing
 entry i receives carry + alpha * w_i, and passes its whole allocation
 forward only if it demonstrated its requirement; its gating data must be
@@ -38,7 +43,14 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
-from ..canonical import FallbackState, canonical_json, parse_json, sha256_hex
+from ..canonical import (
+    FallbackState,
+    NonFiniteNumber,
+    canonical_json,
+    parse_finite_json,
+    parse_json,
+    sha256_hex,
+)
 from ..errors import LedgerCorrupt
 from .report import SCHEMA_VERSION
 
@@ -54,7 +66,7 @@ _REQUIRED = frozenset(_REQUIRED_FIELDS)
 
 # bump whenever the walk gains a check, so no checkpoint vouches for a
 # prefix that an older walk verified
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 _CHUNK = 1 << 20  # bytes read at a time when a checkpoint's prefix is hashed
 
 
@@ -92,12 +104,14 @@ class _Cursor(NamedTuple):
 
 
 class _Reader:
-    """The entries of a ledger file in order from a cursor, one per line,
-    parsed one line at a time, so memory does not grow with the ledger. A
-    line that is not valid UTF-8 JSON raises _BadLine, a NaN or Infinity
-    literal making its line invalid, and so does a last line that parses
-    but has no newline. Read to the end, it holds the cursor there (`at`);
-    a `digest` it is given takes every byte it reads."""
+    """The lines of a ledger file in order from a cursor, each with the
+    entry parsed from it, one line at a time, so memory does not grow with
+    the ledger. A line that holds a number reading as infinity comes as
+    None with its parse, since no bytes hash to an entry with no canonical
+    form. A line that is not valid UTF-8 JSON raises _BadLine, a NaN or
+    Infinity literal making its line invalid, and so does a last line that
+    parses but has no newline. Read to the end, it holds the cursor there
+    (`at`); a `digest` it is given takes every byte it reads."""
 
     def __init__(self, path: Path, at: _Cursor = _Cursor(), digest=None):
         self.path, self.at, self.digest = path, at, digest
@@ -110,13 +124,17 @@ class _Reader:
                 if self.digest is not None:
                     self.digest.update(line)
                 try:
-                    entry = parse_json(line.decode("utf-8"))
+                    text = line.decode("utf-8")
+                    try:
+                        held, entry = line, parse_finite_json(text)
+                    except NonFiniteNumber:
+                        held, entry = None, parse_json(text)
                 except (ValueError, RecursionError):  # not UTF-8, not JSON, too deep
                     raise _BadLine(self.path, entries, "is not valid JSON") from None
                 if not line.endswith(b"\n"):
                     raise _BadLine(self.path, entries, "has no newline")
                 offset, entries = offset + len(line), entries + 1
-                yield entry
+                yield held, entry
         self.at = _Cursor(offset, entries)
 
 
@@ -135,13 +153,14 @@ class AuditLedger:
         self._tail: tuple[int, dict | None] | None = None
 
     def _stream(self, reader: _Reader | None = None, last: dict | None = None) -> Iterator:
-        # the entries from the reader's cursor, `last` being the one before it
+        # the reader's lines with their entries from its cursor, `last`
+        # being the entry before them
         reader = reader or _Reader(self.path)
         count = reader.at.entries
         if reader.at.offset or self.path.exists():
-            for last in reader:
+            for line, last in reader:
                 count += 1
-                yield last
+                yield line, last
         self._tail = (count, last)
 
     def _known_tail(self) -> tuple[int, dict | None]:
@@ -152,7 +171,7 @@ class AuditLedger:
 
     @property
     def entries(self) -> tuple[dict, ...]:
-        return tuple(self._stream())
+        return tuple(entry for _, entry in self._stream())
 
     def __len__(self) -> int:
         return self._known_tail()[0]
@@ -260,8 +279,10 @@ def replay_ledger(ledger: AuditLedger | str | Path) -> Replay:
     every read does, and leaves the tail its next append continues from.
 
     Checks, per entry: JSON shape, index order, hash-chain linkage, the
-    entry's own content hash (SHA-256 of its canonical JSON without
-    `entry_hash`, taken on the entry as parsed), family identity with
+    entry's own content hash (SHA-256 of its line's bytes without the line
+    ending and the `entry_hash` member, which on every line `append` writes
+    are the canonical JSON of the rest of the entry; a number that reads as
+    infinity has none), family identity with
     entry 0, the fallback alpha recurrence over test-bearing entries,
     gating hashes that are a list of strings, and, on a test-bearing entry,
     gating hashes that no earlier entry consumed. Entry 0's family must
@@ -303,12 +324,42 @@ def _family_numbers(family) -> tuple[float, tuple[float, ...]]:
     return float(family["alpha"]), tuple(float(w) for w in family["weights"])
 
 
-def _walk(entries: Iterable, start: Replay = _EMPTY) -> Replay:
-    """replay_ledger's checks on the entries after the ones `start`
-    replayed, keeping only what the next entry needs. `start` is the
-    consistent replay of the entries before them; a full replay starts
-    from the empty one."""
-    walk = enumerate(entries, start.n_entries)
+def _hashes_to(line: bytes, recorded) -> bool:
+    """Whether the line, without its line ending and its first
+    `,"entry_hash":"<recorded>"` member, has the SHA-256 `recorded`. Keys
+    are sorted, so that member sits between `demonstrated` and `family` on
+    every line `append` writes. A cut at a copy of the member nested
+    earlier leaves `recorded` in the bytes hashed, which then match only at
+    a fixed point of SHA-256."""
+    if type(recorded) is not str or len(recorded) != 64 or not recorded.isascii():
+        return False
+    member = b',"entry_hash":"' + recorded.encode("ascii") + b'"'
+    at = line.find(member)
+    if at < 0:
+        return False
+    digest = hashlib.sha256(line[:at])
+    digest.update(line[at + len(member):-2 if line.endswith(b"\r\n") else -1])
+    return digest.hexdigest() == recorded
+
+
+def _hash_detail(entry: dict) -> str:
+    """Why an entry's line does not hash to its recorded hash, from the one
+    re-encode that only a refused line costs."""
+    try:
+        content_hash = entry_hash(entry)
+    except (ValueError, RecursionError):  # 1e999 parses as infinity; deep nesting
+        return "entry content has no canonical JSON form"
+    if content_hash == entry["entry_hash"]:
+        return "entry line is not canonical JSON"
+    return "entry hash does not match content"
+
+
+def _walk(lines: Iterable, start: Replay = _EMPTY) -> Replay:
+    """replay_ledger's checks on the lines, each with its entry, after the
+    entries `start` replayed, keeping only what the next entry needs.
+    `start` is the consistent replay of the entries before them; a full
+    replay starts from the empty one."""
+    walk = enumerate(lines, start.n_entries)
 
     def bad(index, detail):
         # the rest is parsed but not checked: a line that is not JSON
@@ -322,7 +373,7 @@ def _walk(entries: Iterable, start: Replay = _EMPTY) -> Replay:
     if first is not None:
         family, (alpha, weights) = first["family"], _family_numbers(first["family"])
         prev_hash = last["entry_hash"]
-    for i, e in walk:
+    for i, (line, e) in walk:
         if not isinstance(e, dict):
             return bad(i, "entry is not an object")
         if not _REQUIRED.issubset(e):
@@ -331,12 +382,8 @@ def _walk(entries: Iterable, start: Replay = _EMPTY) -> Replay:
             return bad(i, f"index {e['index']} at position {i}")
         if e["prev_hash"] != prev_hash:
             return bad(i, "broken hash chain")
-        try:
-            content_hash = entry_hash(e)
-        except (ValueError, RecursionError):  # 1e999 parses as infinity; deep nesting
-            return bad(i, "entry content has no canonical JSON form")
-        if content_hash != e["entry_hash"]:
-            return bad(i, "entry hash does not match content")
+        if line is None or not _hashes_to(line, e["entry_hash"]):
+            return bad(i, _hash_detail(e))
         if i == 0:
             first, family = e, e["family"]
             try:

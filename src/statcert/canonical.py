@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import NamedTuple
 
 
@@ -60,6 +61,29 @@ def parse_json(text: str):
     a NaN, Infinity or -Infinity literal is ValueError, like text that is
     not JSON. Nesting too deep for the parser is RecursionError."""
     return _DECODER.decode(text)
+
+
+class NonFiniteNumber(ValueError):
+    """A number literal, such as 1e999, that reads as infinity: valid JSON
+    that has no canonical form."""
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise NonFiniteNumber(f"{text} reads as {value}")
+    return value
+
+
+_FINITE_DECODER = json.JSONDecoder(parse_constant=_refuse_constant,
+                                   parse_float=_finite_float)
+
+
+def parse_finite_json(text: str):
+    """parse_json(text), except that a number literal that reads as
+    infinity raises NonFiniteNumber, a ValueError. The ledger reads its
+    lines under this rule."""
+    return _FINITE_DECODER.decode(text)
 
 
 def sha256_hex(text: str) -> str:

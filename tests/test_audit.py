@@ -7,6 +7,7 @@ right entry index on replay.
 """
 
 import fcntl
+import hashlib
 import json
 import os
 import random
@@ -558,6 +559,63 @@ class TestLedgerIntegrity:
         result = verify_ledger(path)
         assert result["first_inconsistency"] == 2
         assert "family" in result["detail"]
+
+
+# entry 0 of seed_ledger's ledger written out of canonical form; its parse
+# still re-encodes to the hash it records, so only its bytes tell it apart
+NON_CANONICAL = {
+    "spaces": lambda line: json.dumps(json.loads(line)),
+    "keys reordered": lambda line: json.dumps(dict(reversed(json.loads(line).items())),
+                                              separators=(",", ":")),
+    "float respelled": lambda line: line.replace('"alpha_allocated":0.02,',
+                                                 '"alpha_allocated":2e-2,'),
+}
+
+
+class TestLineBytes:
+    """The walk hashes the bytes each line holds, less its line ending and
+    its `entry_hash` member, so a line no longer in the canonical form
+    `append` hashed is refused."""
+
+    @pytest.mark.parametrize("respell", NON_CANONICAL.values(), ids=NON_CANONICAL)
+    def test_line_out_of_canonical_form_is_refused(self, tmp_path, respell):
+        path = tmp_path / "l.jsonl"
+        seed_ledger(path)
+        first, *rest = path.read_text().splitlines(keepends=True)
+        line = respell(first[:-1])
+        assert line != first[:-1] and json.loads(line) == json.loads(first)
+        assert entry_hash(json.loads(line)) == json.loads(line)["entry_hash"]
+        path.write_text(line + "\n" + "".join(rest))
+        assert verify_ledger(path) == {
+            "consistent": False, "first_inconsistency": 0,
+            "detail": "entry line is not canonical JSON", "n_entries": 3}
+
+    def test_decoy_member_holding_the_recorded_hash_never_verifies(self, tmp_path):
+        # the walk cuts the first `,"entry_hash":"<recorded>"` from the line; a
+        # copy nested in `decisions`, before the top-level member, leaves the
+        # recorded hash among the bytes hashed, where only a fixed point of
+        # SHA-256 could match it
+        path = tmp_path / "l.jsonl"
+        seed_ledger(path)
+        entry = load_lines(path)[0]
+        decision = entry["decisions"][0]
+        entry["decisions"] = [{**decision, "entry_hash": "0" * 64}]
+        entry["entry_hash"] = entry_hash(entry)
+        rewrite(path, [entry])
+        assert verify_ledger(path)["consistent"]  # a decoy holding another hash
+        recorded = entry_hash(entry)
+        for _ in range(6):
+            entry["decisions"] = [{**decision, "entry_hash": recorded}]
+            entry["entry_hash"] = recorded
+            line = canonical_json(entry).encode()
+            member = f',"entry_hash":"{recorded}"'.encode()
+            assert line.count(member) == 2 and line.index(member) < line.index(b'"family"')
+            path.write_bytes(line + b"\n")
+            assert verify_ledger(path) == {
+                "consistent": False, "first_inconsistency": 0,
+                "detail": "entry hash does not match content", "n_entries": 1}
+            # the next try: the hash of the bytes this cut left
+            recorded = hashlib.sha256(line.replace(member, b"", 1)).hexdigest()
 
 
 def seeded_ledger(path: Path, n: int = 200, seed: int = 8) -> AuditLedger:

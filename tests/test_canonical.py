@@ -3,6 +3,8 @@ bytes as the explicit walk that made every value plain first
 (`helpers.plain_canonical_json`), on numpy values, on awkward floats and on
 every payload the program emits, and so must every ledger entry hash."""
 
+import hashlib
+import re
 import shutil
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 
 from helpers import plain_canonical_json
 from statcert.audit.config import load_config
-from statcert.audit.ledger import AuditLedger, entry_hash, verify_ledger
+from statcert.audit.ledger import AuditLedger, _hashes_to, entry_hash, verify_ledger
 from statcert.audit.runner import monitor_step, run_audit
 from statcert.canonical import FallbackState, canonical_json, sha256_hex
 from statcert.core import load_dataset
@@ -110,6 +112,27 @@ def test_verify_result_and_entry_hashes_match_the_walk(example_run):
         assert canonical_json(result) == plain_canonical_json(result)
         for entry in ledger.entries:
             assert entry_hash(entry) == entry["entry_hash"] == walk_hash(entry)
+
+
+def test_every_example_line_hashes_to_its_entry_hash(example_run, tmp_path):
+    # the walk hashes each line's bytes without the line ending and the
+    # `entry_hash` member, which sorted keys put between `demonstrated` and
+    # `family`; that must be the hash of the entry's canonical JSON
+    _, _, ledgers = example_run
+    for ledger in ledgers:
+        raw = ledger.path.read_bytes()
+        for line, entry in zip(raw.splitlines(), ledger.entries, strict=True):
+            recorded = entry["entry_hash"]
+            before, after = line.split(f',"entry_hash":"{recorded}"'.encode())
+            assert re.search(rb'"demonstrated":(true|false|null)$', before)
+            assert after.startswith(b',"family":')
+            assert hashlib.sha256(before + after).hexdigest() == recorded == walk_hash(entry)
+            for ending in (b"\n", b"\r\n"):
+                assert _hashes_to(line + ending, recorded)
+        crlf = tmp_path / ledger.path.name
+        crlf.write_bytes(raw.replace(b"\n", b"\r\n"))
+        assert verify_ledger(crlf) == verify_ledger(ledger.path)
+        assert verify_ledger(crlf)["consistent"]
 
 
 def walk_hash(entry: dict) -> str:

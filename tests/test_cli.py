@@ -6,6 +6,7 @@ family still leaves a report behind for `run` and `recertify`, whose
 verdict is inconclusive; `monitor` writes no report.
 """
 
+import hashlib
 import json
 import os
 import re
@@ -18,7 +19,7 @@ import pytest
 import yaml
 
 from statcert.audit.config import load_config
-from statcert.audit.ledger import entry_hash
+from statcert.audit.ledger import _resume_point, entry_hash
 from statcert.core import canonical_json
 from statcert.errors import ConfigInvalid
 
@@ -426,6 +427,31 @@ def test_non_finite_number_in_ledger_is_inconsistent_exits_3(ws, literal, detail
     assert json.loads(result.stdout) == {
         "consistent": False, "detail": detail, "first_inconsistency": 0,
         "n_entries": n_entries}
+
+
+def cut_hash(line: bytes) -> str:
+    """The SHA-256 of a ledger line without its newline and its
+    `entry_hash` member: the hash the walk compares with the recorded one."""
+    member = f',"entry_hash":"{json.loads(line)["entry_hash"]}"'.encode()
+    return hashlib.sha256(line.removesuffix(b"\n").replace(member, b"", 1)).hexdigest()
+
+
+def test_non_finite_number_whose_line_hash_holds_exits_3(ws):
+    # entry 0's hash recomputed over its own bytes, as a hand editor could:
+    # its bytes hash to it, but 1e999 still reads as infinity
+    certify(ws)
+    write_literal_seed(ws, "1e999")
+    path = ws / "audit_ledger.jsonl"
+    line = path.read_bytes()
+    recorded = json.loads(line)["entry_hash"]
+    path.write_bytes(line.replace(recorded.encode(), cut_hash(line).encode()))
+    assert cut_hash(path.read_bytes()) == cut_hash(line) == json.loads(
+        path.read_bytes())["entry_hash"]
+    result = invoke("verify-ledger", path)
+    assert result.exit_code == 3
+    assert json.loads(result.stdout) == {
+        "consistent": False, "detail": "entry content has no canonical JSON form",
+        "first_inconsistency": 0, "n_entries": 1}
 
 
 @pytest.mark.parametrize("name", COMMANDS)
@@ -1132,6 +1158,28 @@ def test_edit_before_the_checkpoint_exits_3(ws):
     result = invoke(*command("monitor", ws))
     assert result.exit_code == 3
     assert "entry 0: entry hash does not match content" in result.stderr
+
+
+def test_checkpoint_from_before_the_byte_hash_is_ignored(ws):
+    # entry 0 respaced: its parse still re-encodes to its hash, so the walk
+    # of checkpoint version 2 passed it, and left the checkpoint forged here
+    checkpointed(ws)
+    ledger = ws / "audit_ledger.jsonl"
+    first, second = ledger.read_bytes().splitlines(keepends=True)
+    spaced = json.dumps(json.loads(first)).encode() + b"\n"
+    assert entry_hash(json.loads(spaced)) == json.loads(spaced)["entry_hash"]
+    ledger.write_bytes(spaced + second)
+    ckpt = json.loads(sidecar(ws, ".ckpt").read_text())
+    assert (ckpt["version"], ckpt["entries"]) == (3, 1)
+    ckpt.update(bytes=len(spaced), sha256=hashlib.sha256(spaced).hexdigest())
+    sidecar(ws, ".ckpt").write_text(canonical_json(ckpt))
+    assert _resume_point(ledger) is not None  # the forged checkpoint holds at 3
+    sidecar(ws, ".ckpt").write_text(canonical_json({**ckpt, "version": 2}))
+    assert _resume_point(ledger) is None
+    result = invoke(*command("monitor", ws))
+    assert result.exit_code == 3
+    assert "entry 0: entry line is not canonical JSON" in result.stderr
+    assert ledger.read_bytes() == spaced + second
 
 
 @pytest.mark.parametrize("tampered", [False, True], ids=["intact", "tampered"])
