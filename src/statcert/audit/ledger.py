@@ -11,9 +11,11 @@ line ending and its `"entry_hash"` member, not a re-encoding of what it
 parsed from them, so a line that is no longer the canonical form `append`
 wrote (keys sorted, no spaces, every float in its shortest round-trip
 spelling) no longer matches its hash, and a number that reads as infinity
-is refused whatever the hash. Alpha allocations across entries follow the
-fallback recurrence over the family frozen at entry 0: a test-bearing
-entry i receives carry + alpha * w_i, and passes its whole allocation
+is refused whatever the hash. The hash binds the bytes, not their form: a
+line out of canonical form whose hash was taken on its own bytes
+verifies. Alpha allocations across entries follow the fallback
+recurrence over the family frozen at entry 0: a test-bearing entry i
+receives carry + alpha * w_i, and passes its whole allocation
 forward only if it demonstrated its requirement; its gating data must be
 fresh, so a gating hash an earlier entry consumed is an inconsistency.
 Each entry records the report schema version it was written under,

@@ -9,7 +9,6 @@ Feature encoding happens outside; batches arrive as plain matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import math
 
 import numpy as np
 
@@ -404,29 +403,6 @@ def _assignment(keys: np.ndarray, n: int) -> np.ndarray:
     return keys
 
 
-def _linear_quantile(values: np.ndarray, q: float) -> float:
-    """np.quantile(values, q) by its default linear method, bit for bit,
-    taken from a partition of the values: numpy's first quantile call in a
-    process imports numpy.ma, which a monitor need not load. The neighbours
-    and the weight are numpy's, and so is the interpolation (its `_lerp`);
-    past the last index both neighbours are the maximum, and a NaN, which
-    the partition puts last, is the result."""
-    last = len(values) - 1
-    index = last * q
-    if index >= last:
-        lo = hi = last
-        t = index + 1.0  # numpy's weight there, taken against the index -1
-    else:
-        lo = math.floor(index)
-        hi, t = lo + 1, index - lo
-    part = np.partition(values, sorted({lo, hi, last}))
-    if math.isnan(part[last]):
-        return float(part[last])
-    a, b = float(part[lo]), float(part[hi])
-    diff = b - a
-    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
-
-
 def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
                          seed: int = 0, alpha: float = 0.05,
                          bandwidth: float | None = None) -> TestResult:
@@ -507,7 +483,7 @@ def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
         test_id="mmd_permutation",
         statistic=observed,
         p_value=p_value,
-        conf_bound=_linear_quantile(null_stats, 1.0 - alpha),
+        conf_bound=float(np.quantile(null_stats, 1.0 - alpha)),
         alpha_used=alpha,
         n=total,
         params={"bandwidth": bandwidth, "n_perm": n_perm, "seed": seed, "n_x": n, "n_y": m},

@@ -5,8 +5,7 @@ so `verify-ledger` and `report` must load no scipy, numpy or yaml at all,
 nor the `dataclasses` module and the `inspect` it pulls in; the CLI is
 argparse, with no click. The runner loads no scipy.stats, and a monitor
 window with no shift no scipy and none of the check modules its config
-does not run; scipy.special waits for the first exact test, and numpy.ma
-for a command that needs it. Each check
+does not run; scipy.special waits for the first exact test. Each check
 runs in a fresh interpreter, one per test.
 """
 
@@ -128,23 +127,6 @@ def test_monitor_without_a_shift_loads_no_scipy_and_no_unused_check(tmp_path):
         """, str(work / "audit_ledger.jsonl"), str(work / "audit.yaml"),
         str(work / "data" / "window.csv"))
     assert loaded == ["ok", []]
-
-
-def test_shifted_monitor_without_a_point_check_loads_no_numpy_ma(tmp_path):
-    # the MMD test's quantile used to be np.quantile, whose first call
-    # imports numpy.ma; a shift with no point check runs no exact test either
-    work = tmp_path / "example"
-    shutil.copytree(EXAMPLE, work)
-    run_audit(work / "audit.yaml")
-    loaded = run_python("""
-        import json, sys
-        from statcert.audit.runner import monitor_step
-
-        verdict = monitor_step(sys.argv[1], sys.argv[2], sys.argv[3]).verdict
-        print(json.dumps([verdict, "numpy.ma" in sys.modules]))
-        """, str(work / "audit_ledger.jsonl"), str(work / "audit.yaml"),
-        str(work / "data" / "window_shift.csv"))
-    assert loaded == ["shift_unclassified", False]
 
 
 def test_rank_auroc_loads_no_scipy_stats():
