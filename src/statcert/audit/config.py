@@ -404,8 +404,12 @@ def load_config(path: str | Path) -> AuditConfig:
     if len(set(names)) != len(names):
         raise ConfigInvalid("requirement names must be unique")
 
-    share_sum = sum(m.spec.alpha_share for m in mprs) + \
-        sum(f.alpha_share for f in fairness)
+    shares = [(f"mprs[{i}]", m.spec.alpha_share) for i, m in enumerate(mprs)] + \
+        [(f"fairness[{i}]", f.alpha_share) for i, f in enumerate(fairness)]
+    for where, share in shares:
+        if not 0.0 < share <= 1.0:
+            raise ConfigInvalid(f"{where}.alpha_share must be in (0, 1], got {share}")
+    share_sum = sum(share for _, share in shares)
     if abs(share_sum - 1.0) > SHARE_TOL:
         raise ConfigInvalid(
             f"alpha shares across requirements must sum to 1, got {share_sum}")

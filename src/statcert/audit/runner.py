@@ -97,10 +97,9 @@ def _requirement_sections(config: AuditConfig, datasets: dict[str, Dataset],
         from ..fairness import GroupedOutcomes, fairness_mpr_check
     for j, req in enumerate(config.fairness):
         test = fairness_mpr_check(
-            GroupedOutcomes.from_dataset(datasets[req.dataset]),
-            [(req.metric, req.max_violation)], n_bootstrap=req.n_bootstrap,
-            alpha=entry_alpha * req.alpha_share,
-            seed=splitmix64(config.seed, 2000 + j))[req.metric]
+            GroupedOutcomes.from_dataset(datasets[req.dataset]), req.metric,
+            req.max_violation, n_bootstrap=req.n_bootstrap,
+            alpha=entry_alpha * req.alpha_share, seed=splitmix64(config.seed, 2000 + j))
         fairness_rows.append(row(req, test, req.metric, test.statistic,
                                  req.max_violation, test.n))
     return (all(test.rejected for _, test in tests), mpr_rows, fairness_rows,
@@ -152,9 +151,7 @@ def _aux_sections(config: AuditConfig, datasets: dict[str, Dataset]) -> dict:
         if ensembles and all(e.correct is not None for e in ensembles):
             wrong = [not e.correct for e in ensembles]
             if 2 <= sum(wrong) <= len(wrong) - 2:
-                quality = evaluate_uncertainty_quality(
-                    decomps, wrong, task="misclassification_detection")
-                section["flag_quality_auroc"] = quality.auroc
+                section["flag_quality_auroc"] = evaluate_uncertainty_quality(decomps, wrong)
         checks["uncertainty"] = section
 
     if config.ood is not None:
@@ -288,18 +285,15 @@ def _as_config(config: AuditConfig | str | Path) -> AuditConfig:
     return config if isinstance(config, AuditConfig) else load_config(config)
 
 
-def _certify(entry: _Entry, kind: str, updated_model_data: Dataset | None = None,
-             rerun_of: dict | None = None) -> AuditReport:
-    """Load the bound data (updated_model_data for each gating binding),
-    spend, test, and publish the report with the entry's commit, or the
-    inconclusive report if spend finds the family exhausted. A rerun of
-    entry 0 must reproduce that entry, and commits nothing."""
+def _certify(entry: _Entry, kind: str, rerun_of: dict | None = None) -> AuditReport:
+    """Load the bound data, spend, test, and publish the report with the
+    entry's commit, or the inconclusive report if spend finds the family
+    exhausted. A rerun of entry 0 must reproduce that entry, and commits
+    nothing."""
     config = entry.config
     gating = config.gating_dataset_names()
     datasets = {name: _load(f"dataset {name!r}", binding.path, binding.columns)
                 for name, binding in config.datasets.items()}
-    if updated_model_data is not None:
-        datasets.update(dict.fromkeys(gating, updated_model_data))
     dataset_hashes = {k: d.content_hash for k, d in datasets.items()}
     if rerun_of is not None and rerun_of["dataset_hashes"] != dataset_hashes:
         raise ConfigInvalid("ledger already holds an initial certification on "
@@ -370,20 +364,18 @@ def run_audit(config: AuditConfig | str | Path) -> AuditReport:
         return _certify(entry, "certification", rerun_of=entry.replay.first)
 
 
-def recertify(ledger: AuditLedger | str | Path, config: AuditConfig | str | Path,
-              updated_model_data: Dataset | None = None) -> tuple[AuditReport, AuditLedger]:
+def recertify(config: AuditConfig | str | Path) -> AuditReport:
     """Test an updated model at the alpha the fallback recurrence allocates,
-    and write the report.
+    append its entry to the config's ledger, and write the report.
 
-    The gating data must be fresh: data with the content hash of any data a
-    prior entry spent alpha on (the same multiset of rows at 12 significant
-    digits, in any order) is refused. When updated_model_data is given
-    it replaces every gating dataset binding; otherwise the bindings are
-    reloaded from disk.
+    The bindings are reloaded from disk, and the gating data must be fresh:
+    data with the content hash of any data a prior entry spent alpha on
+    (the same multiset of rows at 12 significant digits, in any order) is
+    refused.
     """
     config = _as_config(config)
-    with _Entry(ledger, config) as entry:
-        return _certify(entry, "recertification", updated_model_data), entry.ledger
+    with _Entry(config.ledger_path, config) as entry:
+        return _certify(entry, "recertification")
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,11 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
-from .audit.ledger import AuditLedger, verify_ledger
+from .audit.ledger import verify_ledger
 from .audit.report import render_markdown
 from .canonical import canonical_json, parse_json
-from .errors import FamilyAlphaExhausted, InconclusiveVerdict, LedgerCorrupt, StatcertError
+from .errors import (ConfigInvalid, FamilyAlphaExhausted, InconclusiveVerdict, LedgerCorrupt,
+                     StatcertError)
 
 # audit.config and core load numpy and yaml, audit.runner the drift test:
 # only the commands that read a config import them
@@ -102,8 +103,15 @@ def run_cmd(config_path: str) -> NoReturn:
 def recertify_cmd(config_path: str, ledger_path: str) -> NoReturn:
     """Test an updated model at the next fallback alpha."""
     from .audit.runner import recertify
-    config, (report, _) = _execute(
-        config_path, lambda cfg: recertify(AuditLedger(ledger_path), cfg))
+
+    def checked(config: AuditConfig):
+        # the config's ledger is the one whose sidecars load_config checked
+        if Path(ledger_path).resolve() != config.ledger_path:
+            raise ConfigInvalid(f"--ledger {ledger_path} is not the config's ledger "
+                                f"{config.ledger_path}")
+        return recertify(config)
+
+    config, report = _execute(config_path, checked)
     _exit_by(report.verdict, f"verdict: {report.verdict}", f"report: {config.report_path}")
 
 
@@ -177,7 +185,7 @@ def _parser() -> argparse.ArgumentParser:
     config_command("run", run_cmd)
     config_command("recertify", recertify_cmd).add_argument(
         "--ledger", dest="ledger_path", required=True, type=existing,
-        help="Existing certification ledger to extend.")
+        help="The config's ledger, which the entry extends; any other file is refused.")
     sub = config_command("monitor", monitor_cmd)
     sub.add_argument("--window", dest="window_path", required=True, type=existing,
                      help="Production window (feature columns of the drift reference).")

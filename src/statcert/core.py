@@ -580,8 +580,6 @@ class MprSpec:
             raise ValidationError(f"bad direction {self.direction!r}")
         if self.test_kind not in ("exact_binomial", "bootstrap"):
             raise ValidationError(f"bad test_kind {self.test_kind!r}")
-        if not 0.0 <= self.alpha_share <= 1.0:
-            raise ValidationError("alpha_share must be in [0, 1]")
         info = METRICS.get(self.metric_id)
         if info is not None:
             lo, hi = info.codomain

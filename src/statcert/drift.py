@@ -404,20 +404,19 @@ def _assignment(keys: np.ndarray, n: int) -> np.ndarray:
 
 
 def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
-                         seed: int = 0, alpha: float = 0.05,
-                         bandwidth: float | None = None) -> TestResult:
+                         seed: int = 0, alpha: float = 0.05) -> TestResult:
     """Unbiased MMD^2 two-sample test with an RBF kernel.
 
     Kernel k(a, b) = exp(-|a-b|^2 / (2 h^2)) with h the pooled median
-    heuristic unless given; the features and h are scaled by one power of
-    two (_unit_scale) first, so the result does not depend on the features'
-    unit, and the reported `bandwidth` is in the features' own unit. The
-    permutation null recomputes the U-statistic under random relabelings of
-    the pooled rows; with unit kernel diagonal the statistic is a function
-    of v'Kv and 1'Kv alone, so all permutations reduce to one product of
-    the kernel with a 0/1 assignment matrix. The
-    kernel is symmetric, so it is built only over its upper triangle, one
-    row block at a time, and never held whole: each block's leading square
+    heuristic (1 when that median is 0); the features are scaled by one
+    power of two (_unit_scale) first, so the result does not depend on the
+    features' unit, and the reported `bandwidth` is in the features' own
+    unit. The permutation null recomputes the U-statistic under random
+    relabelings of the pooled rows; with unit kernel diagonal the statistic
+    is a function of v'Kv and 1'Kv alone, so all permutations reduce to one
+    product of the kernel with a 0/1 assignment matrix. The kernel is
+    symmetric, so it is built only over its upper triangle, one row block
+    at a time, and never held whole: each block's leading square
     is used as it is and the rest counts for itself and its mirror image,
     so the products cover half the kernel. Time O((n+m)^2 * n_perm),
     memory O((n+m) * (block + n_perm)).
@@ -435,11 +434,8 @@ def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
     pooled = np.vstack([x, y])
     e = _unit_scale(pooled)
     total = n + m
-    if bandwidth is None:
-        med = _median_pair_distance(pooled)
-        h, bandwidth = (med, float(np.ldexp(med, e))) if med > 0 else (1.0, 1.0)
-    else:
-        h = float(np.ldexp(bandwidth, -e))
+    med = _median_pair_distance(pooled)
+    h, bandwidth = (med, float(np.ldexp(med, e))) if med > 0 else (1.0, 1.0)
 
     # column p labels x the n rows it draws
     assign = _assignment(np.random.default_rng(seed).random((total, n_perm)), n)

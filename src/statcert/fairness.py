@@ -172,34 +172,29 @@ def _resampled_violations(outcomes: GroupedOutcomes, metric: str, n_bootstrap: i
     return worst
 
 
-def fairness_mpr_check(outcomes: GroupedOutcomes,
-                       fairness_mprs: list[tuple[str, float]],
+def fairness_mpr_check(outcomes: GroupedOutcomes, metric: str, max_violation: float,
                        n_bootstrap: int = 2000, alpha: float = 0.05,
-                       seed: int = 0) -> dict[str, TestResult]:
-    """One-sided bootstrap gate per fairness requirement.
+                       seed: int = 0) -> TestResult:
+    """One-sided bootstrap gate of one fairness requirement.
 
     H0: violation >= max_violation; rejecting demonstrates fairness. The
     p-value is the percentile rule (r+1)/(B+1) over stratified resamples of
-    the contingency cube.
+    the contingency cube, drawn from the stream SeedSequence([seed, 0]).
     """
     if n_bootstrap < BOOTSTRAP_MIN_B:
         raise InvalidResampleCount(f"need B >= {BOOTSTRAP_MIN_B}, got {n_bootstrap}")
-    results: dict[str, TestResult] = {}
-    for idx, (metric, max_violation) in enumerate(fairness_mprs):
-        if max_violation < 0:
-            raise ValidationError("max_violation must be non-negative")
-        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        observed = fairness_violation(outcomes, metric)
-        draws = _resampled_violations(outcomes, metric, n_bootstrap, rng)
-        p_value = percentile_pvalue(draws, max_violation, "at_most")
-        results[metric] = TestResult(
-            test_id="fairness_bootstrap",
-            statistic=observed,
-            p_value=p_value,
-            conf_bound=float(np.quantile(draws, 1.0 - alpha)),
-            alpha_used=alpha,
-            n=int(outcomes.counts.sum()),
-            params={"metric": metric, "max_violation": max_violation,
-                    "B": n_bootstrap, "seed": seed},
-        )
-    return results
+    if max_violation < 0:
+        raise ValidationError("max_violation must be non-negative")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    observed = fairness_violation(outcomes, metric)
+    draws = _resampled_violations(outcomes, metric, n_bootstrap, rng)
+    return TestResult(
+        test_id="fairness_bootstrap",
+        statistic=observed,
+        p_value=percentile_pvalue(draws, max_violation, "at_most"),
+        conf_bound=float(np.quantile(draws, 1.0 - alpha)),
+        alpha_used=alpha,
+        n=int(outcomes.counts.sum()),
+        params={"metric": metric, "max_violation": max_violation,
+                "B": n_bootstrap, "seed": seed},
+    )

@@ -22,6 +22,8 @@ from .errors import MissingColumn, SchemaMismatch, TooFewSamples, ValidationErro
 from .stattest import rank_auroc
 
 PROXY_MIN_ROWS = 100
+PROXY_AUC_THRESHOLD = 0.99
+PROXY_HOLDOUT_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -114,13 +116,12 @@ def duplicate_check(train: Dataset, test: Dataset,
     return LeakageReport("duplicate", severity, tuple(evidence), description)
 
 
-def group_leakage_check(train: Dataset, test: Dataset,
-                        group_id_column: str | None = None) -> LeakageReport:
-    """Flag group identifiers present in both splits (same patient, same
-    device, ...). Evidence lists one entry per shared identifier."""
+def group_leakage_check(train: Dataset, test: Dataset) -> LeakageReport:
+    """Flag group identifiers (the group_id column) present in both splits
+    (same patient, same device, ...). Evidence lists one entry per shared
+    identifier."""
     def ids(ds):
-        name = group_id_column or ds.schema.single("group_id")
-        return set(str(v) for v in ds.column(name))
+        return set(str(v) for v in ds.column(ds.schema.single("group_id")))
 
     shared = sorted(ids(train) & ids(test))
     if shared:
@@ -129,12 +130,11 @@ def group_leakage_check(train: Dataset, test: Dataset,
     return LeakageReport("group", "clean", (), "group ids disjoint across splits")
 
 
-def temporal_split_check(train: Dataset, test: Dataset,
-                         timestamp_column: str | None = None) -> LeakageReport:
-    """Flag training rows timestamped after the evaluation window opens."""
+def temporal_split_check(train: Dataset, test: Dataset) -> LeakageReport:
+    """Flag training rows timestamped (the timestamp column) after the
+    evaluation window opens."""
     def stamps(ds):
-        name = timestamp_column or ds.schema.single("timestamp")
-        return np.asarray(ds.column(name), dtype=np.int64)
+        return np.asarray(ds.column(ds.schema.single("timestamp")), dtype=np.int64)
 
     train_ts = stamps(train)
     test_ts = stamps(test)
@@ -181,29 +181,26 @@ def _best_threshold(values: np.ndarray, labels: np.ndarray) -> tuple[float, int]
     return best[1], best[2]
 
 
-def target_proxy_screen(dataset: Dataset, auc_threshold: float = 0.99,
-                        holdout_fraction: float = 0.5, seed: int = 0) -> LeakageReport:
+def target_proxy_screen(dataset: Dataset, seed: int = 0) -> LeakageReport:
     """Screen every numeric feature for being a disguised copy of the label.
 
     Binary labels: fit a single-feature threshold classifier on an internal
     fit half, then measure its holdout discrimination as the rank AUC of the
     binarized predictions (equal to balanced accuracy); features at or above
-    auc_threshold are flagged. Real labels: absolute Spearman rank
+    PROXY_AUC_THRESHOLD are flagged. Real labels: absolute Spearman rank
     correlation >= 0.99 flags. The split is internal so the screen never
     consumes designated test data; non-numeric features are skipped and
     named in the description.
     """
     if dataset.n_rows < PROXY_MIN_ROWS:
         raise TooFewSamples(f"proxy screen needs >= {PROXY_MIN_ROWS} rows")
-    if not 0.0 < holdout_fraction < 1.0:
-        raise ValidationError("holdout_fraction must be in (0, 1)")
     y = dataset.by_role("label")
     label_values = set(np.unique(y).tolist())
     binary = label_values <= {0, 1}
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.n_rows)
-    n_hold = int(round(dataset.n_rows * holdout_fraction))
+    n_hold = int(round(dataset.n_rows * PROXY_HOLDOUT_FRACTION))
     hold_idx, fit_idx = perm[:n_hold], perm[n_hold:]
 
     evidence = []
@@ -221,7 +218,7 @@ def target_proxy_screen(dataset: Dataset, auc_threshold: float = 0.99,
             threshold, orient = _best_threshold(x[fit_idx], yb[fit_idx])
             predicted = (x[hold_idx] > threshold) if orient == 1 else (x[hold_idx] <= threshold)
             auc = rank_auroc(predicted.astype(float), yb[hold_idx].astype(bool))
-            if auc >= auc_threshold:
+            if auc >= PROXY_AUC_THRESHOLD:
                 evidence.append({"feature": name, "holdout_auc": float(auc)})
         else:
             from scipy.stats import spearmanr  # scipy.stats takes ~1 s to import
@@ -235,6 +232,6 @@ def target_proxy_screen(dataset: Dataset, auc_threshold: float = 0.99,
         return LeakageReport(
             "target_proxy", "warning", tuple(evidence),
             f"{len(evidence)} feature(s) discriminate the label at >= "
-            f"{auc_threshold}{note}")
+            f"{PROXY_AUC_THRESHOLD}{note}")
     return LeakageReport("target_proxy", "clean", (),
-                         f"no single feature reaches {auc_threshold}{note}")
+                         f"no single feature reaches {PROXY_AUC_THRESHOLD}{note}")

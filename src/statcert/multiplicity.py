@@ -123,6 +123,7 @@ def fallback_test(family: HypothesisFamily) -> SequentialDecision:
 
 
 SIM_PROCEDURES = ("uncorrected", "bonferroni", "fixed_sequence", "fallback")
+SIM_ALTERNATIVE_BETA = (0.1, 1.0)  # Beta(a, b) of the false nulls' p-values
 
 
 @dataclass(frozen=True)
@@ -134,12 +135,11 @@ class FwerEstimate:
 
 
 def simulate_fwer(procedure: str, true_null: list[bool], family_alpha: float,
-                  trials: int, seed: int, weights: list[float] | None = None,
-                  alternative_beta: tuple[float, float] = (0.1, 1.0)) -> FwerEstimate:
+                  trials: int, seed: int, weights: list[float] | None = None) -> FwerEstimate:
     """Monte Carlo estimate of the FWER under a true/false null pattern.
 
-    True-null p-values are uniform(0,1); false nulls draw from a
-    Beta(alternative_beta) concentrated near zero. FWER counts trials with
+    True-null p-values are uniform(0,1); false nulls draw from
+    Beta(SIM_ALTERNATIVE_BETA), concentrated near zero. FWER counts trials with
     at least one rejection among the true nulls. The uncorrected procedure
     exists as a baseline only and is never accepted by the audit config.
     """
@@ -165,10 +165,9 @@ def simulate_fwer(procedure: str, true_null: list[bool], family_alpha: float,
 
     rng = np.random.default_rng(seed)
     p = rng.uniform(size=(trials, m))
-    a, b = alternative_beta
     n_false = int(np.sum(~null_mask))
     if n_false:
-        p[:, ~null_mask] = rng.beta(a, b, size=(trials, n_false))
+        p[:, ~null_mask] = rng.beta(*SIM_ALTERNATIVE_BETA, size=(trials, n_false))
 
     if procedure == "uncorrected":
         reject = p <= family_alpha

@@ -111,15 +111,12 @@ class OodScorer:
         lam = 1e-6 * (trace / d if trace > 0 else 1.0)
         self._precision = np.linalg.inv(cov + lam * np.eye(d))
 
-    def score_samples(self, data: Dataset | np.ndarray) -> np.ndarray:
+    def score_samples(self, data: Dataset) -> np.ndarray:
         if not self._fitted:
             raise ValidationError("scorer not fitted")
         if self.method == "max_softmax":
-            if not isinstance(data, Dataset):
-                raise ValidationError("max_softmax scores a dataset's score columns")
             return 1.0 - data.scores_matrix().max(axis=1)
-        x = data.features_matrix() if isinstance(data, Dataset) else np.atleast_2d(
-            np.asarray(data, dtype=float))
+        x = data.features_matrix()
         if self.method == "density_histogram":
             log_dens = np.zeros(len(x))
             for j, (edges, dens) in enumerate(self._hist):
@@ -375,7 +372,6 @@ def robust_accuracy(predict: Callable[[np.ndarray], int], dataset: Dataset,
     sample's search is seeded by splitmix64(seed, row), making results
     reproducible and independent of evaluation order.
     """
-    norm = norm.lower()
     if norm not in NORMS:
         raise ValidationError(f"norm must be one of {NORMS}")
     if attack not in ATTACKS:

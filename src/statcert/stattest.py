@@ -16,13 +16,13 @@ from .core import METRICS, Dataset, MetricValue, MprSpec, compute_metric
 from .errors import (
     DegenerateThreshold,
     InvalidCount,
-    InvalidResampleCount,
     TooFewSamples,
     ValidationError,
 )
 
 BOOTSTRAP_MIN_N = 20
-BOOTSTRAP_MIN_B = 1000
+BOOTSTRAP_MIN_B = 1000  # the fewest resamples a fairness gate may be configured with
+BOOTSTRAP_B = 2000  # resamples of the MPR bootstrap test
 
 
 @dataclass
@@ -168,24 +168,22 @@ def percentile_pvalue(stat_samples: np.ndarray, threshold: float, direction: str
 
 
 def bootstrap_test_one_sided(values: np.ndarray, threshold: float, direction: str,
-                             b_resamples: int = 2000, alpha: float = 0.05,
-                             seed: int = 0) -> TestResult:
-    """Percentile-bootstrap one-sided test on the mean of per-sample values.
+                             alpha: float = 0.05, seed: int = 0) -> TestResult:
+    """Percentile-bootstrap one-sided test on the mean of per-sample values,
+    over BOOTSTRAP_B resamples.
 
     The input is sorted before resampling, which makes the result invariant
-    to the order the samples arrived in. Floors: n >= 20 and B >= 1000; the
-    percentile bootstrap is not defensible below them.
+    to the order the samples arrived in. Floor: n >= 20; the percentile
+    bootstrap is not defensible below it.
     """
     values = np.sort(np.asarray(values, dtype=float))
     n = len(values)
     if n < BOOTSTRAP_MIN_N:
         raise TooFewSamples(f"bootstrap needs n >= {BOOTSTRAP_MIN_N}, got {n}")
-    if b_resamples < BOOTSTRAP_MIN_B:
-        raise InvalidResampleCount(f"need B >= {BOOTSTRAP_MIN_B}, got {b_resamples}")
     if direction not in ("at_least", "at_most"):
         raise ValidationError(f"bad direction {direction!r}")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(b_resamples, n))
+    idx = rng.integers(0, n, size=(BOOTSTRAP_B, n))
     means = values[idx].mean(axis=1)
     p_value = percentile_pvalue(means, threshold, direction)
     if direction == "at_most":
@@ -200,7 +198,7 @@ def bootstrap_test_one_sided(values: np.ndarray, threshold: float, direction: st
         alpha_used=alpha,
         n=n,
         params={"threshold": threshold, "direction": direction,
-                "B": b_resamples, "alpha": alpha, "seed": seed},
+                "B": BOOTSTRAP_B, "alpha": alpha, "seed": seed},
     )
 
 
@@ -241,7 +239,7 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 
 def evaluate_mpr(dataset: Dataset, mpr: MprSpec, alpha: float,
-                 seed: int = 0, b_resamples: int = 2000) -> tuple[MetricValue, TestResult]:
+                 seed: int = 0) -> tuple[MetricValue, TestResult]:
     """Compute the MPR's metric and run the matching one-sided test.
 
     Proportion metrics must use the exact binomial test on their lossless
@@ -266,5 +264,5 @@ def evaluate_mpr(dataset: Dataset, mpr: MprSpec, alpha: float,
     if mpr.metric_id == "rmse":
         threshold = threshold ** 2
     result = bootstrap_test_one_sided(metric.per_sample_losses, threshold,
-                                      mpr.direction, b_resamples, alpha, seed)
+                                      mpr.direction, alpha, seed)
     return metric, result

@@ -8,6 +8,10 @@ For K member distributions p(y|x, w_k) with posterior weights w_k:
 
 All entropies in nats. The subtraction identity is exact; the direct
 KL form sum_k w_k KL(p_k || mean) is recomputed as an internal cross-check.
+
+Two uses of the decomposition: the abstention rule (`uncertainty_fallback`),
+and the quality of total uncertainty as a flag for misclassified inputs,
+scored as its AUROC against them (`evaluate_uncertainty_quality`).
 """
 
 from __future__ import annotations
@@ -137,58 +141,18 @@ def uncertainty_fallback(ens: EnsemblePrediction,
     return "accept"
 
 
-@dataclass(frozen=True)
-class UncertaintyQuality:
-    task: str
-    auroc: float
-    n_flagged: int
-    n_clear: int
-    risk_coverage: tuple[tuple[float, float], ...] | None = None
-
-
-TASKS = ("misclassification_detection", "ood_detection", "selective_prediction")
-
-
 def evaluate_uncertainty_quality(decomps: Sequence[UncertaintyDecomposition],
-                                 flags: Sequence[bool], task: str,
-                                 score_component: str = "total") -> UncertaintyQuality:
-    """Score how well an uncertainty component predicts the flags.
-
-    Flags mark the bad outcome (misclassified, or OOD). AUROC is the rank
-    statistic of the chosen component against the flags. For
-    selective_prediction the report adds the risk-coverage curve: samples
-    are kept in increasing-score order and risk is the flagged fraction
-    among the kept, with one point per distinct threshold (ties stay
-    together, since a threshold cannot split equal scores).
-    """
-    if task not in TASKS:
-        raise ValidationError(f"unknown task {task!r}")
+                                 flags: Sequence[bool]) -> float:
+    """AUROC of total uncertainty against the flags, which mark the bad
+    outcome (a misclassified input): the rank statistic, ties averaged.
+    Needs at least two inputs of each flag value."""
     if len(decomps) != len(flags):
         raise ValidationError("flags must align with decompositions")
     flags_arr = np.asarray(flags, dtype=bool)
     n_flagged = int(np.sum(flags_arr))
-    n_clear = len(flags_arr) - n_flagged
-    if n_flagged < 2 or n_clear < 2:
+    if n_flagged < 2 or len(flags_arr) - n_flagged < 2:
         raise DegenerateFlags("need >= 2 samples of each flag class")
-    scores = np.array([d.component(score_component) for d in decomps])
-    auroc = rank_auroc(scores, flags_arr)
-
-    curve = None
-    if task == "selective_prediction":
-        order = np.argsort(scores, kind="stable")
-        sorted_scores = scores[order]
-        sorted_flags = flags_arr[order]
-        cum_err = np.cumsum(sorted_flags)
-        n = len(scores)
-        pts = []
-        for i in range(n):
-            # a valid cut keeps all samples tied at this score
-            if i + 1 < n and sorted_scores[i + 1] == sorted_scores[i]:
-                continue
-            kept = i + 1
-            pts.append((kept / n, float(cum_err[i]) / kept))
-        curve = tuple(pts)
-    return UncertaintyQuality(task, auroc, n_flagged, n_clear, curve)
+    return rank_auroc(np.array([d.total for d in decomps]), flags_arr)
 
 
 def load_ensembles(path: str | Path) -> list[EnsemblePrediction]:

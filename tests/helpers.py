@@ -60,7 +60,7 @@ def full_matrix_bandwidth(pooled):
     return med if med > 0 else 1.0
 
 
-def full_matrix_mmd_test(x, y, n_perm=1000, seed=0, alpha=0.05, bandwidth=None):
+def full_matrix_mmd_test(x, y, n_perm=1000, seed=0, alpha=0.05):
     """MMD permutation test holding the whole (n+m)^2 kernel: the reference
     for the blocked `mmd_permutation_test` (same RNG stream and assignment)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -68,7 +68,7 @@ def full_matrix_mmd_test(x, y, n_perm=1000, seed=0, alpha=0.05, bandwidth=None):
     n, m = len(x), len(y)
     pooled = np.vstack([x, y])
     total = n + m
-    h = bandwidth if bandwidth is not None else full_matrix_bandwidth(pooled)
+    h = full_matrix_bandwidth(pooled)
     kernel = np.exp(-_full_sq_distances(pooled, pooled) / (2.0 * h * h))
 
     ksum = float(kernel.sum())

@@ -39,7 +39,6 @@ from statcert.errors import (
     StaleDataReuse,
 )
 
-from conftest import build_dataset
 from helpers import reference_consumed_hashes, reference_replay_state
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "example"
@@ -312,6 +311,11 @@ class TestConfig:
         message = rf"^{re.escape(key)}: unknown \w+ '{value}', expected one of"
         with pytest.raises(ConfigInvalid, match=message):
             load_config(mutate_yaml(build_full_workspace(tmp_path), transform))
+
+    def test_norm_spelling_is_case_insensitive(self, tmp_path):
+        path = mutate_yaml(build_full_workspace(tmp_path),
+                           lambda raw: raw["robustness"].update(norm="Linf"))
+        assert load_config(path).robustness.norm == "linf"
 
     def test_readme_config_schema_loads(self, tmp_path):
         readme = (EXAMPLE.parent / "README.md").read_text()
@@ -1311,8 +1315,9 @@ class TestRecertify:
         assert AuditLedger(cfg.ledger_path).entries[0]["alpha_allocated"] == 0.025
 
         write_labeled_csv(tmp_path / "data" / "test.csv", 200, 195, seed=777)
-        report2, ledger = recertify(cfg.ledger_path, cfg)
+        report2 = recertify(cfg)
         assert report2.verdict == "pass"
+        ledger = AuditLedger(cfg.ledger_path)
         entry = ledger.entries[1]
         assert entry["alpha_allocated"] == pytest.approx(0.05)
         assert entry["alpha_carried_in"] == pytest.approx(0.025)
@@ -1326,8 +1331,8 @@ class TestRecertify:
         assert run_audit(cfg).verdict == "fail"
 
         write_labeled_csv(tmp_path / "data" / "test.csv", 200, 170, seed=778)
-        report2, ledger = recertify(cfg.ledger_path, cfg)
-        assert report2.verdict == "fail"
+        assert recertify(cfg).verdict == "fail"
+        ledger = AuditLedger(cfg.ledger_path)
         assert [e["alpha_allocated"] for e in ledger.entries] == [0.025, 0.025]
         assert verify_ledger(ledger)["consistent"]
 
@@ -1335,18 +1340,17 @@ class TestRecertify:
         cfg = load_config(build_workspace(tmp_path, k=195))
         run_audit(cfg)
         with pytest.raises(StaleDataReuse):
-            recertify(cfg.ledger_path, cfg)  # same file, same bytes
+            recertify(cfg)  # same file, same bytes
 
     def test_shuffled_copy_of_consumed_data_refused(self, tmp_path):
         cfg = load_config(build_workspace(tmp_path, k=195, weights=(0.5, 0.5)))
         run_audit(cfg)
         shuffle_rows(tmp_path / "data" / "test.csv", seed=2)
         with pytest.raises(StaleDataReuse):
-            recertify(cfg.ledger_path, cfg)
+            recertify(cfg)
         write_labeled_csv(tmp_path / "data" / "test.csv", 200, 195, seed=781)
-        report, ledger = recertify(cfg.ledger_path, cfg)  # fresh rows still pass
-        assert report.verdict == "pass"
-        assert len(ledger) == 2
+        assert recertify(cfg).verdict == "pass"  # fresh rows still pass
+        assert len(AuditLedger(cfg.ledger_path)) == 2
 
     def test_stale_data_refused_under_reordered_columns(self, tmp_path):
         # reversing the `columns:` mapping must not mint a fresh identity
@@ -1360,7 +1364,7 @@ class TestRecertify:
 
         reordered = load_config(mutate_yaml(path, reverse_test_columns))
         with pytest.raises(StaleDataReuse):
-            recertify(reordered.ledger_path, reordered)
+            recertify(reordered)
 
     def test_exhausted_family_refused(self, tmp_path):
         # single weight spent by a failed first test leaves nothing behind
@@ -1368,13 +1372,13 @@ class TestRecertify:
         assert run_audit(cfg).verdict == "fail"
         write_labeled_csv(tmp_path / "data" / "test.csv", 200, 195, seed=779)
         with pytest.raises(FamilyAlphaExhausted):
-            recertify(cfg.ledger_path, cfg)
+            recertify(cfg)
 
     def test_empty_ledger_refused(self, tmp_path):
         cfg = load_config(build_workspace(tmp_path))
         (tmp_path / "ledger.jsonl").touch()
         with pytest.raises(ConfigInvalid, match="initial certification"):
-            recertify(cfg.ledger_path, cfg)
+            recertify(cfg)
 
     def test_family_change_refused(self, tmp_path):
         path = build_workspace(tmp_path, k=195, weights=(0.5, 0.5))
@@ -1383,20 +1387,17 @@ class TestRecertify:
         changed = mutate_yaml(path, lambda raw: raw["family"].update(alpha=0.1))
         write_labeled_csv(tmp_path / "data" / "test.csv", 200, 195, seed=780)
         with pytest.raises(FamilyMismatch):
-            recertify(cfg.ledger_path, load_config(changed))
+            recertify(load_config(changed))
 
-    def test_updated_dataset_object_replaces_gating_data(self, tmp_path, rng):
+    def test_rebound_file_is_the_gating_data(self, tmp_path):
         cfg = load_config(build_workspace(tmp_path, k=195, weights=(0.5, 0.5)))
         run_audit(cfg)
-        labels = rng.integers(0, 2, size=150)
-        fresh = build_dataset(
-            {"x0": rng.normal(size=150), "x1": rng.normal(size=150),
-             "label": labels, "prediction": labels.copy()},
-            {"x0": "feature", "x1": "feature", "label": "label",
-             "prediction": "prediction"})
-        report, ledger = recertify(cfg.ledger_path, cfg, fresh)
-        assert report.verdict == "pass"  # 150/150 at alpha 0.05
-        assert ledger.entries[1]["dataset_hashes"]["test"] == fresh.content_hash
+        write_labeled_csv(tmp_path / "data" / "test.csv", 150, 150, seed=782)
+        fresh = load_dataset(tmp_path / "data" / "test.csv", cfg.datasets["test"].columns)
+        assert recertify(cfg).verdict == "pass"  # 150/150 at alpha 0.05
+        entry = AuditLedger(cfg.ledger_path).entries[1]
+        assert entry["dataset_hashes"]["test"] == fresh.content_hash
+        assert entry["gating_hashes"] == [fresh.content_hash]
 
 
 class TestMonitor:
@@ -1476,7 +1477,7 @@ class TestMonitor:
         columns = cfg.datasets["test"].columns
         reused = load_dataset(example_copy / "data" / "test_pass.csv", columns)
         with pytest.raises(StaleDataReuse):
-            recertify(cfg.ledger_path, cfg)
+            recertify(cfg)
         with pytest.raises(StaleDataReuse):
             monitor_step(cfg.ledger_path, cfg, shifted, reused)
         fresh = load_dataset(example_copy / "data" / "point_check.csv", columns)

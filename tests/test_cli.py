@@ -849,6 +849,74 @@ def test_ledger_whose_sidecar_is_another_file_exits_2_writing_nothing(ws, name, 
     assert {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()} == before
 
 
+@pytest.mark.parametrize("ledger", ("audit_ledger.jsonl", "copy.jsonl"))
+def test_recertify_on_a_ledger_not_the_configs_exits_2_writing_nothing(ws, ledger):
+    # `--ledger` used to choose the ledger, which got round the sidecar
+    # refusal: a report on another ledger's checkpoint was written there
+    certify(ws)
+    shutil.copy(ws / "audit_ledger.jsonl", ws / "copy.jsonl")
+
+    def fresh_data_on_other_ledger(raw):
+        raw["datasets"]["test"]["path"] = "data/point_check.csv"
+        raw.update(ledger="other.jsonl", report="audit_ledger.jsonl.ckpt")
+
+    config = mutate(ws, fresh_data_on_other_ledger)
+    before = {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()}
+    result = invoke("recertify", ws / config, "--ledger", ws / ledger)
+    assert result.exit_code == 2
+    assert result.stderr == (f"error: --ledger {ws / ledger} is not the config's "
+                             f"ledger {(ws / 'other.jsonl').resolve()}\n")
+    assert {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()} == before
+
+
+def test_recertify_ledger_is_compared_once_resolved(ws):
+    certify(ws)
+    config = mutate(ws, lambda raw: raw["datasets"]["test"].update(
+        path="data/point_check.csv"))
+    result = invoke("recertify", ws / config,
+                    "--ledger", ws / "data" / ".." / "audit_ledger.jsonl")
+    assert result.exit_code == 0, result.stderr
+    assert len((ws / "audit_ledger.jsonl").read_text().splitlines()) == 2
+
+
+def second_mpr(share):
+    def transform(raw):
+        raw["mprs"].append({**raw["mprs"][0], "name": "second", "alpha_share": share})
+    return transform
+
+
+def shares(mpr, *fairness):
+    def transform(raw):
+        raw["mprs"][0]["alpha_share"] = mpr
+        raw["fairness"] = [{**raw["fairness"][0], "name": f"gap{i}", "alpha_share": share}
+                           for i, share in enumerate(fairness)]
+    return transform
+
+
+SHARES_OUT_OF_RANGE = [
+    # exited 2 only after reading every data file, leaving the ledger's lock
+    ("audit.yaml", second_mpr(0.0), "mprs[1]", "0.0"),
+    # loaded, and could never be demonstrated
+    ("audit_fairness.yaml", shares(1.0, 0.0), "fairness[0]", "0.0"),
+    # summed to 1, loaded, and crashed the run with a traceback
+    ("audit_fairness.yaml", shares(1.0, 0.6, -0.6), "fairness[1]", "-0.6"),
+    ("audit.yaml", lambda raw: raw["mprs"][0].update(alpha_share=1.5), "mprs[0]", "1.5"),
+]
+
+
+@pytest.mark.parametrize("config, transform, where, share", SHARES_OUT_OF_RANGE,
+                         ids=["mpr_zero", "fairness_zero", "fairness_negative",
+                              "mpr_above_one"])
+def test_alpha_share_outside_unit_interval_exits_2_at_load(ws, config, transform,
+                                                           where, share):
+    config = mutate(ws, transform, src=config)
+    before = {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()}
+    result = invoke("run", ws / config)
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {where}.alpha_share must be in (0, 1], got {share}\n"
+    assert {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()} == before
+
+
 PREDICTOR = """\
 import sys
 

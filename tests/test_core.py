@@ -463,10 +463,6 @@ class TestMprSpec:
         with pytest.raises(ValidationError):
             MprSpec("accuracy", 0.9, "between")
 
-    def test_alpha_share_bounds(self):
-        with pytest.raises(ValidationError):
-            MprSpec("accuracy", 0.9, "at_least", alpha_share=1.5)
-
 
 class TestCanonicalJson:
     def test_key_order_and_no_spaces(self):

@@ -187,9 +187,7 @@ class TestFairnessGate:
         # so any positive threshold is demonstrably met
         c = parity_cube(0, 100, 0, 100)
         for threshold in (0.01, 0.1, 0.5):
-            results = fairness_mpr_check(c, [("statistical_parity", threshold)],
-                                         seed=5)
-            r = results["statistical_parity"]
+            r = fairness_mpr_check(c, "statistical_parity", threshold, seed=5)
             assert r.rejected
             assert r.p_value == 1 / 2001
 
@@ -197,15 +195,12 @@ class TestFairnessGate:
         # perfect classifier: per-cell rates are 0 or 1, so resampling
         # cannot move them and the odds gap stays 0
         c = cube(25, 0, 0, 25, 25, 0, 0, 25)
-        results = fairness_mpr_check(c, [("equal_opportunity", 0.05),
-                                         ("equalized_odds", 0.05)], seed=5)
-        assert all(r.rejected for r in results.values())
+        for metric in ("equal_opportunity", "equalized_odds"):
+            assert fairness_mpr_check(c, metric, 0.05, seed=5).rejected
 
     def test_gross_violation_fails(self):
         c = parity_cube(80, 100, 40, 100)  # parity diff 0.4
-        results = fairness_mpr_check(c, [("statistical_parity", 0.1)],
-                                     seed=5)
-        r = results["statistical_parity"]
+        r = fairness_mpr_check(c, "statistical_parity", 0.1, seed=5)
         assert r.statistic == pytest.approx(0.4, abs=1e-12)
         assert not r.rejected
         assert r.p_value > 0.9
@@ -213,36 +208,31 @@ class TestFairnessGate:
     def test_threshold_at_point_estimate_p_near_half(self):
         # large groups make the resample distribution nearly symmetric
         c = parity_cube(600, 1000, 400, 1000)
-        ps = [fairness_mpr_check(c, [("statistical_parity", 0.2)],
-                                 seed=s)["statistical_parity"].p_value
+        ps = [fairness_mpr_check(c, "statistical_parity", 0.2, seed=s).p_value
               for s in range(40)]
         assert abs(float(np.mean(ps)) - 0.5) <= 0.05
 
-    def test_multiple_metrics_evaluated_independently(self):
+    def test_each_metric_demonstrated_on_large_cells(self):
         # large cells keep the resample distributions tight around 0
         c = cube(*([2500] * 8))
-        results = fairness_mpr_check(
-            c, [("statistical_parity", 0.1), ("equalized_odds", 0.15)],
-            seed=2)
-        assert set(results) == {"statistical_parity", "equalized_odds"}
-        for r in results.values():
-            assert r.rejected
+        assert fairness_mpr_check(c, "statistical_parity", 0.1, seed=2).rejected
+        assert fairness_mpr_check(c, "equalized_odds", 0.15, seed=2).rejected
 
     def test_deterministic_given_seed(self):
         c = parity_cube(55, 100, 45, 100)
-        a = fairness_mpr_check(c, [("statistical_parity", 0.2)], seed=9)
-        b = fairness_mpr_check(c, [("statistical_parity", 0.2)], seed=9)
-        assert a["statistical_parity"].p_value == b["statistical_parity"].p_value
+        a = fairness_mpr_check(c, "statistical_parity", 0.2, seed=9)
+        b = fairness_mpr_check(c, "statistical_parity", 0.2, seed=9)
+        assert a.p_value == b.p_value
 
     def test_negative_threshold_rejected(self):
         c = parity_cube(10, 20, 10, 20)
         with pytest.raises(ValidationError):
-            fairness_mpr_check(c, [("statistical_parity", -0.1)])
+            fairness_mpr_check(c, "statistical_parity", -0.1)
 
     def test_unknown_metric_rejected(self):
         c = parity_cube(10, 20, 10, 20)
         with pytest.raises(ValidationError):
-            fairness_mpr_check(c, [("disparate_impact", 0.8)])
+            fairness_mpr_check(c, "disparate_impact", 0.8)
 
 
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1,

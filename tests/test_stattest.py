@@ -12,11 +12,11 @@ from statcert.core import MprSpec
 from statcert.errors import (
     DegenerateThreshold,
     InvalidCount,
-    InvalidResampleCount,
     TooFewSamples,
     ValidationError,
 )
 from statcert.stattest import (
+    BOOTSTRAP_B,
     binomial_test_one_sided,
     bootstrap_test_one_sided,
     clopper_pearson_bound,
@@ -150,23 +150,22 @@ class TestClopperPearson:
 class TestBootstrap:
     def test_constant_losses_entirely_on_h1_side(self):
         values = np.full(25, 0.4)
-        r = bootstrap_test_one_sided(values, 0.5, "at_most", b_resamples=1000)
-        assert r.p_value == 1 / 1001
+        r = bootstrap_test_one_sided(values, 0.5, "at_most")
+        assert r.p_value == 1 / (BOOTSTRAP_B + 1)
         assert r.decision == "reject_H0"
 
     def test_symmetric_values_centered_on_threshold(self):
         # distinct magnitudes avoid tie mass at the threshold itself
         deltas = np.arange(1, 26) * 0.01
         values = np.concatenate([0.5 + deltas, 0.5 - deltas])
-        ps = [bootstrap_test_one_sided(values, 0.5, "at_most", 2000,
-                                       seed=s).p_value for s in range(200)]
+        ps = [bootstrap_test_one_sided(values, 0.5, "at_most", seed=s).p_value
+              for s in range(200)]
         assert abs(np.mean(ps) - 0.5) <= 0.05
 
     def test_against_independent_resampling_oracle(self):
         # stdlib-RNG oracle replicating the percentile p from scratch
         values = np.tile([0.0, 0.0, 1.0], 10)
-        r = bootstrap_test_one_sided(values, 1.0, "at_most",
-                                     b_resamples=2000, seed=3)
+        r = bootstrap_test_one_sided(values, 1.0, "at_most", seed=3)
         py_rng = random.Random(12345)
         b = 5000
         hits = 0
@@ -189,9 +188,6 @@ class TestBootstrap:
     def test_floors_enforced(self):
         with pytest.raises(TooFewSamples):
             bootstrap_test_one_sided(np.zeros(19), 0.5, "at_most")
-        with pytest.raises(InvalidResampleCount):
-            bootstrap_test_one_sided(np.zeros(20), 0.5, "at_most",
-                                     b_resamples=999)
 
     def test_percentile_pvalue_counts_h0_side(self):
         samples = np.array([0.1, 0.2, 0.3, 0.9])

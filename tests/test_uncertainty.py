@@ -176,45 +176,18 @@ class TestQuality:
     def test_perfect_ordering_gives_auroc_one(self):
         decomps = [certain(0.99), certain(0.95), certain(0.7), certain(0.6)]
         flags = [False, False, True, True]
-        q = evaluate_uncertainty_quality(decomps, flags,
-                                         "misclassification_detection")
-        assert q.auroc == 1.0
+        assert evaluate_uncertainty_quality(decomps, flags) == 1.0
 
     def test_independent_scores_auroc_half(self, rng):
         n = 10_000
         decomps = [certain(p) for p in rng.uniform(0.55, 0.99, size=n)]
         flags = (rng.uniform(size=n) < 0.3).tolist()
-        q = evaluate_uncertainty_quality(decomps, flags, "ood_detection")
-        assert q.auroc == pytest.approx(0.5, abs=0.02)
-
-    def test_full_coverage_risk_is_error_rate(self):
-        decomps = [certain(p) for p in (0.9, 0.8, 0.7, 0.6, 0.55)]
-        flags = [False, True, False, True, True]
-        q = evaluate_uncertainty_quality(decomps, flags,
-                                         "selective_prediction")
-        coverage, risk = q.risk_coverage[-1]
-        assert coverage == 1.0
-        assert risk == pytest.approx(3 / 5)
-
-    def test_risk_coverage_keeps_ties_together(self):
-        decomps = [certain(0.9), certain(0.9), certain(0.6), certain(0.55)]
-        flags = [False, True, True, False]
-        q = evaluate_uncertainty_quality(decomps, flags,
-                                         "selective_prediction")
-        coverages = [pt[0] for pt in q.risk_coverage]
-        assert 0.25 not in coverages  # the two tied scores cannot split
+        assert evaluate_uncertainty_quality(decomps, flags) == pytest.approx(0.5, abs=0.02)
 
     def test_degenerate_flags(self):
         decomps = [certain(0.9), certain(0.8), certain(0.7)]
         with pytest.raises(DegenerateFlags):
-            evaluate_uncertainty_quality(decomps, [True, True, True],
-                                         "misclassification_detection")
-
-    def test_unknown_task(self):
-        decomps = [certain(0.9), certain(0.8), certain(0.7), certain(0.6)]
-        with pytest.raises(ValidationError):
-            evaluate_uncertainty_quality(decomps, [True, True, False, False],
-                                         "calibration")
+            evaluate_uncertainty_quality(decomps, [True, True, True])
 
 
 class TestLoadEnsembles:
