@@ -22,6 +22,7 @@ import yaml
 from ..core import (ATTACKS, DRIFT_METHODS, DUPLICATE_KEYS, FAIRNESS_METRICS, METRICS, NORMS,
                     OOD_METHODS, ROLES, MprSpec, SaddRecord)
 from ..errors import ConfigInvalid, ValidationError
+from ..stattest import BOOTSTRAP_MIN_B
 from .ledger import sidecars
 
 SHARE_TOL = 1e-9
@@ -321,6 +322,11 @@ def _need_choice(value: str, choices, what: str, where: str) -> None:
                             f"expected one of {sorted(choices)}")
 
 
+def _need_range(ok: bool, where: str, rule: str, value) -> None:
+    if not ok:
+        raise ConfigInvalid(f"{where} must be {rule}, got {value}")
+
+
 def _need_dataset(name: str, datasets: dict, where: str) -> DatasetBinding:
     if name not in datasets:
         raise ConfigInvalid(f"{where}: unknown dataset {name!r}")
@@ -370,8 +376,7 @@ def load_config(path: str | Path) -> AuditConfig:
 
     fam = _require_keys(raw["family"], {"alpha", "weights"}, {"alpha"}, "family")
     alpha = _convert(fam["alpha"], float, "family.alpha")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigInvalid("family.alpha must be in (0, 1)")
+    _need_range(0.0 < alpha < 1.0, "family.alpha", "in (0, 1)", alpha)
     weights = _convert(fam.get("weights", [1.0]), tuple[float, ...], "family.weights")
     if not weights or any(w < 0 for w in weights):
         raise ConfigInvalid("family.weights must be non-negative")
@@ -400,6 +405,10 @@ def load_config(path: str | Path) -> AuditConfig:
         _need_roles(_need_dataset(req.dataset, datasets, where),
                     ("group", "label", "prediction"), where)
         _need_choice(req.metric, FAIRNESS_METRICS, "fairness metric", f"{where}.metric")
+        _need_range(req.max_violation >= 0.0, f"{where}.max_violation", "non-negative",
+                    req.max_violation)
+        _need_range(req.n_bootstrap >= BOOTSTRAP_MIN_B, f"{where}.n_bootstrap",
+                    f">= {BOOTSTRAP_MIN_B}", req.n_bootstrap)
     names = [m.name for m in mprs] + [f.name for f in fairness]
     if len(set(names)) != len(names):
         raise ConfigInvalid("requirement names must be unique")
@@ -407,8 +416,7 @@ def load_config(path: str | Path) -> AuditConfig:
     shares = [(f"mprs[{i}]", m.spec.alpha_share) for i, m in enumerate(mprs)] + \
         [(f"fairness[{i}]", f.alpha_share) for i, f in enumerate(fairness)]
     for where, share in shares:
-        if not 0.0 < share <= 1.0:
-            raise ConfigInvalid(f"{where}.alpha_share must be in (0, 1], got {share}")
+        _need_range(0.0 < share <= 1.0, f"{where}.alpha_share", "in (0, 1]", share)
     share_sum = sum(share for _, share in shares)
     if abs(share_sum - 1.0) > SHARE_TOL:
         raise ConfigInvalid(
@@ -434,23 +442,26 @@ def load_config(path: str | Path) -> AuditConfig:
         _need_roles(_need_dataset(drift.reference, datasets, "drift.reference"),
                     ("feature",), "drift")
         _need_choice(drift.method, DRIFT_METHODS, "method", "drift.method")
-        if not 0.0 < drift.alpha < 1.0:
-            raise ConfigInvalid("drift.alpha must be in (0, 1)")
-        if drift.n_permutations < 1:
-            raise ConfigInvalid("drift.n_permutations must be >= 1")
+        _need_range(0.0 < drift.alpha < 1.0, "drift.alpha", "in (0, 1)", drift.alpha)
+        _need_range(drift.n_permutations >= 1, "drift.n_permutations", ">= 1",
+                    drift.n_permutations)
 
     uncertainty = None
     if "uncertainty" in raw:
         uncertainty = _build(UncertaintySettings, raw["uncertainty"], "uncertainty",
                              base)
-        for k in uncertainty.abstain_thresholds:
+        for k, limit in uncertainty.abstain_thresholds.items():
             if k not in ("total", "aleatoric", "epistemic"):
                 raise ConfigInvalid(f"uncertainty.abstain_thresholds: unknown component {k!r}")
+            _need_range(limit >= 0.0, f"uncertainty.abstain_thresholds.{k}", "non-negative",
+                        limit)
 
     ood = None
     if "ood" in raw:
         ood = _build(OodSettings, raw["ood"], "ood", base)
         _need_choice(ood.method, OOD_METHODS, "method", "ood.method")
+        _need_range(0.0 < ood.target_tpr <= 1.0, "ood.target_tpr", "in (0, 1]",
+                    ood.target_tpr)
         ref = _need_dataset(ood.reference, datasets, "ood.reference")
         val = _need_dataset(ood.validation, datasets, "ood.validation")
         if ood.method == "distance_centroid":
@@ -475,6 +486,9 @@ def load_config(path: str | Path) -> AuditConfig:
         robustness = replace(robustness, norm=robustness.norm.lower())
         _need_choice(robustness.norm, NORMS, "norm", "robustness.norm")
         _need_choice(robustness.attack, ATTACKS, "attack", "robustness.attack")
+        _need_range(robustness.epsilon >= 0.0, "robustness.epsilon", "non-negative",
+                    robustness.epsilon)
+        _need_range(robustness.budget >= 1, "robustness.budget", ">= 1", robustness.budget)
         _need_roles(_need_dataset(robustness.dataset, datasets, "robustness.dataset"),
                     ("feature", "label"), "robustness")
 

@@ -322,22 +322,9 @@ def _bracketed_pair_sq_distances(pooled: np.ndarray, norms: np.ndarray,
     return [float(values[r - below]) for r in ranks]
 
 
-def _unit_scale(pooled: np.ndarray) -> int:
-    """Scale the pooled sample in place by 2^-e and return e, the binary
-    exponent of its largest |x|. The scaled entries lie below 1 in
-    magnitude, so squared norms cannot overflow, and the largest are near
-    1, so the distances do not all underflow to 0, whatever the features'
-    unit. Scaling by a power of two is exact: where the unscaled sums
-    neither overflow nor underflow, the kernel is the same doubles as on
-    the unscaled sample."""
-    e = int(np.frexp(max(pooled.max(initial=0.0), -pooled.min(initial=0.0)))[1])
-    np.ldexp(pooled, -e, out=pooled)
-    return e
-
-
 def _median_pair_distance(pooled: np.ndarray) -> float:
     """Median pairwise Euclidean distance of a sample scaled by
-    _unit_scale; 0.0 when every pair coincides (or there is none)."""
+    _scaled_bandwidth; 0.0 when every pair coincides (or there is none)."""
     if not np.all(np.isfinite(pooled)):
         raise ValidationError("non-finite entries in pooled sample")
     pairs = len(pooled) * (len(pooled) - 1) // 2
@@ -366,14 +353,27 @@ def median_heuristic_bandwidth(pooled: np.ndarray) -> float:
     takes over if the bracket misses. Time O(N^2) (one pass on typical
     data, at most five), memory O(N + block) for N pooled rows. The
     distances are taken on the sample scaled by a power of two
-    (_unit_scale) and scaled back, so the result does not depend on the
-    features' unit. Falls back to 1.0 when every pair coincides, so the
-    kernel stays defined on degenerate data.
+    (_scaled_bandwidth) and scaled back, so the result does not depend on
+    the features' unit. Falls back to 1.0 when every pair coincides, so
+    the kernel stays defined on degenerate data.
     """
-    scaled = np.array(pooled, dtype=float, ndmin=2)
-    e = _unit_scale(scaled)
-    med = _median_pair_distance(scaled)
-    return float(np.ldexp(med, e)) if med > 0 else 1.0
+    return _scaled_bandwidth(np.array(pooled, dtype=float, ndmin=2))[1]
+
+
+def _scaled_bandwidth(pooled: np.ndarray) -> tuple[float, float]:
+    """Scale the pooled sample in place by 2^-e, e the binary exponent of
+    its largest |x|, and return (h, bandwidth): its median pair distance
+    on the scaled sample and in the features' own unit, both 1.0 when
+    every pair coincides. The scaled entries lie below 1 in magnitude, so
+    squared norms cannot overflow, and the largest are near 1, so the
+    distances do not all underflow to 0, whatever the features' unit.
+    Scaling by a power of two is exact: where the unscaled sums neither
+    overflow nor underflow, the kernel is the same doubles as on the
+    unscaled sample."""
+    e = int(np.frexp(max(pooled.max(initial=0.0), -pooled.min(initial=0.0)))[1])
+    np.ldexp(pooled, -e, out=pooled)
+    med = _median_pair_distance(pooled)
+    return (med, float(np.ldexp(med, e))) if med > 0 else (1.0, 1.0)
 
 
 def _assignment(keys: np.ndarray, n: int) -> np.ndarray:
@@ -409,8 +409,8 @@ def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
 
     Kernel k(a, b) = exp(-|a-b|^2 / (2 h^2)) with h the pooled median
     heuristic (1 when that median is 0); the features are scaled by one
-    power of two (_unit_scale) first, so the result does not depend on the
-    features' unit, and the reported `bandwidth` is in the features' own
+    power of two first (_scaled_bandwidth), so the result does not depend
+    on the features' unit, and the reported `bandwidth` is in their own
     unit. The permutation null recomputes the U-statistic under random
     relabelings of the pooled rows; with unit kernel diagonal the statistic
     is a function of v'Kv and 1'Kv alone, so all permutations reduce to one
@@ -432,10 +432,8 @@ def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
     if n_perm < 1:
         raise ValidationError("n_perm must be >= 1")
     pooled = np.vstack([x, y])
-    e = _unit_scale(pooled)
     total = n + m
-    med = _median_pair_distance(pooled)
-    h, bandwidth = (med, float(np.ldexp(med, e))) if med > 0 else (1.0, 1.0)
+    h, bandwidth = _scaled_bandwidth(pooled)
 
     # column p labels x the n rows it draws
     assign = _assignment(np.random.default_rng(seed).random((total, n_perm)), n)

@@ -46,23 +46,45 @@ class GroupedOutcomes:
         np.add.at(cube, (a.astype(int), y.astype(int), yhat.astype(int)), 1)
         return cls(cube)
 
-    def group_size(self, a: int) -> int:
-        return int(self.counts[a].sum())
 
-    def cell_size(self, a: int, y: int) -> int:
-        return int(self.counts[a, y].sum())
+# The sets each metric conditions on, as indices into the cube: each group
+# (a,) for parity, each (group, label) cell (a, y) for the conditional
+# metrics, in the order the bootstrap redraws them.
+_STRATA = {"statistical_parity": ((0,), (1,)),
+           "equal_opportunity": ((0, 1), (1, 1)),
+           "equalized_odds": ((0, 0), (1, 0), (0, 1), (1, 1))}
+
+
+def _checked_counts(outcomes: GroupedOutcomes, metric: str) -> np.ndarray:
+    """The cube, refused when a set the metric conditions on is empty."""
+    if metric not in _STRATA:
+        raise ValidationError(f"unknown fairness metric {metric!r}")
+    for stratum in _STRATA[metric]:
+        if outcomes.counts[stratum].sum() == 0:
+            if len(stratum) == 1:
+                raise EmptyGroup(f"group a={stratum[0]} has no samples")
+            raise EmptyCell(f"cell (a={stratum[0]}, y={stratum[1]}) has no samples")
+    return outcomes.counts
+
+
+def _gaps(cubes: np.ndarray, metric: str) -> np.ndarray:
+    """The metric on each (..., 2, 2, 2) cube, indexed [group, label,
+    prediction]: the signed parity gap p(yhat=1 | a=1) - p(yhat=1 | a=0),
+    or the worst |gap| in p(yhat=1 | a, y) over the metric's conditioning
+    labels. Its absolute value is the gating violation. The one definition
+    of each metric, for the observed cube and every bootstrap resample."""
+    if metric == "statistical_parity":
+        rates = cubes[..., 1].sum(axis=-1) / cubes.sum(axis=(-2, -1))  # [..., group]
+        return rates[..., 1] - rates[..., 0]
+    cells = cubes[..., [y for a, y in _STRATA[metric] if a == 0], :]
+    rates = cells[..., 1] / cells.sum(axis=-1)  # [..., group, label]
+    return np.abs(rates[..., 1, :] - rates[..., 0, :]).max(axis=-1)
 
 
 def statistical_parity_diff(outcomes: GroupedOutcomes) -> float:
     """p(yhat=1 | a=1) - p(yhat=1 | a=0); positive means group 1 receives
     the positive prediction more often."""
-    rates = []
-    for a in (0, 1):
-        n_a = outcomes.group_size(a)
-        if n_a == 0:
-            raise EmptyGroup(f"group a={a} has no samples")
-        rates.append(int(outcomes.counts[a, :, 1].sum()) / n_a)
-    return rates[1] - rates[0]
+    return float(_gaps(_checked_counts(outcomes, "statistical_parity"), "statistical_parity"))
 
 
 def equalized_odds_diff(outcomes: GroupedOutcomes, mode: str = "odds") -> float:
@@ -73,28 +95,13 @@ def equalized_odds_diff(outcomes: GroupedOutcomes, mode: str = "odds") -> float:
     """
     if mode not in ("opportunity", "odds"):
         raise ValidationError(f"mode must be opportunity or odds, got {mode!r}")
-    labels = (1,) if mode == "opportunity" else (0, 1)
-    worst = 0.0
-    for y in labels:
-        rates = []
-        for a in (0, 1):
-            n_ay = outcomes.cell_size(a, y)
-            if n_ay == 0:
-                raise EmptyCell(f"cell (a={a}, y={y}) has no samples")
-            rates.append(int(outcomes.counts[a, y, 1]) / n_ay)
-        worst = max(worst, abs(rates[1] - rates[0]))
-    return worst
+    return fairness_violation(outcomes, "equal_opportunity" if mode == "opportunity"
+                              else "equalized_odds")
 
 
 def fairness_violation(outcomes: GroupedOutcomes, metric: str) -> float:
     """Non-negative violation used for gating (absolute value of parity)."""
-    if metric == "statistical_parity":
-        return abs(statistical_parity_diff(outcomes))
-    if metric == "equal_opportunity":
-        return equalized_odds_diff(outcomes, "opportunity")
-    if metric == "equalized_odds":
-        return equalized_odds_diff(outcomes, "odds")
-    raise ValidationError(f"unknown fairness metric {metric!r}")
+    return float(abs(_gaps(_checked_counts(outcomes, metric), metric)))
 
 
 @dataclass(frozen=True)
@@ -140,36 +147,26 @@ def pareto_front(points: list[ModelPoint]) -> list[ModelPoint]:
 
 def _resampled_violations(outcomes: GroupedOutcomes, metric: str, n_bootstrap: int,
                           rng: np.random.Generator) -> np.ndarray:
-    """Stratified bootstrap of the violation statistic.
+    """Stratified bootstrap of the violation statistic, for a cube that
+    fairness_violation accepted.
 
-    Parity resamples each group's (y, yhat) cell distribution with the
-    group size fixed; conditional metrics resample within each (group, y)
-    cell with the label margins fixed. Rows never cross strata, so every
+    Each stratum's counts are redrawn with its size fixed: a group's four
+    (y, yhat) cells for parity, a (group, y) cell's positive predictions
+    for the conditional metrics. Rows never cross strata, so every
     resample keeps the conditioning sets nonempty.
     """
-    if metric == "statistical_parity":
-        rates = np.zeros((2, n_bootstrap))
-        for a in (0, 1):
-            n_a = outcomes.group_size(a)
-            if n_a == 0:
-                raise EmptyGroup(f"group a={a} has no samples")
-            flat = outcomes.counts[a].reshape(-1)  # cells (y0hat0, y0hat1, y1hat0, y1hat1)
-            draws = rng.multinomial(n_a, flat / n_a, size=n_bootstrap)
-            rates[a] = (draws[:, 1] + draws[:, 3]) / n_a
-        return np.abs(rates[1] - rates[0])
-
-    labels = (1,) if metric == "equal_opportunity" else (0, 1)
-    worst = np.zeros(n_bootstrap)
-    for y in labels:
-        rates = np.zeros((2, n_bootstrap))
-        for a in (0, 1):
-            n_ay = outcomes.cell_size(a, y)
-            if n_ay == 0:
-                raise EmptyCell(f"cell (a={a}, y={y}) has no samples")
-            p_hat = int(outcomes.counts[a, y, 1]) / n_ay
-            rates[a] = rng.binomial(n_ay, p_hat, size=n_bootstrap) / n_ay
-        worst = np.maximum(worst, np.abs(rates[1] - rates[0]))
-    return worst
+    counts = outcomes.counts
+    cubes = np.broadcast_to(counts, (n_bootstrap, *counts.shape)).copy()
+    for stratum in _STRATA[metric]:
+        cells = counts[stratum]
+        n = int(cells.sum())
+        if len(stratum) == 1:
+            draws = rng.multinomial(n, cells.reshape(-1) / n, size=n_bootstrap)
+        else:
+            positives = rng.binomial(n, int(cells[1]) / n, size=n_bootstrap)
+            draws = np.stack([n - positives, positives], axis=-1)
+        cubes[(slice(None), *stratum)] = draws.reshape(-1, *cells.shape)
+    return np.abs(_gaps(cubes, metric))
 
 
 def fairness_mpr_check(outcomes: GroupedOutcomes, metric: str, max_violation: float,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import DUPLICATE_KEYS, Dataset
 from .errors import MissingColumn, SchemaMismatch, TooFewSamples, ValidationError
-from .stattest import rank_auroc
+from .stattest import rank_auroc, row_groups
 
 PROXY_MIN_ROWS = 100
 PROXY_AUC_THRESHOLD = 0.99
@@ -48,17 +48,6 @@ class LeakageReport:
         }
 
 
-def _row_groups(rows: np.ndarray):
-    """Rows grouped by equal value: (keys, order, starts, counts). Group g
-    holds the value keys[g] (keys ascend) in the rows order[starts[g]:
-    starts[g] + counts[g]], in ascending row order."""
-    order = np.argsort(rows, kind="stable")
-    ordered = rows[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    counts = np.diff(np.r_[starts, len(ordered)])
-    return ordered[starts], order, starts, counts
-
-
 def _feature_rows(dataset: Dataset, features) -> np.ndarray:
     """Each row's canonical feature cells as one sortable byte string."""
     rows = dataset.canonical_rows(features)
@@ -85,8 +74,8 @@ def duplicate_check(train: Dataset, test: Dataset,
     if not features:
         raise MissingColumn("no feature columns to compare")
     test_rows = _feature_rows(test, features)
-    groups = {"train": _row_groups(_feature_rows(train, features)),
-              "test": _row_groups(test_rows)}
+    groups = {"train": row_groups(_feature_rows(train, features)),
+              "test": row_groups(test_rows)}
 
     evidence = []
     keys, order, starts, counts = groups["train"]

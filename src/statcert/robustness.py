@@ -143,6 +143,11 @@ def fit_ood_scorer(reference: Dataset, method: str,
     return OodScorer(method, **(params or {})).fit(reference)
 
 
+def _acceptance_threshold(scores: np.ndarray, tpr: float) -> float:
+    """The ceil(tpr * n)-th smallest of n scores, which admits >= tpr of them."""
+    return float(np.sort(scores)[int(np.ceil(tpr * len(scores))) - 1])
+
+
 def calibrate_threshold(scorer: OodScorer, validation_id: Dataset,
                         target_tpr: float = 0.95) -> float:
     """Threshold at the ceil(target_tpr * n)-th smallest validation score.
@@ -155,9 +160,7 @@ def calibrate_threshold(scorer: OodScorer, validation_id: Dataset,
         raise EmptyValidation("validation set is empty")
     if not 0.0 < target_tpr <= 1.0:
         raise ValidationError("target_tpr must be in (0, 1]")
-    scores = np.sort(scorer.score_samples(validation_id))
-    k = int(np.ceil(target_tpr * len(scores)))
-    threshold = float(scores[k - 1])
+    threshold = _acceptance_threshold(scorer.score_samples(validation_id), target_tpr)
     scorer.threshold = threshold
     return threshold
 
@@ -191,8 +194,7 @@ def evaluate_ood(scorer: OodScorer, id_test: Dataset, ood_test: Dataset) -> OodE
     flags = np.concatenate([np.zeros(len(id_scores), bool), np.ones(len(ood_scores), bool)])
     auroc = rank_auroc(scores, flags)
 
-    k = int(np.ceil(0.95 * len(id_scores)))
-    tau95 = float(np.sort(id_scores)[k - 1])
+    tau95 = _acceptance_threshold(id_scores, 0.95)
     fpr95 = float(np.mean(ood_scores <= tau95))
 
     thr = scorer.threshold if scorer.threshold is not None else tau95
@@ -326,13 +328,10 @@ def _attack_sample(predict: Callable[[np.ndarray], int], x: np.ndarray, y: int,
                     return True, queries, False
             return False, queries, exhaustive
         # l2: fall through to random probing with what remains
-        while queries < budget:
-            if query(epsilon * _unit_ball_sample(rng, d, norm)):
-                return True, queries, False
-        return False, queries, False
 
-    if attack == "random_search":
-        # fresh draws scale with epsilon, so query sets nest across epsilons
+    if attack in ("coordinate_descent", "random_search"):
+        # fresh draws scale with epsilon, so random_search's query sets nest
+        # across epsilons
         while queries < budget:
             if query(epsilon * _unit_ball_sample(rng, d, norm)):
                 return True, queries, False

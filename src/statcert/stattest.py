@@ -77,18 +77,6 @@ def _binomial_sf_geq(k: int, n: int, p0: float) -> float:
     return float(special.betainc(k, n - k + 1, p0))
 
 
-def _binomial_cdf_leq(k: int, n: int, p0: float) -> float:
-    """P(X <= k | Binomial(n, p0)), exact via the complement identity."""
-    if k >= n:
-        return 1.0
-    if p0 == 0.0:
-        return 1.0
-    if p0 == 1.0:
-        return 0.0
-    from scipy import special
-    return float(special.betainc(n - k, k + 1, 1.0 - p0))
-
-
 def _check_counts(k: int, n: int) -> None:
     if n < 1 or not 0 <= k <= n or int(k) != k or int(n) != n:
         raise InvalidCount(f"need integers 0 <= k <= n with n >= 1, got k={k}, n={n}")
@@ -113,7 +101,7 @@ def binomial_test_one_sided(k: int, n: int, p0: float, direction: str = "at_leas
         p_value = _binomial_sf_geq(k, n, p0)
         bound = clopper_pearson_bound(k, n, alpha, "lower")
     else:
-        p_value = _binomial_cdf_leq(k, n, p0)
+        p_value = _binomial_sf_geq(n - k, n, 1.0 - p0)  # P(X <= k | p0), by symmetry
         bound = clopper_pearson_bound(k, n, alpha, "upper")
     return TestResult(
         test_id="exact_binomial",
@@ -222,6 +210,19 @@ def rank_auroc(scores: np.ndarray, positive: np.ndarray) -> float:
     return u / (n_pos * n_neg)
 
 
+def row_groups(rows: np.ndarray):
+    """Rows grouped by equal value: (keys, order, starts, counts). Group g
+    holds the value keys[g] (keys ascend) in the rows order[starts[g]:
+    starts[g] + counts[g]], in ascending row order. No groups for no rows."""
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    new_value = np.ones(len(ordered), dtype=bool)
+    new_value[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new_value)
+    counts = np.diff(np.r_[starts, len(ordered)])
+    return ordered[starts], order, starts, counts
+
+
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks, each tie run given the mean of the ranks it spans; all
     NaN when any value is NaN. The same floats as scipy.stats.rankdata,
@@ -229,12 +230,9 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         return np.full(len(x), np.nan)
-    order = np.argsort(x, kind="stable")
-    ordered = x[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], len(x)]
+    _, order, starts, counts = row_groups(x)
     ranks = np.empty(len(x))
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    ranks[order] = np.repeat((2 * starts + counts + 1) / 2.0, counts)
     return ranks
 
 

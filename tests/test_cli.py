@@ -576,6 +576,16 @@ def test_integer_outside_int64_in_jsonl_exits_2(ws):
                      result.stderr)
 
 
+def test_header_only_test_file_exits_2_without_a_ledger(ws):
+    # used to crash in the duplicate screen with IndexError and exit 1
+    path = ws / "data" / "test_pass.csv"
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+    result = invoke("run", ws / "audit.yaml")
+    assert result.exit_code == 2
+    assert result.stderr == "error: cannot compute a metric on zero rows\n"
+    assert not (ws / "audit_ledger.jsonl").exists()
+
+
 def replace_first_cell(ws, column, value, name="test_pass.csv"):
     path = ws / "data" / name
     header, first, *rows = path.read_text().splitlines()
@@ -937,15 +947,20 @@ def with_auxiliary_sections(raw):
                            "predictor": {"command": [sys.executable, "predict.py"]}})
 
 
-def test_report_with_every_auxiliary_section_reruns_and_renders(ws):
-    # `report` used to exit 2 on any report with a robustness section, in
-    # both formats: the markdown view read the attack from the robustness
-    # result, which does not hold it
+def write_auxiliary_inputs(ws):
+    """The predictor and the ensembles file that with_auxiliary_sections names."""
     (ws / "predict.py").write_text(PREDICTOR)
     (ws / "data" / "ensembles.jsonl").write_text("".join(
         json.dumps({"members": [[p, 1 - p], [p + 0.05, 0.95 - p]], "correct": correct}) + "\n"
         for p, correct in [(0.9, True), (0.5, False), (0.8, True), (0.55, False),
                            (0.7, True), (0.85, True)]))
+
+
+def test_report_with_every_auxiliary_section_reruns_and_renders(ws):
+    # `report` used to exit 2 on any report with a robustness section, in
+    # both formats: the markdown view read the attack from the robustness
+    # result, which does not hold it
+    write_auxiliary_inputs(ws)
     config = ws / mutate(ws, with_auxiliary_sections)
     report = ws / "audit_report.json"
     first = invoke("run", config)
@@ -968,6 +983,55 @@ def test_report_with_every_auxiliary_section_reruns_and_renders(ws):
                  "| far | ", "## Robustness", "- coordinate_descent attack, linf ball, epsilon 0.1, "
                  "budget 8"):
         assert line in as_markdown.stdout
+
+
+def with_section(section, **values):
+    """with_auxiliary_sections, then `values` set in `section`."""
+    def transform(raw):
+        with_auxiliary_sections(raw)
+        # a new mapping: the one in OOD_SCENARIO is shared across tests
+        raw[section] = {**raw[section], **values}
+    return transform
+
+
+def with_fairness(**values):
+    def transform(raw):
+        raw["fairness"][0].update(values)
+    return transform
+
+
+# each used to exit 2 only after the run had locked the ledger and read every
+# data file, leaving <ledger>.lock behind
+RANGES_REFUSED_AT_LOAD = [
+    ("audit_fairness.yaml", with_fairness(n_bootstrap=500),
+     "fairness[0].n_bootstrap must be >= 1000, got 500"),
+    ("audit_fairness.yaml", with_fairness(max_violation=-0.1),
+     "fairness[0].max_violation must be non-negative, got -0.1"),
+    ("audit.yaml", with_section("robustness", epsilon=-0.1),
+     "robustness.epsilon must be non-negative, got -0.1"),
+    ("audit.yaml", with_section("robustness", budget=0),
+     "robustness.budget must be >= 1, got 0"),
+    ("audit.yaml", with_section("ood", target_tpr=1.5),
+     "ood.target_tpr must be in (0, 1], got 1.5"),
+    ("audit.yaml", with_section("ood", target_tpr=0.0),
+     "ood.target_tpr must be in (0, 1], got 0.0"),
+    ("audit.yaml", with_section("uncertainty", abstain_thresholds={"epistemic": -0.5}),
+     "uncertainty.abstain_thresholds.epistemic must be non-negative, got -0.5"),
+]
+
+
+@pytest.mark.parametrize("config, transform, message", RANGES_REFUSED_AT_LOAD,
+                         ids=["n_bootstrap_below_1000", "max_violation_negative",
+                              "epsilon_negative", "budget_zero", "target_tpr_above_one",
+                              "target_tpr_zero", "abstain_threshold_negative"])
+def test_setting_out_of_range_exits_2_at_load(ws, config, transform, message):
+    write_auxiliary_inputs(ws)
+    config = mutate(ws, transform, src=config)
+    before = {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()}
+    result = invoke("run", ws / config)
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {message}\n"
+    assert {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()} == before
 
 
 def test_report_directory_commits_no_entry(ws):

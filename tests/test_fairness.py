@@ -234,6 +234,22 @@ class TestFairnessGate:
         with pytest.raises(ValidationError):
             fairness_mpr_check(c, "disparate_impact", 0.8)
 
+    @pytest.mark.parametrize("metric, threshold, statistic, p_value, conf_bound", [
+        ("statistical_parity", 0.1,
+         0.15297906602254424, 0.7612387612387612, 0.26733091787439606),
+        ("equal_opportunity", 0.1,
+         0.11179245283018868, 0.5354645354645354, 0.23066037735849054),
+        ("equalized_odds", 0.2,
+         0.13286713286713286, 0.33466533466533466, 0.2933586225095659),
+    ])
+    def test_outputs_pinned(self, metric, threshold, statistic, p_value, conf_bound):
+        # exact values: a change to the metrics or to the order in which the
+        # bootstrap draws its resamples moves them, and every ledger entry
+        # that records a fairness gate with them
+        c = cube(40, 12, 9, 31, 35, 20, 6, 47)
+        r = fairness_mpr_check(c, metric, threshold, n_bootstrap=1000, alpha=0.05, seed=7)
+        assert (r.statistic, r.p_value, r.conf_bound) == (statistic, p_value, conf_bound)
+
 
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1,
                 max_size=25))

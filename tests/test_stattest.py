@@ -23,6 +23,7 @@ from statcert.stattest import (
     evaluate_mpr,
     percentile_pvalue,
     rank_auroc,
+    row_groups,
 )
 
 from conftest import counts_to_rows, labeled
@@ -296,3 +297,18 @@ class TestRankAuroc:
         flags = np.array([True, False, True])
         assert math.isnan(rank_auroc(scores, flags))
         assert math.isnan(scipy_auroc(scores, flags))
+
+
+class TestRowGroups:
+    def test_groups_of_equal_values_in_row_order(self):
+        keys, order, starts, counts = row_groups(np.array([3.0, 1.0, 3.0, 2.0, 1.0]))
+        assert keys.tolist() == [1.0, 2.0, 3.0]
+        assert order.tolist() == [1, 4, 3, 0, 2]
+        assert starts.tolist() == [0, 2, 3]
+        assert counts.tolist() == [2, 1, 2]
+
+    def test_no_rows_no_groups(self):
+        # used to raise IndexError, which crashed `audit run` on a
+        # header-only test file in the duplicate screen
+        groups = row_groups(np.array([], dtype="S8"))
+        assert [len(part) for part in groups] == [0, 0, 0, 0]
