@@ -29,8 +29,7 @@ from ..drift import (ShiftClassification, ShiftVerdict, batch_from_dataset,
                      classify_shift, multivariate_shift_test)
 from ..errors import (ConfigInvalid, DataLoadError, FamilyAlphaExhausted,
                       FamilyMismatch, InconclusiveVerdict, LedgerCorrupt,
-                      LedgerVersionMismatch, NoReferenceBatch, StaleDataReuse,
-                      StatcertError)
+                      StaleDataReuse, StatcertError)
 from ..sampling import splitmix64
 from ..stattest import evaluate_mpr
 from .config import AuditConfig, load_config
@@ -137,8 +136,8 @@ def _aux_sections(config: AuditConfig, datasets: dict[str, Dataset]) -> dict:
         ensembles = load_ensembles(config.uncertainty.ensembles)
         decomps = [decompose(e) for e in ensembles]
         thresholds = config.uncertainty.abstain_thresholds
-        abstained = sum(uncertainty_fallback(e, thresholds) == "abstain"
-                        for e in ensembles) if thresholds else 0
+        abstained = sum(uncertainty_fallback(d, thresholds) == "abstain"
+                        for d in decomps) if thresholds else 0
         section = {
             "n_predictions": len(decomps),
             "mean_total": float(np.mean([d.total for d in decomps])),
@@ -206,7 +205,7 @@ class _Entry:
                     f"entry {replayed.first_inconsistency}: {replayed.detail}")
             older = replayed.older
             if older is not None:
-                raise LedgerVersionMismatch(
+                raise ConfigInvalid(
                     f"ledger entry {older['index']} was written under report schema "
                     f"version {older.get('schema_version', 1)}, not {SCHEMA_VERSION}; its "
                     "dataset hashes cannot tell fresh data from consumed data under this "
@@ -416,8 +415,8 @@ def monitor_step(ledger: AuditLedger | str | Path, config: AuditConfig | str | P
     with _Entry(ledger, config) as entry:
         drift, primary = config.drift, config.mprs[0]
         if drift is None:
-            raise NoReferenceBatch("config declares no drift section, so no reference "
-                                   "batch is registered")
+            raise ConfigInvalid("config declares no drift section, so no reference "
+                                "batch is registered")
         ref = config.datasets[drift.reference]
         if not isinstance(production_window, Dataset):
             production_window = _load("window", production_window, ref.feature_columns())

@@ -21,13 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .canonical import canonical_json, sha256_hex  # also re-exported from here
-from .errors import (
-    DataLoadError,
-    EmptyDataset,
-    MissingColumn,
-    UnknownMetric,
-    ValidationError,
-)
+from .errors import DataLoadError, ValidationError
 
 ROLES = (
     "feature",
@@ -200,10 +194,10 @@ class Schema:
         return tuple(c.name for c in self.columns if c.role == role)
 
     def single(self, role: str) -> str:
-        """Name of the unique column with this role, or MissingColumn."""
+        """Name of the unique column with this role, or ValidationError."""
         names = self.names_for(role)
         if not names:
-            raise MissingColumn(f"no column with role {role!r}")
+            raise ValidationError(f"no column with role {role!r}")
         return names[0]
 
     def as_plain(self) -> list[list[str]]:
@@ -270,7 +264,7 @@ class Dataset:
 
     def column(self, name: str) -> np.ndarray:
         if name not in self._data:
-            raise MissingColumn(f"no column named {name!r}")
+            raise ValidationError(f"no column named {name!r}")
         return self._data[name]
 
     def by_role(self, role: str) -> np.ndarray:
@@ -279,7 +273,7 @@ class Dataset:
     def features_matrix(self) -> np.ndarray:
         names = self.schema.names_for("feature")
         if not names:
-            raise MissingColumn("no feature columns")
+            raise ValidationError("no feature columns")
         cols = []
         for n in names:
             arr = self._data[n]
@@ -291,7 +285,7 @@ class Dataset:
     def scores_matrix(self) -> np.ndarray:
         names = self.schema.names_for("score")
         if not names:
-            raise MissingColumn("no score columns")
+            raise ValidationError("no score columns")
         for n in names:
             if not np.issubdtype(self._data[n].dtype, np.number):
                 raise ValidationError(f"score column {n!r} is not numeric")
@@ -637,7 +631,7 @@ def _binary_rate(dataset: Dataset, metric_id: str, condition_on: str) -> MetricV
     mask = (yhat == 1) if condition_on == "prediction" else (y == 1)
     n = int(np.sum(mask))
     if n == 0:
-        raise EmptyDataset(f"{metric_id}: conditioning set is empty")
+        raise ValidationError(f"{metric_id}: conditioning set is empty")
     hit = (y[mask] == 1) & (yhat[mask] == 1)
     k = int(np.sum(hit))
     return MetricValue(metric_id, k / n, n,
@@ -670,7 +664,7 @@ METRICS: dict[str, MetricInfo] = {
 def compute_metric(dataset: Dataset, metric_id: str) -> MetricValue:
     """Evaluate a metric of METRICS. Deterministic and order-independent."""
     if metric_id not in METRICS:
-        raise UnknownMetric(metric_id)
+        raise ValidationError(metric_id)
     if dataset.n_rows == 0:
-        raise EmptyDataset("cannot compute a metric on zero rows")
+        raise ValidationError("cannot compute a metric on zero rows")
     return METRICS[metric_id].compute(dataset)

@@ -13,15 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DRIFT_METHODS, Dataset, MetricValue, MprSpec
-from .errors import (
-    DegenerateTable,
-    DimensionMismatch,
-    DomainMismatch,
-    NoShiftToClassify,
-    SupportMismatch,
-    TooFewSamples,
-    ValidationError,
-)
+from .errors import ValidationError
 from .stattest import TestResult, evaluate_mpr
 
 KS_MIN_N = 5
@@ -97,7 +89,7 @@ def ks_two_sample(x: np.ndarray, y: np.ndarray, alpha: float = 0.05,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) < KS_MIN_N or len(y) < KS_MIN_N:
-        raise TooFewSamples(f"KS needs >= {KS_MIN_N} per sample")
+        raise ValidationError(f"KS needs >= {KS_MIN_N} per sample")
     d_obs = _ecdf_sup_distance(x, y)
     nx, ny = len(x), len(y)
     if min(nx, ny) <= KS_PERMUTATION_MAX_N:
@@ -138,7 +130,7 @@ def chi2_two_sample(x: np.ndarray, y: np.ndarray, alpha: float = 0.05) -> TestRe
     x = np.asarray(x)
     y = np.asarray(y)
     if len(x) == 0 or len(y) == 0:
-        raise DegenerateTable("empty sample")
+        raise ValidationError("empty sample")
     cats = sorted(set(np.unique(x).tolist()) | set(np.unique(y).tolist()), key=str)
     nx, ny = len(x), len(y)
     total = nx + ny
@@ -157,10 +149,10 @@ def chi2_two_sample(x: np.ndarray, y: np.ndarray, alpha: float = 0.05) -> TestRe
         pooled = cx + cy
         min_expected = np.minimum(nx * pooled / total, ny * pooled / total)
         if np.any(min_expected < 5.0):
-            raise DegenerateTable("expected counts below 5 even after merging")
+            raise ValidationError("expected counts below 5 even after merging")
     m = len(pooled)
     if m < 2:
-        raise DegenerateTable("fewer than two categories")
+        raise ValidationError("fewer than two categories")
     stat = 0.0
     for obs, n_g in ((cx, nx), (cy, ny)):
         expected = n_g * pooled / total
@@ -426,9 +418,9 @@ def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
     y = np.atleast_2d(np.asarray(y, dtype=float))
     n, m = len(x), len(y)
     if n < 2 or m < 2:
-        raise TooFewSamples("MMD needs >= 2 rows per batch")
+        raise ValidationError("MMD needs >= 2 rows per batch")
     if x.shape[1] != y.shape[1]:
-        raise DimensionMismatch(f"{x.shape[1]} vs {y.shape[1]} columns")
+        raise ValidationError(f"{x.shape[1]} vs {y.shape[1]} columns")
     if n_perm < 1:
         raise ValidationError("n_perm must be >= 1")
     pooled = np.vstack([x, y])
@@ -495,7 +487,7 @@ def multivariate_shift_test(ref: EncodedBatch, prod: EncodedBatch, alpha: float 
     given seed.
     """
     if ref.d != prod.d:
-        raise DimensionMismatch(f"reference d={ref.d}, production d={prod.d}")
+        raise ValidationError(f"reference d={ref.d}, production d={prod.d}")
     if ref.n == 0 or prod.n == 0:
         raise ValidationError("empty batch")
     if method not in DRIFT_METHODS:
@@ -552,7 +544,7 @@ class DiscreteDistribution:
 def total_variation_discrete(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """d(p, q) = half the L1 distance; a metric on distributions, in [0, 1]."""
     if p.support_size != q.support_size:
-        raise SupportMismatch(f"{p.support_size} vs {q.support_size}")
+        raise ValidationError(f"{p.support_size} vs {q.support_size}")
     return float(0.5 * np.sum(np.abs(p.probs - q.probs)))
 
 
@@ -576,11 +568,11 @@ def shift_bound_check(h: np.ndarray, f: np.ndarray, p: DiscreteDistribution,
     h = np.asarray(h, dtype=float)
     f = np.asarray(f, dtype=float)
     if p.support_size != q.support_size:
-        raise SupportMismatch(f"{p.support_size} vs {q.support_size}")
+        raise ValidationError(f"{p.support_size} vs {q.support_size}")
     if len(h) != p.support_size or len(f) != p.support_size:
-        raise DomainMismatch("h and f must cover the full support")
+        raise ValidationError("h and f must cover the full support")
     if np.any((h < 0) | (h > 1)) or np.any((f < 0) | (f > 1)):
-        raise DomainMismatch("h and f must take values in [0, 1]")
+        raise ValidationError("h and f must take values in [0, 1]")
     diff = np.abs(h - f)
     err_p = float(np.sum(p.probs * diff))
     err_q = float(np.sum(q.probs * diff))
@@ -597,7 +589,7 @@ def tv_equality_witness(p: DiscreteDistribution,
     sum over {p > q} of (p_i - q_i), which is exactly the TV distance.
     """
     if p.support_size != q.support_size:
-        raise SupportMismatch(f"{p.support_size} vs {q.support_size}")
+        raise ValidationError(f"{p.support_size} vs {q.support_size}")
     h = (p.probs > q.probs).astype(float)
     return h, np.zeros_like(h)
 
@@ -619,7 +611,7 @@ def classify_shift(verdict: ShiftVerdict, point_check: Dataset, mpr: MprSpec,
     accounting.
     """
     if verdict.aggregate != "shift":
-        raise NoShiftToClassify("no detected shift to classify")
+        raise ValidationError("no detected shift to classify")
     metric, test = evaluate_mpr(point_check, mpr, alpha, seed=seed)
     label = "benign" if test.rejected else "malignant"
     return ShiftClassification(label, metric, test)

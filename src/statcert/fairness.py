@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset
-from .errors import EmptyCell, EmptyGroup, InvalidResampleCount, ValidationError
+from .errors import ValidationError
 from .stattest import BOOTSTRAP_MIN_B, TestResult, percentile_pvalue
 
 
@@ -62,8 +62,8 @@ def _checked_counts(outcomes: GroupedOutcomes, metric: str) -> np.ndarray:
     for stratum in _STRATA[metric]:
         if outcomes.counts[stratum].sum() == 0:
             if len(stratum) == 1:
-                raise EmptyGroup(f"group a={stratum[0]} has no samples")
-            raise EmptyCell(f"cell (a={stratum[0]}, y={stratum[1]}) has no samples")
+                raise ValidationError(f"group a={stratum[0]} has no samples")
+            raise ValidationError(f"cell (a={stratum[0]}, y={stratum[1]}) has no samples")
     return outcomes.counts
 
 
@@ -179,7 +179,7 @@ def fairness_mpr_check(outcomes: GroupedOutcomes, metric: str, max_violation: fl
     the contingency cube, drawn from the stream SeedSequence([seed, 0]).
     """
     if n_bootstrap < BOOTSTRAP_MIN_B:
-        raise InvalidResampleCount(f"need B >= {BOOTSTRAP_MIN_B}, got {n_bootstrap}")
+        raise ValidationError(f"need B >= {BOOTSTRAP_MIN_B}, got {n_bootstrap}")
     if max_violation < 0:
         raise ValidationError("max_violation must be non-negative")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))

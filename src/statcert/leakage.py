@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DUPLICATE_KEYS, Dataset
-from .errors import MissingColumn, SchemaMismatch, TooFewSamples, ValidationError
+from .errors import ValidationError
 from .stattest import rank_auroc, row_groups
 
 PROXY_MIN_ROWS = 100
@@ -48,6 +48,12 @@ class LeakageReport:
         }
 
 
+def _need_rows(train: Dataset, test: Dataset, check: str) -> None:
+    """A screen that compared no rows has found nothing: refuse it."""
+    if train.n_rows == 0 or test.n_rows == 0:
+        raise ValidationError(f"both splits need rows for the {check} check")
+
+
 def _feature_rows(dataset: Dataset, features) -> np.ndarray:
     """Each row's canonical feature cells as one sortable byte string."""
     rows = dataset.canonical_rows(features)
@@ -70,9 +76,10 @@ def duplicate_check(train: Dataset, test: Dataset,
         raise ValidationError(f"bad key {key!r}")
     features = train.schema.names_for("feature")
     if features != test.schema.names_for("feature"):
-        raise SchemaMismatch("train/test feature columns differ")
+        raise ValidationError("train/test feature columns differ")
     if not features:
-        raise MissingColumn("no feature columns to compare")
+        raise ValidationError("no feature columns to compare")
+    _need_rows(train, test, "duplicate")
     test_rows = _feature_rows(test, features)
     groups = {"train": row_groups(_feature_rows(train, features)),
               "test": row_groups(test_rows)}
@@ -112,7 +119,9 @@ def group_leakage_check(train: Dataset, test: Dataset) -> LeakageReport:
     def ids(ds):
         return set(str(v) for v in ds.column(ds.schema.single("group_id")))
 
-    shared = sorted(ids(train) & ids(test))
+    train_ids, test_ids = ids(train), ids(test)
+    _need_rows(train, test, "group")
+    shared = sorted(train_ids & test_ids)
     if shared:
         return LeakageReport("group", "violation", tuple(shared),
                              f"{len(shared)} group id(s) appear in both splits")
@@ -127,8 +136,7 @@ def temporal_split_check(train: Dataset, test: Dataset) -> LeakageReport:
 
     train_ts = stamps(train)
     test_ts = stamps(test)
-    if len(train_ts) == 0 or len(test_ts) == 0:
-        raise ValidationError("both splits need rows for the temporal check")
+    _need_rows(train, test, "temporal")
     test_start = int(test_ts.min())
     offending = np.flatnonzero(train_ts > test_start)
     if len(offending) == 0:
@@ -182,7 +190,7 @@ def target_proxy_screen(dataset: Dataset, seed: int = 0) -> LeakageReport:
     named in the description.
     """
     if dataset.n_rows < PROXY_MIN_ROWS:
-        raise TooFewSamples(f"proxy screen needs >= {PROXY_MIN_ROWS} rows")
+        raise ValidationError(f"proxy screen needs >= {PROXY_MIN_ROWS} rows")
     y = dataset.by_role("label")
     label_values = set(np.unique(y).tolist())
     binary = label_values <= {0, 1}

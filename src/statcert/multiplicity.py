@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import FallbackState  # also re-exported from here
-from .errors import (
-    InvalidAlpha,
-    InvalidTrialCount,
-    ValidationError,
-    WeightSumInvalid,
-)
+from .errors import ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -38,7 +33,7 @@ class Hypothesis:
         if not 0.0 <= self.p_value <= 1.0:
             raise ValidationError(f"p-value {self.p_value} outside [0, 1]")
         if self.weight is not None and self.weight < 0:
-            raise WeightSumInvalid("negative weight")
+            raise ValidationError("negative weight")
 
 
 @dataclass(frozen=True)
@@ -50,16 +45,16 @@ class HypothesisFamily:
 
     def __post_init__(self):
         if not 0.0 < self.family_alpha < 1.0:
-            raise InvalidAlpha(f"family alpha {self.family_alpha} outside (0, 1)")
+            raise ValidationError(f"family alpha {self.family_alpha} outside (0, 1)")
         if not self.hypotheses:
             raise ValidationError("empty hypothesis family")
 
     def weights(self) -> tuple[float, ...]:
         ws = [h.weight for h in self.hypotheses]
         if any(w is None for w in ws):
-            raise WeightSumInvalid("every hypothesis needs a weight")
+            raise ValidationError("every hypothesis needs a weight")
         if abs(sum(ws) - 1.0) > WEIGHT_SUM_TOL:
-            raise WeightSumInvalid(f"weights sum to {sum(ws)}, need 1")
+            raise ValidationError(f"weights sum to {sum(ws)}, need 1")
         return tuple(ws)
 
 
@@ -146,9 +141,9 @@ def simulate_fwer(procedure: str, true_null: list[bool], family_alpha: float,
     if procedure not in SIM_PROCEDURES:
         raise ValidationError(f"unknown procedure {procedure!r}")
     if trials < 10_000:
-        raise InvalidTrialCount(f"need >= 10000 trials, got {trials}")
+        raise ValidationError(f"need >= 10000 trials, got {trials}")
     if not 0.0 < family_alpha < 1.0:
-        raise InvalidAlpha(f"alpha {family_alpha} outside (0, 1)")
+        raise ValidationError(f"alpha {family_alpha} outside (0, 1)")
     m = len(true_null)
     if m == 0:
         raise ValidationError("empty null pattern")
@@ -159,9 +154,9 @@ def simulate_fwer(procedure: str, true_null: list[bool], family_alpha: float,
             logger.warning("fallback weights unspecified, defaulting to uniform")
     if procedure == "fallback":
         if len(weights) != m:
-            raise WeightSumInvalid("one weight per hypothesis")
+            raise ValidationError("one weight per hypothesis")
         if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
-            raise WeightSumInvalid("weights must be non-negative and sum to 1")
+            raise ValidationError("weights must be non-negative and sum to 1")
 
     rng = np.random.default_rng(seed)
     p = rng.uniform(size=(trials, m))

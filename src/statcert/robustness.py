@@ -18,20 +18,15 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .core import ATTACKS, NORMS, OOD_METHODS, Dataset
-from .errors import (
-    BudgetZero,
-    DegenerateScores,
-    EmptyValidation,
-    MethodParamInvalid,
-    PredictorProtocolError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .sampling import splitmix64
 from .stattest import rank_auroc
 
 logger = logging.getLogger(__name__)
 
 DENSITY_FLOOR = 1e-12
+# seconds a predictor may run on after its input closes
+CLOSE_TIMEOUT_S = 10.0
 
 
 class OodScorer:
@@ -50,7 +45,7 @@ class OodScorer:
 
     def __init__(self, method: str, **params):
         if method not in OOD_METHODS:
-            raise MethodParamInvalid(f"unknown method {method!r}")
+            raise ValidationError(f"unknown method {method!r}")
         self.method = method
         self.params = params
         self.threshold: float | None = None
@@ -58,7 +53,7 @@ class OodScorer:
         if method == "distance_knn":
             k = params.get("k", 5)
             if not isinstance(k, int) or k < 1:
-                raise MethodParamInvalid("k must be a positive integer")
+                raise ValidationError("k must be a positive integer")
 
     def fit(self, reference: Dataset) -> "OodScorer":
         if self.method == "max_softmax":
@@ -77,7 +72,7 @@ class OodScorer:
         elif self.method == "distance_knn":
             k = self.params.get("k", 5)
             if k > len(x):
-                raise MethodParamInvalid(f"k={k} exceeds reference size {len(x)}")
+                raise ValidationError(f"k={k} exceeds reference size {len(x)}")
             from scipy.spatial import cKDTree
 
             self._tree = cKDTree(x)
@@ -157,7 +152,7 @@ def calibrate_threshold(scorer: OodScorer, validation_id: Dataset,
     The threshold is stored on the scorer.
     """
     if validation_id.n_rows == 0:
-        raise EmptyValidation("validation set is empty")
+        raise ValidationError("validation set is empty")
     if not 0.0 < target_tpr <= 1.0:
         raise ValidationError("target_tpr must be in (0, 1]")
     threshold = _acceptance_threshold(scorer.score_samples(validation_id), target_tpr)
@@ -187,7 +182,7 @@ def evaluate_ood(scorer: OodScorer, id_test: Dataset, ood_test: Dataset) -> OodE
     threshold when present, else at the 95%-TPR point.
     """
     if id_test.n_rows == 0 or ood_test.n_rows == 0:
-        raise DegenerateScores("both ID and OOD sets must be nonempty")
+        raise ValidationError("both ID and OOD sets must be nonempty")
     id_scores = scorer.score_samples(id_test)
     ood_scores = scorer.score_samples(ood_test)
     scores = np.concatenate([id_scores, ood_scores])
@@ -222,24 +217,36 @@ class SubprocessPredictor:
             self._proc.stdin.flush()
             line = self._proc.stdout.readline()
         except (BrokenPipeError, OSError) as e:
-            raise PredictorProtocolError(f"prediction process died: {e}") from e
+            raise ValidationError(f"prediction process died: {e}") from e
         if not line:
-            raise PredictorProtocolError("prediction process closed its output")
+            raise ValidationError("prediction process closed its output")
         try:
             return int(line.strip())
         except ValueError as e:
-            raise PredictorProtocolError(f"expected an integer, got {line!r}") from e
+            raise ValidationError(f"expected an integer, got {line!r}") from e
 
     def close(self) -> None:
+        """Close the input and reap the process. One still running
+        CLOSE_TIMEOUT_S seconds later is killed, reaped and refused."""
         if self._proc.stdin:
             self._proc.stdin.close()
-        self._proc.wait(timeout=10)
+        try:
+            self._proc.wait(timeout=CLOSE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+            raise ValidationError(f"prediction process still running {CLOSE_TIMEOUT_S:g} s "
+                                  "after its input closed; killed") from None
 
     def __enter__(self) -> "SubprocessPredictor":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, *_) -> None:
+        try:
+            self.close()
+        except ValidationError:
+            if exc_type is None:  # never replace the error already propagating
+                raise
 
 
 @dataclass(frozen=True)
@@ -376,7 +383,7 @@ def robust_accuracy(predict: Callable[[np.ndarray], int], dataset: Dataset,
     if attack not in ATTACKS:
         raise ValidationError(f"attack must be one of {ATTACKS}")
     if budget < 1:
-        raise BudgetZero("attack budget must be positive")
+        raise ValidationError("attack budget must be positive")
     if epsilon < 0:
         raise ValidationError("epsilon must be non-negative")
     x = dataset.features_matrix()

@@ -16,13 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Dataset, compute_metric
-from .errors import (
-    EmptyStratum,
-    InsufficientStratum,
-    MissingWeights,
-    UnknownStrataKey,
-    ValidationError,
-)
+from .errors import ValidationError
 
 _MASK64 = (1 << 64) - 1
 
@@ -107,17 +101,10 @@ def largest_remainder(quotas: Sequence[float], total: int) -> list[int]:
     return base
 
 
-def _strata_values(population: Dataset, key: str) -> np.ndarray:
-    try:
-        return population.column(key)
-    except Exception as e:
-        raise UnknownStrataKey(key) from e
-
-
 def draw_sample(population: Dataset, design: SamplingDesign, n: int) -> Dataset:
     """Draw n rows according to the design. Deterministic given design.seed."""
     if n > population.n_rows:
-        raise InsufficientStratum(f"requested {n} of {population.n_rows} rows")
+        raise ValidationError(f"requested {n} of {population.n_rows} rows")
     rng = np.random.default_rng(design.seed)
 
     if design.strategy == "simple_random":
@@ -125,7 +112,7 @@ def draw_sample(population: Dataset, design: SamplingDesign, n: int) -> Dataset:
         return population.subset(idx)
 
     if design.strategy == "stratified":
-        values = _strata_values(population, design.strata_key)
+        values = population.column(design.strata_key)
         strata = [str(v) for v in np.unique(values)]
         members = {s: np.flatnonzero(values.astype(str) == s) for s in strata}
         counts = _allocate(design, strata, members, n)
@@ -134,11 +121,11 @@ def draw_sample(population: Dataset, design: SamplingDesign, n: int) -> Dataset:
             take = counts[s]
             pool = members[s]
             if take > len(pool) and not design.with_replacement:
-                raise InsufficientStratum(f"stratum {s!r}: {take} > {len(pool)}")
+                raise ValidationError(f"stratum {s!r}: {take} > {len(pool)}")
             picked.append(rng.choice(pool, size=take, replace=design.with_replacement))
         return population.subset(np.concatenate(picked))
 
-    values = _strata_values(population, design.cluster_key)
+    values = population.column(design.cluster_key)
     cluster_ids = [str(v) for v in np.unique(values)]
     members = {c: np.flatnonzero(values.astype(str) == c) for c in cluster_ids}
 
@@ -152,13 +139,13 @@ def draw_sample(population: Dataset, design: SamplingDesign, n: int) -> Dataset:
             if total >= n:
                 break
         if total < n:
-            raise InsufficientStratum("clusters exhausted before reaching n")
+            raise ValidationError("clusters exhausted before reaching n")
         return population.subset(np.concatenate(picked))
 
     # multistage: stage one draws clusters, stage two simple-random within each
     m = design.n_clusters or max(2, int(np.ceil(np.sqrt(len(cluster_ids)))))
     if m > len(cluster_ids):
-        raise InsufficientStratum(f"{m} clusters requested, {len(cluster_ids)} exist")
+        raise ValidationError(f"{m} clusters requested, {len(cluster_ids)} exist")
     chosen = rng.choice(len(cluster_ids), size=m, replace=False)
     chosen_ids = [cluster_ids[j] for j in chosen]
     per = largest_remainder([n / m] * m, n)
@@ -166,7 +153,7 @@ def draw_sample(population: Dataset, design: SamplingDesign, n: int) -> Dataset:
     for cid, take in zip(chosen_ids, per):
         pool = members[cid]
         if take > len(pool):
-            raise InsufficientStratum(f"cluster {cid!r}: {take} > {len(pool)}")
+            raise ValidationError(f"cluster {cid!r}: {take} > {len(pool)}")
         picked.append(rng.choice(pool, size=take, replace=False))
     return population.subset(np.concatenate(picked))
 
@@ -215,17 +202,17 @@ def estimate_with_design(sample: Dataset, design: SamplingDesign, metric_id: str
     metric values, which assumes roughly equal cluster sizes.
     """
     if design.strategy == "stratified":
-        values = _strata_values(sample, design.strata_key).astype(str)
+        values = sample.column(design.strata_key).astype(str)
         strata = [str(v) for v in np.unique(values)]
         if population_strata_weights is not None:
             weights = {str(k): float(v) for k, v in population_strata_weights.items()}
             for s, w in weights.items():
                 if w > 0 and s not in strata:
-                    raise EmptyStratum(f"weighted stratum {s!r} absent from sample")
+                    raise ValidationError(f"weighted stratum {s!r} absent from sample")
         elif design.allocation == "proportional":
             weights = {s: float(np.sum(values == s)) / sample.n_rows for s in strata}
         else:
-            raise MissingWeights("non-proportional design needs population weights")
+            raise ValidationError("non-proportional design needs population weights")
         est = 0.0
         var = 0.0
         per = []
@@ -244,7 +231,7 @@ def estimate_with_design(sample: Dataset, design: SamplingDesign, metric_id: str
         return DesignEstimate(est, float(np.sqrt(var)), tuple(per))
 
     if design.strategy in ("cluster", "multistage"):
-        values = _strata_values(sample, design.cluster_key).astype(str)
+        values = sample.column(design.cluster_key).astype(str)
         clusters = [str(v) for v in np.unique(values)]
         mv = compute_metric(sample, metric_id)
         if len(clusters) >= 2:

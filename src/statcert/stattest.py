@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import METRICS, Dataset, MetricValue, MprSpec, compute_metric
-from .errors import (
-    DegenerateThreshold,
-    InvalidCount,
-    TooFewSamples,
-    ValidationError,
-)
+from .errors import ValidationError
 
 BOOTSTRAP_MIN_N = 20
 BOOTSTRAP_MIN_B = 1000  # the fewest resamples a fairness gate may be configured with
@@ -79,7 +74,7 @@ def _binomial_sf_geq(k: int, n: int, p0: float) -> float:
 
 def _check_counts(k: int, n: int) -> None:
     if n < 1 or not 0 <= k <= n or int(k) != k or int(n) != n:
-        raise InvalidCount(f"need integers 0 <= k <= n with n >= 1, got k={k}, n={n}")
+        raise ValidationError(f"need integers 0 <= k <= n with n >= 1, got k={k}, n={n}")
 
 
 def binomial_test_one_sided(k: int, n: int, p0: float, direction: str = "at_least",
@@ -95,7 +90,7 @@ def binomial_test_one_sided(k: int, n: int, p0: float, direction: str = "at_leas
     if direction not in ("at_least", "at_most"):
         raise ValidationError(f"bad direction {direction!r}")
     if not 0.0 <= p0 <= 1.0:
-        raise DegenerateThreshold(f"threshold {p0} outside [0, 1]")
+        raise ValidationError(f"threshold {p0} outside [0, 1]")
     k, n = int(k), int(n)
     if direction == "at_least":
         p_value = _binomial_sf_geq(k, n, p0)
@@ -167,7 +162,7 @@ def bootstrap_test_one_sided(values: np.ndarray, threshold: float, direction: st
     values = np.sort(np.asarray(values, dtype=float))
     n = len(values)
     if n < BOOTSTRAP_MIN_N:
-        raise TooFewSamples(f"bootstrap needs n >= {BOOTSTRAP_MIN_N}, got {n}")
+        raise ValidationError(f"bootstrap needs n >= {BOOTSTRAP_MIN_N}, got {n}")
     if direction not in ("at_least", "at_most"):
         raise ValidationError(f"bad direction {direction!r}")
     rng = np.random.default_rng(seed)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import read_jsonl
-from .errors import DataLoadError, DegenerateFlags, InvalidSimplexRow, ValidationError
+from .errors import DataLoadError, ValidationError
 from .stattest import rank_auroc
 
 SIMPLEX_TOL = 1e-9
@@ -43,14 +43,14 @@ class EnsemblePrediction:
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.members, dtype=float))
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 2:
-            raise InvalidSimplexRow("members must be a K x C matrix with C >= 2")
+            raise ValidationError("members must be a K x C matrix with C >= 2")
         # NaN passes every comparison below
         if not np.all(np.isfinite(m)):
-            raise InvalidSimplexRow("non-finite probability entries")
+            raise ValidationError("non-finite probability entries")
         if np.any(m < 0):
-            raise InvalidSimplexRow("negative probability entries")
+            raise ValidationError("negative probability entries")
         if np.max(np.abs(m.sum(axis=1) - 1.0)) > SIMPLEX_TOL:
-            raise InvalidSimplexRow("member rows must sum to 1 within 1e-9")
+            raise ValidationError("member rows must sum to 1 within 1e-9")
         m.setflags(write=False)
         object.__setattr__(self, "members", m)
         if self.weights is None:
@@ -127,14 +127,14 @@ def decompose(ens: EnsemblePrediction) -> UncertaintyDecomposition:
     return UncertaintyDecomposition(total, aleatoric, epistemic, ens.n_classes)
 
 
-def uncertainty_fallback(ens: EnsemblePrediction,
+def uncertainty_fallback(dec: UncertaintyDecomposition,
                          thresholds: dict[str, float]) -> str:
-    """Abstention rule: abstain iff any configured component reaches its
-    threshold (>=, so a component exactly at the line abstains)."""
+    """Abstention rule on a decomposition: abstain iff any configured
+    component reaches its threshold (>=, so a component exactly at the line
+    abstains)."""
     for limit in thresholds.values():
         if limit < 0:
             raise ValidationError("thresholds must be non-negative")
-    dec = decompose(ens)
     for name, limit in thresholds.items():
         if dec.component(name) >= limit:
             return "abstain"
@@ -151,7 +151,7 @@ def evaluate_uncertainty_quality(decomps: Sequence[UncertaintyDecomposition],
     flags_arr = np.asarray(flags, dtype=bool)
     n_flagged = int(np.sum(flags_arr))
     if n_flagged < 2 or len(flags_arr) - n_flagged < 2:
-        raise DegenerateFlags("need >= 2 samples of each flag class")
+        raise ValidationError("need >= 2 samples of each flag class")
     return rank_auroc(np.array([d.total for d in decomps]), flags_arr)
 
 
@@ -170,7 +170,6 @@ def load_ensembles(path: str | Path) -> list[EnsemblePrediction]:
                                           weights,
                                           correct if isinstance(correct, bool) else None))
         # ValueError, TypeError and OverflowError: not an array of numbers
-        except (InvalidSimplexRow, ValidationError, ValueError, TypeError,
-                OverflowError) as e:
+        except (ValidationError, ValueError, TypeError, OverflowError) as e:
             raise DataLoadError(f"{path}:{lineno}: {e}") from e
     return out

@@ -35,7 +35,6 @@ from statcert.errors import (
     FamilyAlphaExhausted,
     FamilyMismatch,
     LedgerCorrupt,
-    NoReferenceBatch,
     StaleDataReuse,
 )
 
@@ -1506,7 +1505,7 @@ class TestMonitor:
     def test_no_drift_section_refused(self, tmp_path, example_copy):
         cfg = load_config(build_workspace(tmp_path))
         run_audit(cfg)
-        with pytest.raises(NoReferenceBatch):
+        with pytest.raises(ConfigInvalid, match="no drift section"):
             monitor_step(cfg.ledger_path, cfg,
                          self.window(example_copy, "window.csv"))
 

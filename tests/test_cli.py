@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from statcert import cli, errors, robustness
 from statcert.audit.config import load_config
 from statcert.audit.ledger import _resume_point, entry_hash
 from statcert.core import canonical_json
@@ -78,6 +79,33 @@ def tamper_ledger(ws):
 
 def break_test_data(ws):
     (ws / "data" / "test_pass.csv").write_text("unrelated,header\n1,2\n")
+
+
+# the exit code of every class in statcert.errors, as README's exit-code list states it
+ERROR_EXIT_CODES = {"LedgerCorrupt": 3, "FamilyAlphaExhausted": 1, "InconclusiveVerdict": 1,
+                    "StatcertError": 2, "ValidationError": 2, "DataLoadError": 2,
+                    "ConfigInvalid": 2, "FamilyMismatch": 2, "StaleDataReuse": 2}
+
+
+def test_exit_code_map_names_every_error_class():
+    # a class added to statcert.errors must not land on an undocumented code
+    assert {name for name, kind in vars(errors).items() if isinstance(kind, type)
+            and issubclass(kind, errors.StatcertError)} == ERROR_EXIT_CODES.keys()
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_EXIT_CODES))
+def test_error_class_exits_with_its_code(ws, capsys, name):
+    def action(config):
+        raise getattr(errors, name)("refused")
+
+    with pytest.raises(SystemExit) as ended:
+        cli._execute(str(ws / "audit.yaml"), action)
+    assert ended.value.code == ERROR_EXIT_CODES[name]
+    out, err = capsys.readouterr()
+    if name == "InconclusiveVerdict":  # a verdict on stdout, not an error
+        assert (out, err) == ("inconclusive: refused\n", "")
+    else:
+        assert (out, err) == ("", "error: refused\n")
 
 
 @pytest.mark.parametrize("name", COMMANDS)
@@ -582,7 +610,17 @@ def test_header_only_test_file_exits_2_without_a_ledger(ws):
     path.write_text(path.read_text().splitlines(keepends=True)[0])
     result = invoke("run", ws / "audit.yaml")
     assert result.exit_code == 2
-    assert result.stderr == "error: cannot compute a metric on zero rows\n"
+    assert result.stderr == "error: both splits need rows for the duplicate check\n"
+    assert not (ws / "audit_ledger.jsonl").exists()
+
+
+def test_header_only_train_file_exits_2_without_a_ledger(ws):
+    # the duplicate screen compared no rows, read clean and let a pass through
+    path = ws / "data" / "train.csv"
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+    result = invoke("run", ws / "audit.yaml")
+    assert result.exit_code == 2
+    assert result.stderr == "error: both splits need rows for the duplicate check\n"
     assert not (ws / "audit_ledger.jsonl").exists()
 
 
@@ -983,6 +1021,20 @@ def test_report_with_every_auxiliary_section_reruns_and_renders(ws):
                  "| far | ", "## Robustness", "- coordinate_descent attack, linf ball, epsilon 0.1, "
                  "budget 8"):
         assert line in as_markdown.stdout
+
+
+def test_predictor_outliving_its_input_exits_2_without_a_ledger(ws, monkeypatch):
+    # used to end in a subprocess.TimeoutExpired traceback and exit 1
+    monkeypatch.setattr(robustness, "CLOSE_TIMEOUT_S", 0.2)
+    (ws / "predict.py").write_text(PREDICTOR + "import time\ntime.sleep(60)\n")
+    config = mutate(ws, lambda raw: raw.update(robustness={
+        "dataset": "test", "epsilon": 0.1, "budget": 4,
+        "predictor": {"command": [sys.executable, "predict.py"]}}))
+    result = invoke("run", ws / config)
+    assert result.exit_code == 2
+    assert result.stderr == ("error: prediction process still running 0.2 s after its "
+                             "input closed; killed\n")
+    assert not (ws / "audit_ledger.jsonl").exists()
 
 
 def with_section(section, **values):

@@ -26,14 +26,7 @@ from statcert.drift import (
     total_variation_discrete,
     tv_equality_witness,
 )
-from statcert.errors import (
-    DegenerateTable,
-    DimensionMismatch,
-    NoShiftToClassify,
-    SupportMismatch,
-    TooFewSamples,
-    ValidationError,
-)
+from statcert.errors import ValidationError
 from statcert.sampling import splitmix64
 
 from conftest import counts_to_rows, feature_dataset, labeled
@@ -96,7 +89,7 @@ class TestKsTwoSample:
         assert abs(r.p_value - exact_p) <= mc_tol
 
     def test_too_few_samples(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(ValidationError, match="KS needs >= 5 per sample"):
             ks_two_sample(np.zeros(4), np.zeros(10))
 
 
@@ -132,11 +125,11 @@ class TestChi2TwoSample:
     def test_single_rare_category_still_degenerate(self):
         x = np.repeat([0, 1, 2], [50, 48, 2])
         y = np.repeat([0, 1, 2], [48, 49, 3])
-        with pytest.raises(DegenerateTable):
+        with pytest.raises(ValidationError, match="expected counts below 5"):
             chi2_two_sample(x, y)
 
     def test_degenerate_table(self):
-        with pytest.raises(DegenerateTable):
+        with pytest.raises(ValidationError, match="expected counts below 5"):
             chi2_two_sample(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
 
     def test_p_value_is_scipy_chi2_sf(self):
@@ -151,7 +144,7 @@ class TestChi2TwoSample:
             y = rng.choice(k, size=int(rng.integers(50, 400)), p=py / py.sum())
             try:
                 r = chi2_two_sample(x, y)
-            except DegenerateTable:
+            except ValidationError:
                 continue
             expected = float(np.clip(chi2.sf(r.statistic, r.params["dof"]), 0.0, 1.0))
             assert r.p_value == expected
@@ -201,7 +194,7 @@ class TestMmd:
         assert min(stats) < 0
 
     def test_too_few_rows(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(ValidationError, match="MMD needs >= 2 rows per batch"):
             mmd_permutation_test(np.zeros((1, 2)), np.zeros((5, 2)))
 
     def test_needs_a_permutation(self, rng):
@@ -352,7 +345,7 @@ class TestMultivariateShiftTest:
     def test_dimension_mismatch(self, rng):
         ref = EncodedBatch(rng.normal(size=(30, 2)), "reference")
         prod = EncodedBatch(rng.normal(size=(30, 3)), "production")
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="reference d=2, production d=3"):
             multivariate_shift_test(ref, prod)
 
     def test_deterministic_given_seed(self, rng):
@@ -407,7 +400,7 @@ class TestTotalVariation:
     def test_support_mismatch(self):
         p = DiscreteDistribution(np.array([0.5, 0.5]))
         q = DiscreteDistribution(np.array([0.4, 0.3, 0.3]))
-        with pytest.raises(SupportMismatch):
+        with pytest.raises(ValidationError, match="2 vs 3"):
             total_variation_discrete(p, q)
 
     @given(simplexes(4), simplexes(4))
@@ -487,7 +480,7 @@ class TestClassifyShift:
                                           EncodedBatch(x.copy(), "production"),
                                           seed=8)
         labels, preds = counts_to_rows(100, 94)
-        with pytest.raises(NoShiftToClassify):
+        with pytest.raises(ValidationError, match="no detected shift to classify"):
             classify_shift(verdict, labeled(labels, preds),
                            MprSpec("accuracy", 0.9, "at_least"), alpha=0.05)
 

@@ -5,12 +5,7 @@ clean data must come back clean."""
 import numpy as np
 import pytest
 
-from statcert.errors import (
-    MissingColumn,
-    SchemaMismatch,
-    TooFewSamples,
-    ValidationError,
-)
+from statcert.errors import ValidationError
 from statcert.leakage import (
     DUPLICATE_KEYS,
     PROXY_AUC_THRESHOLD,
@@ -93,13 +88,22 @@ class TestDuplicateCheck:
         train = feature_split(rng.normal(size=(10, 2)))
         other = build_dataset({"a": rng.normal(size=10), "b": rng.normal(size=10)},
                               {"a": "feature", "b": "feature"})
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(ValidationError, match="feature columns differ"):
             duplicate_check(train, other)
 
     def test_no_feature_columns_rejected(self, rng):
         ds = build_dataset({"y": np.zeros(5)}, {"y": "label"})
-        with pytest.raises(MissingColumn):
+        with pytest.raises(ValidationError, match="no feature columns"):
             duplicate_check(ds, ds)
+
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_empty_split_rejected(self, rng, empty):
+        # a screen that compared no rows must not read clean
+        splits = {"train": feature_split(rng.normal(size=(5, 2))),
+                  "test": feature_split(rng.normal(size=(5, 2)))}
+        splits[empty] = feature_split(np.zeros((0, 2)))
+        with pytest.raises(ValidationError, match="both splits need rows for the duplicate"):
+            duplicate_check(splits["train"], splits["test"])
 
     def test_bad_key_rejected(self, rng):
         ds = feature_split(rng.normal(size=(5, 2)))
@@ -225,8 +229,13 @@ class TestGroupLeakage:
 
     def test_missing_group_column(self, rng):
         plain = feature_split(rng.normal(size=(5, 2)))
-        with pytest.raises(MissingColumn):
+        with pytest.raises(ValidationError, match="no column with role 'group_id'"):
             group_leakage_check(plain, plain)
+
+    @pytest.mark.parametrize("train,test", [([], [1, 2]), ([1, 2], [])])
+    def test_empty_split_rejected(self, train, test):
+        with pytest.raises(ValidationError, match="both splits need rows for the group"):
+            group_leakage_check(self.grouped_ids(train), self.grouped_ids(test))
 
     def test_column_found_by_its_role(self):
         train = build_dataset({"x": np.zeros(3), "device": np.array(["a", "b", "c"])},
@@ -266,12 +275,12 @@ class TestTemporalSplit:
         assert report.severity == "clean"
 
     def test_empty_split_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="both splits need rows for the temporal"):
             temporal_split_check(self.stamped([]), self.stamped([40]))
 
     def test_missing_timestamp_column(self, rng):
         plain = feature_split(rng.normal(size=(4, 2)))
-        with pytest.raises(MissingColumn):
+        with pytest.raises(ValidationError, match="no column with role 'timestamp'"):
             temporal_split_check(plain, plain)
 
 
@@ -318,7 +327,7 @@ class TestTargetProxyScreen:
     def test_too_few_rows(self, rng):
         y = rng.integers(0, 2, size=99)
         x = rng.normal(size=(99, 2))
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(ValidationError, match="needs >= 100 rows"):
             target_proxy_screen(labeled_features(x, y))
 
     def test_deterministic_given_seed(self, rng):

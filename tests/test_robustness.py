@@ -11,15 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from statcert.errors import (
-    BudgetZero,
-    DegenerateScores,
-    EmptyValidation,
-    MethodParamInvalid,
-    MissingColumn,
-    PredictorProtocolError,
-    ValidationError,
-)
+from statcert import robustness
+from statcert.errors import ValidationError
 from statcert.robustness import (
     OodScorer,
     SubprocessPredictor,
@@ -80,14 +73,14 @@ class TestOodScorers:
         assert np.all(np.isfinite(scorer.score_samples(feature_dataset([[1.0, -1.0]]))))
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(MethodParamInvalid):
+        with pytest.raises(ValidationError, match="unknown method 'isolation_forest'"):
             OodScorer("isolation_forest")
 
     def test_knn_param_validation(self, rng):
-        with pytest.raises(MethodParamInvalid):
+        with pytest.raises(ValidationError, match="k must be a positive integer"):
             OodScorer("distance_knn", k=0)
         ds = feature_dataset(rng.normal(size=(3, 2)))
-        with pytest.raises(MethodParamInvalid):
+        with pytest.raises(ValidationError, match="k=10 exceeds reference size 3"):
             fit_ood_scorer(ds, "distance_knn", {"k": 10})
 
     def test_scoring_before_fit_rejected(self, rng):
@@ -99,7 +92,7 @@ class TestOodScorers:
             fit_ood_scorer(feature_dataset(np.empty((0, 2))), "density_histogram")
 
     def test_max_softmax_requires_score_columns(self):
-        with pytest.raises(MissingColumn, match="no score columns"):
+        with pytest.raises(ValidationError, match="no score columns"):
             OodScorer("max_softmax").score_samples(feature_dataset([[0.9, 0.1]]))
 
 
@@ -132,7 +125,7 @@ class TestCalibrateThreshold:
         assert 5.1 > thr
 
     def test_empty_validation_rejected(self):
-        with pytest.raises(EmptyValidation):
+        with pytest.raises(ValidationError, match="validation set is empty"):
             calibrate_threshold(ColumnScorer(), self.scores_dataset([]), 0.95)
 
     def test_target_tpr_validated(self):
@@ -203,9 +196,9 @@ class TestEvaluateOod:
     def test_empty_sets_rejected(self):
         full = feature_dataset(np.ones((3, 1)))
         empty = feature_dataset(np.empty((0, 1)))
-        with pytest.raises(DegenerateScores):
+        with pytest.raises(ValidationError, match="must be nonempty"):
             evaluate_ood(ColumnScorer(), empty, full)
-        with pytest.raises(DegenerateScores):
+        with pytest.raises(ValidationError, match="must be nonempty"):
             evaluate_ood(ColumnScorer(), full, empty)
 
 
@@ -224,13 +217,33 @@ class TestSubprocessPredictor:
     def test_non_integer_reply_raises(self):
         program = "import sys\nfor line in sys.stdin:\n    print('banana', flush=True)\n"
         with SubprocessPredictor([sys.executable, "-c", program]) as predict:
-            with pytest.raises(PredictorProtocolError, match="integer"):
+            with pytest.raises(ValidationError, match="integer"):
                 predict(np.array([1.0]))
 
     def test_dead_process_raises(self):
         predict = SubprocessPredictor([sys.executable, "-c", "pass"])
-        with pytest.raises(PredictorProtocolError):
+        with pytest.raises(ValidationError, match="closed its output"):
             predict(np.array([1.0]))
+
+    # answers every line, then outlives its input
+    LINGERING_PROGRAM = SIGN_PROGRAM + "import time\ntime.sleep(60)\n"
+
+    def test_process_outliving_its_input_is_killed_and_refused(self, monkeypatch):
+        # close() used to raise subprocess.TimeoutExpired and leave the child running
+        monkeypatch.setattr(robustness, "CLOSE_TIMEOUT_S", 0.2)
+        predict = SubprocessPredictor([sys.executable, "-c", self.LINGERING_PROGRAM])
+        with pytest.raises(ValidationError, match="still running 0.2 s after its input closed"):
+            with predict:
+                assert predict(np.array([0.5, 1.0])) == 1
+        assert predict._proc.returncode is not None
+
+    def test_lingering_process_does_not_replace_the_propagating_error(self, monkeypatch):
+        monkeypatch.setattr(robustness, "CLOSE_TIMEOUT_S", 0.2)
+        predict = SubprocessPredictor([sys.executable, "-c", self.LINGERING_PROGRAM])
+        with pytest.raises(KeyError, match="first"):
+            with predict:
+                raise KeyError("first")
+        assert predict._proc.returncode is not None
 
     def test_drives_robust_accuracy(self, rng):
         x = rng.normal(size=(6, 2))
@@ -342,7 +355,7 @@ class TestRobustAccuracy:
     def test_validation_errors(self, rng):
         ds = feature_dataset(rng.normal(size=(4, 2)), np.zeros(4, dtype=int))
         predict = lambda z: 0
-        with pytest.raises(BudgetZero):
+        with pytest.raises(ValidationError, match="budget must be positive"):
             robust_accuracy(predict, ds, 0.1, budget=0)
         with pytest.raises(ValidationError):
             robust_accuracy(predict, ds, 0.1, norm="l0")

@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statcert.errors import (
-    DataLoadError,
-    DegenerateFlags,
-    InvalidSimplexRow,
-    ValidationError,
-)
+from statcert.errors import DataLoadError, ValidationError
 from statcert.uncertainty import (
     EnsemblePrediction,
     decompose,
@@ -107,11 +102,11 @@ class TestDecompose:
             assert d.total <= math.log(ens.n_classes) + 1e-9
 
     def test_invalid_rows_rejected(self):
-        with pytest.raises(InvalidSimplexRow):
+        with pytest.raises(ValidationError, match="must sum to 1"):
             EnsemblePrediction(np.array([[0.7, 0.7]]))
-        with pytest.raises(InvalidSimplexRow):
+        with pytest.raises(ValidationError, match="negative probability entries"):
             EnsemblePrediction(np.array([[-0.1, 1.1]]))
-        with pytest.raises(InvalidSimplexRow):
+        with pytest.raises(ValidationError, match="K x C matrix"):
             EnsemblePrediction(np.array([[1.0]]))
 
     def test_weight_validation(self):
@@ -121,7 +116,7 @@ class TestDecompose:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_members_and_weights_rejected(self, value):
         # NaN used to pass every simplex check
-        with pytest.raises(InvalidSimplexRow, match="non-finite"):
+        with pytest.raises(ValidationError, match="non-finite"):
             EnsemblePrediction(np.array([[value, 0.5], [0.5, 0.5]]))
         with pytest.raises(ValidationError):
             EnsemblePrediction(np.array([[0.5, 0.5], [0.5, 0.5]]),
@@ -141,31 +136,31 @@ class TestDecompose:
 
 class TestFallback:
     def test_epistemic_threshold_catches_disagreement(self):
-        ens = EnsemblePrediction(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert uncertainty_fallback(ens, {"epistemic": LN2}) == "abstain"
+        dec = decompose(EnsemblePrediction(np.array([[1.0, 0.0], [0.0, 1.0]])))
+        assert uncertainty_fallback(dec, {"epistemic": LN2}) == "abstain"
 
     def test_infinite_thresholds_always_accept(self, rng):
         for _ in range(20):
-            ens = random_ensemble(rng, max_k=6, max_c=4)
+            dec = decompose(random_ensemble(rng, max_k=6, max_c=4))
             thresholds = {"total": math.inf, "aleatoric": math.inf,
                           "epistemic": math.inf}
-            assert uncertainty_fallback(ens, thresholds) == "accept"
+            assert uncertainty_fallback(dec, thresholds) == "accept"
 
     def test_total_threshold_hand_case(self):
         # H(0.7, 0.3) ~ 0.6109 nats exceeds 0.6
-        ens = EnsemblePrediction(np.array([[0.8, 0.2], [0.6, 0.4]]))
-        assert uncertainty_fallback(ens, {"total": 0.6}) == "abstain"
-        assert uncertainty_fallback(ens, {"total": 0.7}) == "accept"
+        dec = decompose(EnsemblePrediction(np.array([[0.8, 0.2], [0.6, 0.4]])))
+        assert uncertainty_fallback(dec, {"total": 0.6}) == "abstain"
+        assert uncertainty_fallback(dec, {"total": 0.7}) == "accept"
 
     def test_negative_threshold_rejected(self):
-        ens = EnsemblePrediction(np.array([[0.5, 0.5]]))
-        with pytest.raises(ValidationError):
-            uncertainty_fallback(ens, {"total": -0.1})
+        dec = certain(0.5)
+        with pytest.raises(ValidationError, match="non-negative"):
+            uncertainty_fallback(dec, {"total": -0.1})
 
     def test_unknown_component_rejected(self):
-        ens = EnsemblePrediction(np.array([[0.5, 0.5]]))
+        dec = certain(0.5)
         with pytest.raises(ValidationError):
-            uncertainty_fallback(ens, {"variance": 1.0})
+            uncertainty_fallback(dec, {"variance": 1.0})
 
 
 def certain(p):
@@ -186,7 +181,7 @@ class TestQuality:
 
     def test_degenerate_flags(self):
         decomps = [certain(0.9), certain(0.8), certain(0.7)]
-        with pytest.raises(DegenerateFlags):
+        with pytest.raises(ValidationError, match="each flag class"):
             evaluate_uncertainty_quality(decomps, [True, True, True])
 
 
