@@ -3,8 +3,10 @@
 Exit codes are stable for CI use: 0 the requirement is demonstrated (or
 the monitor saw nothing alarming), 1 not demonstrated (failed, inconclusive,
 or an unexplained shift), 2 invalid input or configuration, 3 ledger
-integrity failure. The runner writes every report and ledger entry, this
-module no file: `_EXIT_CODES` maps errors to exit codes, `_exit_by` verdicts.
+integrity failure, 4 an internal error (an exception no exit code names,
+which is a fault of the program, never a verdict). The runner writes every
+report and ledger entry, this module no file: `main` maps errors to exit
+codes through `_EXIT_CODES`, `_exit_by` verdicts.
 
 `verify-ledger` and `report` run on the standard library alone; the other
 commands import the config loader and the runner when they start.
@@ -35,6 +37,7 @@ EXIT_PASS = 0
 EXIT_NOT_DEMONSTRATED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_LEDGER_INTEGRITY = 3
+EXIT_INTERNAL = 4
 
 # first match wins: StatcertError catches everything not named before it
 _EXIT_CODES = (
@@ -73,17 +76,10 @@ def _fail(code: int, message: str) -> NoReturn:
 
 def _execute(config_path: str, action: Callable[[AuditConfig], object]
              ) -> tuple[AuditConfig, object]:
-    """Load the config and run `action` on it, exiting through _EXIT_CODES
-    on a toolkit or operating-system error. An InconclusiveVerdict, raised
-    once its report is written, is a verdict on stdout, not an error."""
+    """Load the config and run `action` on it."""
     from .audit.config import load_config
-    try:
-        config = load_config(config_path)
-        return config, action(config)
-    except (StatcertError, OSError) as e:
-        if isinstance(e, InconclusiveVerdict):
-            _exit_by("inconclusive", f"inconclusive: {e}")
-        _fail(next(code for kind, code in _EXIT_CODES if isinstance(e, kind)), str(e))
+    config = load_config(config_path)
+    return config, action(config)
 
 
 def _exit_by(verdict: str, *lines: str) -> NoReturn:
@@ -204,10 +200,25 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> NoReturn:
     """Run one `audit` command on `argv` (default: the process arguments);
-    always exits."""
+    always exits. A toolkit or operating-system error exits through
+    `_EXIT_CODES`; an InconclusiveVerdict, raised once its report is
+    written, is a verdict on stdout, not an error. Any other exception
+    exits EXIT_INTERNAL, with its traceback on stderr."""
     args = vars(_parser().parse_args(argv))
     del args["command"]
-    args.pop("handler")(**args)
+    handler = args.pop("handler")
+    try:
+        handler(**args)
+    except InconclusiveVerdict as e:
+        _exit_by("inconclusive", f"inconclusive: {e}")
+    except Exception as e:
+        code = next((code for kind, code in _EXIT_CODES if isinstance(e, kind)), None)
+        if code is not None:
+            _fail(code, str(e))
+        import traceback  # here, not at the top: only this path needs it
+        _echo(f"error: internal: {type(e).__name__}: {e}", err=True)
+        _echo(traceback.format_exc().rstrip("\n"), err=True)
+        sys.exit(EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,6 +50,11 @@ NORMS = ("l1", "l2", "linf")
 ATTACKS = ("random_search", "coordinate_descent", "gradient_free_boundary")
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
+
+# rows canonicalised at a time by a pass over a whole dataset (the content
+# hash, the duplicate screen's row keys): its transient memory is then
+# O(ROW_BLOCK x columns), whatever the number of rows
+ROW_BLOCK = 8192
 
 
 # Canonical cells. A cell's record is equal to another's exactly when their
@@ -117,6 +122,14 @@ def _text_number(text: str) -> float | int | None:
     if _INT_RE.match(text) and str(int(text)) == text and -2**63 <= int(text) < 2**63:
         return int(text)
     return None
+
+
+def _reads_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _text_cells(values: np.ndarray, out: np.ndarray) -> None:
@@ -235,6 +248,7 @@ class Dataset:
         self._hash: str | None = None
 
     def _validate_rows(self):
+        self._validate_compared_pair()
         score_names = self.schema.names_for("score")
         if score_names and self.n_rows:
             s = self.scores_matrix()
@@ -261,6 +275,25 @@ class Dataset:
             g = self._data[group_names[0]]
             if not np.issubdtype(g.dtype, np.integer) or g.min() < 0:
                 raise ValidationError("group attribute must be a non-negative code")
+
+    def _validate_compared_pair(self):
+        """The label and the prediction are compared cell by cell, so they
+        must both be numbers or both be text: one text cell turns a column
+        to text, and no text equals a number."""
+        pair = self.schema.names_for("label") + self.schema.names_for("prediction")
+        if len(pair) < 2 or not self.n_rows:
+            return
+        text = [self._data[name].dtype.kind in "US" for name in pair]
+        if text[0] == text[1]:
+            return
+        name, other = pair if text[0] else pair[::-1]
+        values = self._data[name].tolist()
+        # the first cell that float() refuses is the one that made the column text
+        row = next((i for i, v in enumerate(values) if not _reads_as_float(v)), 0)
+        raise ValidationError(
+            f"column {name!r} holds text ({values[row]!r} in row {row}) but column "
+            f"{other!r} holds numbers; a label and its prediction must both be "
+            f"numbers or both be text")
 
     def column(self, name: str) -> np.ndarray:
         if name not in self._data:
@@ -296,27 +329,37 @@ class Dataset:
         cols = {name: arr[idx] for name, arr in self._data.items()}
         return Dataset(self.schema, cols)
 
-    def canonical_rows(self, names: Sequence[str]) -> np.ndarray:
-        """The canonical cells (`canonical_cells`) of the named columns, in
-        sorted-name order, as an (n_rows, 17 * len(names)) uint8 matrix: two
-        rows are equal exactly when every named cell is."""
-        names = sorted(names)
-        cells = np.empty((self.n_rows, len(names)), dtype=_CELL)
-        for j, name in enumerate(names):
-            _fill_cells(self.column(name), cells[:, j])
+    def row_blocks(self) -> Iterator[slice]:
+        """The rows as consecutive slices of at most `ROW_BLOCK` rows."""
+        return (slice(start, start + ROW_BLOCK) for start in range(0, self.n_rows, ROW_BLOCK))
+
+    def canonical_rows(self, names: Sequence[str], rows: slice | np.ndarray) -> np.ndarray:
+        """The canonical cells (`canonical_cells`) of the named columns at
+        `rows`, a slice or an index array, in sorted-name order, as a
+        (selected rows, 17 * len(names)) uint8 matrix: two rows are equal
+        exactly when every named cell is."""
+        columns = [self.column(name)[rows] for name in sorted(names)]
+        cells = np.empty((len(columns[0]) if columns else 0, len(columns)), dtype=_CELL)
+        for j, column in enumerate(columns):
+            _fill_cells(column, cells[:, j])
         return cells.view(np.uint8)
 
     def row_digests(self, names: Sequence[str]) -> np.ndarray:
         """One blake2b-128 digest per canonical row of the named columns, as
-        an (n_rows,) `S16` array."""
+        an (n_rows,) `S16` array. The rows are canonicalised one block
+        (`row_blocks`) at a time, so the pass holds 16 bytes a row and the
+        canonical cells of one block."""
+        digests = np.empty(self.n_rows, dtype="S16")
         # copying one hasher is cheaper than constructing one per row
         blank = hashlib.blake2b(digest_size=16)
-        digests = []
-        for row in self.canonical_rows(names):
-            h = blank.copy()
-            h.update(row)
-            digests.append(h.digest())
-        return np.frombuffer(b"".join(digests), dtype="S16")
+        for rows in self.row_blocks():
+            block = []
+            for row in self.canonical_rows(names, rows):
+                h = blank.copy()
+                h.update(row)
+                block.append(h.digest())
+            digests[rows] = np.frombuffer(b"".join(block), dtype="S16")
+        return digests
 
     @property
     def content_hash(self) -> str:
@@ -326,7 +369,9 @@ class Dataset:
         # stale-data check
         if self._hash is None:
             h = hashlib.sha256(canonical_json(sorted(self.schema.as_plain())).encode())
-            h.update(np.sort(self.row_digests(list(self._data))).tobytes())
+            digests = self.row_digests(list(self._data))
+            digests.sort()
+            h.update(digests)
             self._hash = h.hexdigest()
         return self._hash
 

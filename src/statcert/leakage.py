@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DUPLICATE_KEYS, Dataset
+from .core import DUPLICATE_KEYS, Dataset, canonical_cells
 from .errors import ValidationError
+from .sampling import mix64
 from .stattest import rank_auroc, row_groups
 
 PROXY_MIN_ROWS = 100
@@ -54,10 +55,25 @@ def _need_rows(train: Dataset, test: Dataset, check: str) -> None:
         raise ValidationError(f"both splits need rows for the {check} check")
 
 
-def _feature_rows(dataset: Dataset, features) -> np.ndarray:
-    """Each row's canonical feature cells as one sortable byte string."""
-    rows = dataset.canonical_rows(features)
-    return rows.view(f"S{rows.shape[1]}")[:, 0]
+def _row_keys(dataset: Dataset, features) -> np.ndarray:
+    """A 64-bit key per row that depends on its canonical feature cells
+    alone: the splitmix64 output function folded over each cell's kind, a
+    and b, in sorted-name order. Equal rows get equal keys; unequal rows
+    share one only by collision. Computed one row block at a time."""
+    keys = np.zeros(dataset.n_rows, dtype=np.uint64)
+    for rows in dataset.row_blocks():
+        key = keys[rows]
+        for name in sorted(features):
+            cells = canonical_cells(dataset.column(name)[rows])
+            for field in ("kind", "a", "b"):
+                key[...] = mix64(key ^ cells[field].astype(np.uint64))
+    return keys
+
+
+def _feature_rows(dataset: Dataset, features, rows: np.ndarray) -> np.ndarray:
+    """The canonical feature cells of `rows`, each row one sortable byte string."""
+    cells = dataset.canonical_rows(features, rows)
+    return cells.view(f"S{cells.shape[1]}")[:, 0]
 
 
 def duplicate_check(train: Dataset, test: Dataset,
@@ -67,10 +83,17 @@ def duplicate_check(train: Dataset, test: Dataset,
     Two rows are the same when every feature cell is equal at 12 significant
     digits, the cell identity of `Dataset.content_hash` (see
     `core.canonical_cells`), so CSV round trips cannot hide a duplicate.
-    Either key (exact_features, feature_hash) compares the canonical rows
-    themselves, by sorting and binary search. Cross-split matches are
-    violations, within-set repeats warnings. Evidence carries (train_row,
-    test_row) indices, so swapping the splits flags the same pairs.
+    Either key (exact_features, feature_hash) gives the same screen. A
+    64-bit row key (`_row_keys`), built one row block at a time, picks the
+    candidates: the rows of either split whose key occurs more than once.
+    Equal rows have equal keys, so no duplicate escapes the prefilter, and
+    a key collision only adds a candidate. The candidates' canonical rows
+    are then compared themselves, by sorting and binary search, so the
+    evidence is exact. Transient memory is O(rows) for the keys plus
+    O(block x features) cells, and the canonical rows of the candidates
+    alone. Cross-split matches are violations, within-set repeats warnings.
+    Evidence carries (train_row, test_row) indices, so swapping the splits
+    flags the same pairs.
     """
     if key not in DUPLICATE_KEYS:
         raise ValidationError(f"bad key {key!r}")
@@ -80,16 +103,26 @@ def duplicate_check(train: Dataset, test: Dataset,
     if not features:
         raise ValidationError("no feature columns to compare")
     _need_rows(train, test, "duplicate")
-    test_rows = _feature_rows(test, features)
-    groups = {"train": row_groups(_feature_rows(train, features)),
-              "test": row_groups(test_rows)}
+    _, order, starts, counts = row_groups(np.concatenate(
+        [_row_keys(train, features), _row_keys(test, features)]))
+    # ascending, so mapping a candidate's position back to its row keeps
+    # the order of the evidence
+    candidates = np.sort(order[np.repeat(counts > 1, counts)])
+    split = np.searchsorted(candidates, train.n_rows)
+    ids = {"train": candidates[:split], "test": candidates[split:] - train.n_rows}
+    test_rows = _feature_rows(test, features, ids["test"])
+    groups = {}
+    for tag, rows in (("train", _feature_rows(train, features, ids["train"])),
+                      ("test", test_rows)):
+        keys, order, starts, counts = row_groups(rows)
+        groups[tag] = keys, ids[tag][order], starts, counts
 
     evidence = []
     keys, order, starts, counts = groups["train"]
     slots = np.searchsorted(keys, test_rows)
     hits = np.flatnonzero(slots < len(keys))
     hits = hits[keys[slots[hits]] == test_rows[hits]]
-    for i, g in zip(hits.tolist(), slots[hits].tolist()):
+    for i, g in zip(ids["test"][hits].tolist(), slots[hits].tolist()):
         evidence.append({"test_row": i,
                          "train_rows": order[starts[g]:starts[g] + counts[g]].tolist()})
     cross = len(evidence)

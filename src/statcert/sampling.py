@@ -21,6 +21,14 @@ from .errors import ValidationError
 _MASK64 = (1 << 64) - 1
 
 
+def mix64(z):
+    """The splitmix64 output function of `z`, a Python int in [0, 2**64) or
+    a uint64 array (whose products wrap modulo 2**64, as the mask does)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 def splitmix64(seed: int, index: int) -> int:
     """Derive the index-th child seed from a 64-bit base seed.
 
@@ -28,10 +36,7 @@ def splitmix64(seed: int, index: int) -> int:
     of the golden-gamma increment; children are independent streams for all
     practical purposes and the derivation is platform-stable.
     """
-    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    return mix64((seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64)
 
 
 STRATEGIES = ("simple_random", "stratified", "cluster", "multistage")

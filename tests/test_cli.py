@@ -20,7 +20,8 @@ import yaml
 
 from statcert import cli, errors, robustness
 from statcert.audit.config import load_config
-from statcert.audit.ledger import _resume_point, entry_hash
+from statcert.audit import runner
+from statcert.audit.ledger import AuditLedger, _resume_point, entry_hash
 from statcert.core import canonical_json
 from statcert.errors import ConfigInvalid
 
@@ -94,18 +95,45 @@ def test_exit_code_map_names_every_error_class():
 
 
 @pytest.mark.parametrize("name", sorted(ERROR_EXIT_CODES))
-def test_error_class_exits_with_its_code(ws, capsys, name):
-    def action(config):
+def test_error_class_exits_with_its_code(ws, monkeypatch, name):
+    def refuse(config):
         raise getattr(errors, name)("refused")
 
-    with pytest.raises(SystemExit) as ended:
-        cli._execute(str(ws / "audit.yaml"), action)
-    assert ended.value.code == ERROR_EXIT_CODES[name]
-    out, err = capsys.readouterr()
+    monkeypatch.setattr(runner, "run_audit", refuse)
+    result = invoke("run", ws / "audit.yaml")
+    assert result.exit_code == ERROR_EXIT_CODES[name]
     if name == "InconclusiveVerdict":  # a verdict on stdout, not an error
-        assert (out, err) == ("inconclusive: refused\n", "")
+        assert (result.stdout, result.stderr) == ("inconclusive: refused\n", "")
     else:
-        assert (out, err) == ("", "error: refused\n")
+        assert (result.stdout, result.stderr) == ("", "error: refused\n")
+
+
+@pytest.mark.parametrize("name,stage", [
+    ("recertify", "evaluate_mpr"), ("recertify", "append"),
+    ("monitor", "multivariate_shift_test"), ("monitor", "append"),
+])
+def test_internal_error_exits_4_leaving_ledger_and_report(ws, monkeypatch, name, stage):
+    # an exception no exit code names used to leave with a traceback and
+    # exit 1, which reads as "not demonstrated"
+    certify(ws)
+    refresh_test_data(ws)
+    ledger = (ws / "audit_ledger.jsonl").read_bytes()
+    report = (ws / "audit_report.json").read_bytes()
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("stage broke")
+
+    monkeypatch.setattr(AuditLedger if stage == "append" else runner, stage, crash)
+    result = invoke(*command(name, ws, point_check="point_check.csv"))
+    assert result.exit_code == cli.EXIT_INTERNAL == 4
+    first, *trace = result.stderr.splitlines()
+    assert first == "error: internal: RuntimeError: stage broke"
+    assert trace[0] == "Traceback (most recent call last):"
+    assert trace[-1] == "RuntimeError: stage broke"
+    assert result.stdout == ""
+    assert (ws / "audit_ledger.jsonl").read_bytes() == ledger
+    assert (ws / "audit_report.json").read_bytes() == report
+    assert not list(ws.glob(".*.tmp"))  # no staged report or checkpoint
 
 
 @pytest.mark.parametrize("name", COMMANDS)
@@ -645,6 +673,25 @@ def test_dataset_error_names_the_file_once(ws, column, value, message):
     assert result.stderr.startswith("error: dataset 'test'")
     assert message in result.stderr
     assert result.stderr.count(str(path)) == 1
+
+
+def test_text_cell_in_the_label_column_exits_2_without_a_ledger(ws):
+    # one `yes` used to turn the label column to text, so that no label
+    # equalled its integer prediction: accuracy 0.0, a `fail` entry that
+    # spent the alpha, and exit 1
+    path = ws / "data" / "test_pass.csv"
+    header, *rows = path.read_text().splitlines()
+    cells = rows[17].split(",")
+    cells[header.split(",").index("label")] = "yes"
+    rows[17] = ",".join(cells)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    result = invoke("run", ws / "audit.yaml")
+    assert result.exit_code == 2
+    assert result.stderr == (
+        f"error: dataset 'test' at {path}: column 'label' holds text ('yes' in row 17) "
+        "but column 'prediction' holds numbers; a label and its prediction must both "
+        "be numbers or both be text\n")
+    assert not (ws / "audit_ledger.jsonl").exists()
 
 
 DEEP_JSON = b"[" * 100_000 + b"]" * 100_000 + b"\n"

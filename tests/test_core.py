@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statcert import core
 from statcert.core import (
     _plain_numeric_columns,
     Dataset,
@@ -85,6 +86,20 @@ class TestComputeMetric:
 
 
 class TestDatasetModel:
+    @pytest.mark.parametrize("label,prediction,message", [
+        (["1", "0", "yes", "1"], [1, 0, 1, 1],
+         "column 'label' holds text ('yes' in row 2) but column 'prediction' holds numbers"),
+        ([1.0, 0.0], ["0.5", "n/a"],
+         "column 'prediction' holds text ('n/a' in row 1) but column 'label' holds numbers"),
+    ])
+    def test_label_and_prediction_of_different_types_rejected(self, label, prediction,
+                                                              message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            labeled(label, prediction)
+
+    def test_text_labels_compare_with_text_predictions(self):
+        assert compute_metric(labeled(["cat", "dog"], ["cat", "cat"]), "accuracy").value == 0.5
+
     def test_content_hash_survives_jsonl_round_trip(self, tmp_path, rng):
         x = rng.normal(size=(25, 3)).round(6)
         columns = {f"x{j}": x[:, j] for j in range(3)}
@@ -416,10 +431,43 @@ class TestCanonicalCells:
         # of the row would drop
         ds = build_dataset({"a": [0.0, 1.0, -2.5, 3.0], "b": [0.0, 1e11, 1.5e14, 0.0]},
                            {"a": "feature", "b": "feature"})
-        rows = ds.canonical_rows(["a", "b"])
+        rows = ds.canonical_rows(["a", "b"], slice(None))
         assert all(row[-1] == 0 for row in rows)
         want = [hashlib.blake2b(bytes(row), digest_size=16).digest() for row in rows]
         assert ds.row_digests(["b", "a"]).tolist() == want
+
+    # schema version 2's content hash of `pinned_dataset`, as the whole
+    # dataset canonicalised at once gives it
+    PINNED_HASH = "95b3ed6d0ef245d0c695120222bc5c4811a10e81c6f55aa2cd72f9d7139b00d7"
+
+    @staticmethod
+    def pinned_dataset():
+        """Seeded rows over three row blocks: floats across 60 decades with
+        -0.0, 0.0 and integral values, int64s of up to 19 digits, and text
+        both free and numeric."""
+        n = 2 * 8192 + 1000
+        rng = np.random.default_rng(26)
+        floats = rng.normal(size=n) * 10.0 ** rng.integers(-30, 31, size=n)
+        floats[::97] = -0.0
+        floats[::89] = 0.0
+        floats[::13] = np.round(floats[::13])
+        ints = rng.integers(-10**6, 10**6, size=n)
+        ints[::7] = rng.integers(10**12, 2**62, size=len(ints[::7]))
+        ints[::11] = -ints[::11]
+        texts = np.array([f"{v:.12g}" for v in rng.normal(size=n) * 1e3], dtype=object)
+        texts[::3] = [f"item-{k}" for k in rng.integers(0, 500, size=len(texts[::3]))]
+        texts[::5] = [str(v) for v in rng.integers(10**12, 10**18, size=len(texts[::5]))]
+        texts[::17] = "-0"
+        return Dataset(Schema.from_roles({"t": "feature", "f": "feature", "i": "feature"}),
+                       {"f": floats, "i": ints, "t": texts.astype(str)})
+
+    @pytest.mark.parametrize("block", [8192, 1, 7, 2 * 8192 + 1001])
+    def test_content_hash_bytes_do_not_depend_on_the_row_block(self, monkeypatch, block):
+        assert core.ROW_BLOCK == 8192
+        monkeypatch.setattr(core, "ROW_BLOCK", block)
+        ds = self.pinned_dataset()
+        assert len(list(ds.row_blocks())) == -(-ds.n_rows // block)
+        assert ds.content_hash == self.PINNED_HASH
 
 
 class TestSaddRecord:

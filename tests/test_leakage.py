@@ -2,9 +2,12 @@
 target proxies. Planted leaks must surface with exact evidence counts and
 clean data must come back clean."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from statcert import leakage
 from statcert.errors import ValidationError
 from statcert.leakage import (
     DUPLICATE_KEYS,
@@ -54,6 +57,27 @@ class TestDuplicateCheck:
         assert len(report.evidence) == 100
         found = {e["test_row"] for e in report.evidence}
         assert found == set(planted.tolist())
+
+    def test_hash_and_screen_hold_a_few_blocks_of_memory(self, rng):
+        # canonical rows held whole took 29 MiB to hash these splits and
+        # 48 MiB to screen them
+        xtr = rng.normal(size=(100_000, 8))
+        xte = rng.normal(size=(50_000, 8))
+        xte[:10] = xtr[100:110]
+        train, test = feature_split(xtr), feature_split(xte)
+        del xtr, xte
+        peaks = []
+        for call in (lambda: (train.content_hash, test.content_hash),
+                     lambda: duplicate_check(train, test)):
+            tracemalloc.start()
+            try:
+                result = call()
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            finally:
+                tracemalloc.stop()
+        assert result.evidence == tuple({"test_row": i, "train_rows": [100 + i]}
+                                        for i in range(10))
+        assert max(peaks) < 12, peaks
 
     def test_within_set_repeat_is_warning(self, rng):
         xtr = rng.normal(size=(30, 2))
@@ -194,6 +218,23 @@ class TestDuplicateOracle:
             assert got == string_duplicate_check(train, test, key=key).as_plain()
             severities.add(got["severity"])
         assert severities == ({"warning"} if case == "within" else {"violation"})
+
+    @pytest.mark.parametrize("keys", ["constant", "two_buckets"])
+    @pytest.mark.parametrize("case", ["cross", "within", "roundtrip", "int64", "text"])
+    def test_colliding_row_keys_keep_the_evidence(self, monkeypatch, case, keys):
+        # a collision only adds candidates, which the exact comparison sorts out
+        row_keys = leakage._row_keys
+
+        def colliding(dataset, features):
+            if keys == "constant":
+                return np.zeros(dataset.n_rows, dtype=np.uint64)
+            return row_keys(dataset, features) & np.uint64(1)
+
+        monkeypatch.setattr(leakage, "_row_keys", colliding)
+        for seed in range(6):
+            train, test = oracle_splits(case, seed)
+            assert (duplicate_check(train, test).as_plain()
+                    == string_duplicate_check(train, test).as_plain())
 
 
 class TestGroupLeakage:
