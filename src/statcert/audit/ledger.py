@@ -19,7 +19,8 @@ receives carry + alpha * w_i, and passes its whole allocation
 forward only if it demonstrated its requirement; its gating data must be
 fresh, so a gating hash an earlier entry consumed is an inconsistency.
 Each entry records the report schema version it was written under,
-because dataset hashes are only comparable within one version. Every read
+because its dataset hashes and p-values are only comparable within one
+version (`SCHEMA_CHANGES` says what each version changed). Every read
 streams the file a line at a time, so no command holds the whole ledger
 in memory.
 
@@ -434,17 +435,20 @@ def _walk(lines: Iterable, start: Replay = _EMPTY) -> Replay:
 def _resume_point(path: Path) -> tuple[Replay, _Reader] | None:
     """The replay of the prefix `<ledger>.ckpt` covers and a reader at its
     end that carries on the prefix's digest, or None. The checkpoint is
-    used only if the ledger's first bytes hash to the prefix's SHA-256, and
-    the ledger's own entry 0, its first line, and the prefix's last entry
-    give the checkpoint's entry 0, entry count and carry. That last entry
-    is the line that ends the prefix's final `_CHUNK` bytes, read in the
-    hash's own pass, so a last line of `_CHUNK` bytes or more means a full
-    replay."""
+    used only if it was written under this schema version (it names the
+    first entry of another one), the ledger's first bytes hash to the
+    prefix's SHA-256, and the ledger's own entry 0, its first line, and the
+    prefix's last entry give the checkpoint's entry 0, entry count and
+    carry. That last entry is the line that ends the prefix's final
+    `_CHUNK` bytes, read in the hash's own pass, so a last line of `_CHUNK`
+    bytes or more means a full replay."""
     try:
         ck = parse_json(_sidecar(path, ".ckpt").read_bytes().decode("utf-8"))
         size, count, tests = ck["bytes"], ck["entries"], ck["tests_done"]
         consumed, older = ck["consumed"], ck["older"]
+        # `older` was judged against the writer's schema version
         if not (ck["version"] == _CHECKPOINT_VERSION
+                and ck["schema_version"] == SCHEMA_VERSION
                 and all(type(v) is int for v in (size, count, tests))
                 and size > 0 and count >= 1 and tests >= 0
                 and isinstance(consumed, dict)
@@ -485,7 +489,8 @@ def _write_checkpoint(path: Path, replayed: Replay, reader: _Reader) -> None:
     and without fsync: the file is a cache."""
     state = replayed.state
     body = canonical_json({
-        "version": _CHECKPOINT_VERSION, "bytes": reader.at.offset,
+        "version": _CHECKPOINT_VERSION, "schema_version": SCHEMA_VERSION,
+        "bytes": reader.at.offset,
         "sha256": reader.digest.hexdigest(), "entries": replayed.n_entries,
         "tests_done": state.tests_done, "carry": state.carry,
         "consumed": dict(replayed.consumed_at), "first": replayed.first,

@@ -16,7 +16,15 @@ from typing import Callable, NamedTuple
 
 from ..canonical import canonical_json, sha256_hex
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+# what each version changed in what an entry records, so that a ledger
+# written under an older one is refused for the reason that holds for it
+SCHEMA_CHANGES = {
+    2: "version 2 changed the dataset hashes, so fresh data cannot be told from "
+       "consumed data",
+    3: "version 3 changed the exact tests' p-values and bounds in their last digits, "
+       "so a rerun cannot reproduce its decisions",
+}
 
 
 def payload_hash(payload: dict) -> str:

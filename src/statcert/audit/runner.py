@@ -34,7 +34,7 @@ from ..sampling import splitmix64
 from ..stattest import evaluate_mpr
 from .config import AuditConfig, load_config
 from .ledger import AuditLedger, resume_replay
-from .report import SCHEMA_VERSION, AuditReport
+from .report import SCHEMA_CHANGES, SCHEMA_VERSION, AuditReport
 
 
 def _load(what: str, path: str | Path, roles: dict[str, str]) -> Dataset:
@@ -181,6 +181,16 @@ def _aux_sections(config: AuditConfig, datasets: dict[str, Dataset]) -> dict:
     return checks
 
 
+def _schema_refusal(older: dict) -> str:
+    """Why an entry written under another schema version ends the ledger."""
+    version = older.get("schema_version", 1)  # entries without it predate the field
+    reasons = ([SCHEMA_CHANGES[v] for v in range(version + 1, SCHEMA_VERSION + 1)]
+               if type(version) is int and 1 <= version < SCHEMA_VERSION else
+               ["no entry is comparable across schema versions"])
+    return (f"ledger entry {older['index']} was written under report schema version "
+            f"{version}, not {SCHEMA_VERSION}: {'; '.join(reasons)}; start a new ledger")
+
+
 class _Entry:
     """The one ledger transaction: lock the ledger, open it, spend alpha on
     fresh data, commit the entry. Construction takes the ledger's write
@@ -203,13 +213,8 @@ class _Entry:
             if not replayed.consistent:
                 raise LedgerCorrupt(
                     f"entry {replayed.first_inconsistency}: {replayed.detail}")
-            older = replayed.older
-            if older is not None:
-                raise ConfigInvalid(
-                    f"ledger entry {older['index']} was written under report schema "
-                    f"version {older.get('schema_version', 1)}, not {SCHEMA_VERSION}; its "
-                    "dataset hashes cannot tell fresh data from consumed data under this "
-                    "version, so start a new ledger")
+            if replayed.older is not None:
+                raise ConfigInvalid(_schema_refusal(replayed.older))
             if replayed.n_entries == 0:
                 if not initial:
                     raise ConfigInvalid("ledger is empty; run the initial certification first")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import Dataset
 from .errors import ValidationError
-from .stattest import BOOTSTRAP_MIN_B, TestResult, percentile_pvalue
+from .stattest import BOOTSTRAP_MIN_B, TestResult, linear_quantile, percentile_pvalue
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def fairness_mpr_check(outcomes: GroupedOutcomes, metric: str, max_violation: fl
         test_id="fairness_bootstrap",
         statistic=observed,
         p_value=percentile_pvalue(draws, max_violation, "at_most"),
-        conf_bound=float(np.quantile(draws, 1.0 - alpha)),
+        conf_bound=linear_quantile(draws, 1.0 - alpha),
         alpha_used=alpha,
         n=int(outcomes.counts.sum()),
         params={"metric": metric, "max_violation": max_violation,

@@ -66,7 +66,10 @@ class OodScorer:
         elif self.method == "density_kde":
             from scipy.stats import gaussian_kde  # scipy.stats takes ~1 s to import
 
-            self._kde = gaussian_kde(x.T)
+            try:
+                self._kde = gaussian_kde(x.T)
+            except np.linalg.LinAlgError as e:  # a covariance that is singular in floats
+                raise ValidationError(f"density_kde cannot fit the reference: {e}") from None
         elif self.method == "distance_centroid":
             self._fit_mahalanobis(x, reference.by_role("label"))
         elif self.method == "distance_knn":

@@ -22,6 +22,7 @@ from statcert import cli, errors, robustness
 from statcert.audit.config import load_config
 from statcert.audit import runner
 from statcert.audit.ledger import AuditLedger, _resume_point, entry_hash
+from statcert.audit.report import SCHEMA_VERSION
 from statcert.core import canonical_json
 from statcert.errors import ConfigInvalid
 
@@ -594,8 +595,8 @@ def test_example_report_renders_in_both_formats(ws):
 
 def test_inconclusive_report_renders(ws):
     path = ws / "report.json"
-    path.write_text('{"model_id":"m","reason":"no alpha","schema_version":2,'
-                    '"verdict":"inconclusive"}')
+    path.write_text('{"model_id":"m","reason":"no alpha",'
+                    f'"schema_version":{SCHEMA_VERSION},"verdict":"inconclusive"}}')
     result = invoke("report", "--path", path, "--format", "markdown")
     assert result.exit_code == 0
     assert result.stdout == "# Audit report: m\n\n**Verdict: INCONCLUSIVE** — no alpha\n"
@@ -738,31 +739,65 @@ def test_shuffled_consumed_test_file_exits_2(ws):
     assert "reuses content already consumed" in result.stderr
 
 
-def write_pre_version_ledger(ws):
-    """The ledger as written before entries recorded their schema version:
-    no version field, every hash recomputed, so it still verifies."""
+def write_older_ledger(ws, version):
+    """The ledger as if written under schema version `version`, every hash
+    recomputed, so it still verifies; version 1 predates the field."""
     path = ws / "audit_ledger.jsonl"
     entries, prev = [], None
     for line in path.read_text().splitlines():
         entry = json.loads(line)
-        del entry["schema_version"]
+        if version == 1:
+            del entry["schema_version"]
+        else:
+            entry["schema_version"] = version
         entry["prev_hash"] = prev
         entry["entry_hash"] = prev = entry_hash(entry)
         entries.append(entry)
     path.write_text("".join(canonical_json(e) + "\n" for e in entries))
 
 
+@pytest.mark.parametrize("version, reasons", [
+    (1, ("dataset hashes", "p-values")), (SCHEMA_VERSION - 1, ("p-values",))])
 @pytest.mark.parametrize("name", COMMANDS)
-def test_ledger_of_older_schema_version_exits_2(ws, name):
+def test_ledger_of_older_schema_version_exits_2(ws, name, version, reasons):
     certify(ws)
-    write_pre_version_ledger(ws)
+    write_older_ledger(ws, version)
     verified = invoke("verify-ledger", ws / "audit_ledger.jsonl")
     assert verified.exit_code == 0
     assert json.loads(verified.stdout)["consistent"] is True
     refresh_test_data(ws)
     result = invoke(*command(name, ws, point_check="point_check.csv"))
     assert result.exit_code == 2
-    assert "schema version 1, not 2" in result.stderr
+    assert f"schema version {version}, not {SCHEMA_VERSION}: " in result.stderr
+    assert [r for r in ("dataset hashes", "p-values") if r in result.stderr] == list(reasons)
+
+
+@pytest.mark.parametrize("version", ["next", 0, SCHEMA_VERSION + 1])
+def test_ledger_of_unknown_schema_version_exits_2(ws, version):
+    certify(ws)
+    write_older_ledger(ws, version)
+    result = invoke(*command("monitor", ws))
+    assert result.exit_code == 2
+    assert "no entry is comparable across schema versions" in result.stderr
+
+
+@pytest.mark.parametrize("name", ["recertify", "monitor"])
+def test_checkpoint_of_another_schema_version_is_ignored(ws, monkeypatch, name):
+    # a rerun under the older version writes a checkpoint that covers entry 0
+    # and, judged by that version, names no entry of another one
+    from statcert.audit import ledger as ledger_module
+    for module in (ledger_module, runner):
+        monkeypatch.setattr(module, "SCHEMA_VERSION", SCHEMA_VERSION - 1)
+    certify(ws)
+    certify(ws)
+    assert (ws / "audit_ledger.jsonl.ckpt").exists()
+    monkeypatch.undo()
+    refresh_test_data(ws)
+    before = (ws / "audit_ledger.jsonl").read_bytes()
+    result = invoke(*command(name, ws, point_check="point_check.csv"))
+    assert result.exit_code == 2, result.stderr
+    assert f"schema version {SCHEMA_VERSION - 1}, not {SCHEMA_VERSION}" in result.stderr
+    assert (ws / "audit_ledger.jsonl").read_bytes() == before
 
 
 def test_fairness_example_demonstrates_both_requirements(ws):
@@ -863,6 +898,27 @@ def test_ood_scenario_with_a_text_score_exits_2(ws):
     assert result.exit_code == 2
     assert result.stderr.startswith("error: ood scenario 'far'")
     assert "score column 'p1' is not numeric" in result.stderr
+
+
+def test_kde_on_a_singular_covariance_exits_2(ws):
+    # features scaled by 1e-200 leave a covariance of subnormal cells, which
+    # gaussian_kde cannot factor: that used to be an internal error, exit 4
+    for name in ("test_pass.csv", "train.csv", "window_shift.csv"):
+        path = ws / "data" / name
+        header, *rows = path.read_text().splitlines()
+        columns = header.split(",")
+        path.write_text("\n".join([header, *(",".join(
+            f"{float(cell) * 1e-200!r}" if column.startswith("x") else cell
+            for column, cell in zip(columns, row.split(","))) for row in rows)]) + "\n")
+
+    def with_kde(raw):
+        raw["ood"] = {"method": "density_kde", "reference": "test", "validation": "test",
+                      "scenarios": [{"name": "shifted", "path": "data/window_shift.csv"}]}
+
+    result = invoke("run", ws / mutate(ws, with_kde))
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.startswith("error: density_kde cannot fit the reference: ")
+    assert not (ws / "audit_ledger.jsonl").exists()
 
 
 def test_monitor_reads_no_bound_dataset_but_its_reference(ws, tmp_path):

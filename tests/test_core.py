@@ -436,8 +436,9 @@ class TestCanonicalCells:
         want = [hashlib.blake2b(bytes(row), digest_size=16).digest() for row in rows]
         assert ds.row_digests(["b", "a"]).tolist() == want
 
-    # schema version 2's content hash of `pinned_dataset`, as the whole
-    # dataset canonicalised at once gives it
+    # the content hash of `pinned_dataset` since schema version 2 (version
+    # 3 changed p-values only), as the whole dataset canonicalised at once
+    # gives it
     PINNED_HASH = "95b3ed6d0ef245d0c695120222bc5c4811a10e81c6f55aa2cd72f9d7139b00d7"
 
     @staticmethod

@@ -5,8 +5,10 @@ so `verify-ledger` and `report` must load no scipy, numpy or yaml at all,
 nor the `dataclasses` module and the `inspect` it pulls in; the CLI is
 argparse, with no click. The runner loads no scipy.stats, and a monitor
 window with no shift no scipy and none of the check modules its config
-does not run; scipy.special waits for the first exact test. Each check
-runs in a fresh interpreter, one per test.
+does not run. A certification, and a monitor with a point check, load no
+scipy.special, since the exact tests are statcert's own, nor numpy.ma;
+scipy.special waits for the first asymptotic KS or chi-square test. Each
+check runs in a fresh interpreter, one per test.
 """
 
 import json
@@ -84,28 +86,38 @@ def test_runner_loads_no_scipy_stats():
     assert loaded == []
 
 
-def test_scipy_special_loads_at_the_first_exact_test(tmp_path):
-    # the import takes about a third of a second; a monitor window with no
-    # shift runs no exact test, a certification does
+def test_certification_and_a_point_check_load_no_scipy_special_or_numpy_ma(tmp_path):
+    # the exact binomial test is statcert's own and a quantile comes from
+    # np.partition: importing scipy.special takes about 0.2 s, numpy.ma 10 ms
     work = tmp_path / "example"
     shutil.copytree(EXAMPLE, work)
-    run_audit(work / "audit.yaml")
     loaded = run_python("""
         import json, sys
-        import statcert.cli
-        from statcert.audit.config import load_config
         from statcert.audit.runner import monitor_step, run_audit
-        from statcert.core import load_dataset
 
-        config = load_config(sys.argv[1])
-        window = load_dataset(sys.argv[2],
-                              config.datasets[config.drift.reference].feature_columns())
-        loaded = [monitor_step(config.ledger_path, config, window).verdict,
-                  "scipy.special" in sys.modules]
-        loaded += [run_audit(config).verdict, "scipy.special" in sys.modules]
-        print(json.dumps(loaded))
-        """, str(work / "audit.yaml"), str(work / "data" / "window.csv"))
-    assert loaded == ["ok", False, "pass", True]
+        def heavy():
+            return sorted(m for m in sys.modules if m in ("scipy.special", "numpy.ma"))
+
+        loaded = [run_audit(sys.argv[1]).verdict, heavy()]
+        outcome = monitor_step(sys.argv[2], sys.argv[1], sys.argv[3], sys.argv[4])
+        print(json.dumps(loaded + [outcome.verdict, heavy()]))
+        """, str(work / "audit.yaml"), str(work / "audit_ledger.jsonl"),
+        str(work / "data" / "window_shift.csv"), str(work / "data" / "point_check.csv"))
+    assert loaded == ["pass", [], "shift_benign", []]
+
+
+def test_scipy_special_loads_at_the_first_asymptotic_ks_test():
+    loaded = run_python("""
+        import json, sys
+        import numpy as np
+        from statcert.drift import ks_two_sample
+
+        rng = np.random.default_rng(0)
+        before = "scipy.special" in sys.modules
+        mode = ks_two_sample(rng.normal(size=40), rng.normal(size=40)).params["mode"]
+        print(json.dumps([before, mode, "scipy.special" in sys.modules]))
+        """)
+    assert loaded == [False, "asymptotic", True]
 
 
 def test_monitor_without_a_shift_loads_no_scipy_and_no_unused_check(tmp_path):

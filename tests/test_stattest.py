@@ -2,20 +2,25 @@
 
 import math
 import random
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from statcert.core import MprSpec
 from statcert.errors import ValidationError
 from statcert.stattest import (
     BOOTSTRAP_B,
+    _binomial_sf_geq,
     binomial_test_one_sided,
     bootstrap_test_one_sided,
     clopper_pearson_bound,
     evaluate_mpr,
+    linear_quantile,
     percentile_pvalue,
     rank_auroc,
     row_groups,
@@ -141,6 +146,123 @@ class TestClopperPearson:
             for k in range(n + 1):
                 r = binomial_test_one_sided(k, n, p0, alpha=alpha)
                 assert (r.p_value <= alpha) == (r.conf_bound >= p0), (k, n, p0)
+
+
+def exact_tail(k, n, p):
+    """P(X >= k) as an exact rational in the binary value of p, rounded once."""
+    m, d = Fraction(p).as_integer_ratio()
+    num = sum(math.comb(n, i) * m ** i * (d - m) ** (n - i) for i in range(k, n + 1))
+    return float(Fraction(num, d ** n))
+
+
+def relative_error(got, expected):
+    return abs(got - expected) / expected
+
+
+class TestAccuracy:
+    """The tail and the bounds are statcert's own; scipy is only an oracle."""
+
+    def test_tail_against_exact_rationals(self):
+        rng = random.Random(20261020)
+        worst = 0.0
+        for _ in range(800):
+            n = rng.randint(1, 200)
+            k = rng.randint(1, n)
+            # both sides of the switch between the fraction and its complement
+            p = rng.choice([rng.random(), rng.random() ** 8, 1 - rng.random() ** 8,
+                            k / n, (k + 1) / (n + 3), math.nextafter((k + 1) / (n + 3), 0)])
+            expected = exact_tail(k, n, p)
+            if 0.0 < p < 1.0 and expected >= 1e-300:
+                worst = max(worst, relative_error(_binomial_sf_geq(k, n, p), expected))
+        assert worst <= 1e-12
+
+    def test_tail_against_betainc_up_to_a_million(self):
+        rng = random.Random(7)
+        worst = 0.0
+        for _ in range(600):
+            n = int(10 ** rng.uniform(0, 6))
+            k = rng.randint(1, n)
+            spread = 3 * math.sqrt(k * (n - k + 1)) / n ** 1.5 + 1 / n
+            p = min(max(rng.gauss(k / n, spread), 1e-12), 1 - 1e-12)
+            expected = float(special.betainc(k, n - k + 1, p))
+            if expected >= 1e-300:
+                worst = max(worst, relative_error(_binomial_sf_geq(k, n, p), expected))
+        assert worst <= 1e-10
+
+    def test_tail_where_betainc_errs(self):
+        # 1 - P(X <= 32), summed in mpmath at 40 digits; betainc is 1e-11 off here
+        assert relative_error(_binomial_sf_geq(33, 360_068, 9.2978e-5),
+                              float(special.betainc(33, 360_036, 9.2978e-5))) > 1e-12
+        assert relative_error(_binomial_sf_geq(33, 360_068, 9.2978e-5),
+                              0.5560215857215848) <= 1e-15
+
+    def test_bounds_against_betaincinv(self):
+        rng = random.Random(11)
+        worst = 0.0
+        for _ in range(400):
+            n = int(10 ** rng.uniform(0, 6))
+            k = rng.randint(0, n)
+            alpha = rng.choice([0.05, 0.025, 0.0125, 0.01])
+            if k > 0:
+                worst = max(worst, relative_error(
+                    clopper_pearson_bound(k, n, alpha, "lower"),
+                    float(special.betaincinv(k, n - k + 1, alpha))))
+            if k < n:
+                # 1 - alpha is exact to 2e-16, which moves this oracle by < 1e-13
+                worst = max(worst, relative_error(
+                    clopper_pearson_bound(k, n, alpha, "upper"),
+                    float(special.betaincinv(k + 1, n - k, 1 - alpha))))
+        assert worst <= 1e-12
+
+    def test_bounds_near_zero_keep_their_relative_accuracy(self):
+        # closed forms: k = 0 upper is 1 - alpha^(1/n), k = 1 lower 1 - (1 - alpha)^(1/n);
+        # 1 minus the mirrored lower bound would be 3e-14 off at n = 1000
+        for n in (1, 30, 1000):
+            for alpha in (0.05, 1e-6, 1e-15):
+                upper = -math.expm1(math.log(alpha) / n)
+                lower = -math.expm1(math.log1p(-alpha) / n)
+                assert relative_error(clopper_pearson_bound(0, n, alpha, "upper"),
+                                      upper) <= 1e-12
+                assert relative_error(clopper_pearson_bound(1, n, alpha, "lower"),
+                                      lower) <= 1e-12
+        # p^1 = alpha at alpha = 1e-300: the pmf, an exp of about -690, is good
+        # to about 690 ulp, and the bound to the same
+        assert relative_error(clopper_pearson_bound(1, 1, 1e-300, "lower"), 1e-300) <= 1e-13
+
+    def test_every_pvalue_and_bound_in_the_unit_interval(self):
+        rng = random.Random(3)
+        for _ in range(500):
+            n = int(10 ** rng.uniform(0, 9))
+            k = rng.randint(0, n)
+            p0 = rng.choice([rng.random(), 10 ** -rng.uniform(0, 320),
+                             1 - 10 ** -rng.uniform(0, 16), 5e-324, k / n])
+            r = binomial_test_one_sided(k, n, p0, rng.choice(["at_least", "at_most"]),
+                                        alpha=rng.choice([0.05, 1e-15, 0.5]))
+            assert 0.0 <= r.p_value <= 1.0
+            assert 0.0 <= r.conf_bound <= 1.0
+
+    def test_criterion_01_case_takes_under_a_millisecond(self):
+        start = time.perf_counter()
+        for _ in range(50):
+            binomial_test_one_sided(188, 200, 0.9)
+        assert (time.perf_counter() - start) / 50 < 1e-3
+
+
+class TestLinearQuantile:
+    def test_bit_identical_to_np_quantile(self):
+        rng = np.random.default_rng(5)
+        for trial in range(400):
+            n = 1 if trial % 10 == 0 else int(rng.integers(2, 3000))
+            values = [rng.standard_normal(n), rng.integers(0, 4, n).astype(float),
+                      np.round(rng.standard_normal(n), 1) * 1e10,  # ties of +0.0 and -0.0
+                      ][trial % 3]
+            for alpha in (0.05, 0.025, float(rng.random())):
+                for q in (0.0, alpha, 1.0 - alpha, 1.0):
+                    expected = np.float64(np.quantile(values, q)).tobytes()
+                    assert np.float64(linear_quantile(values, q)).tobytes() == expected
+
+    def test_nan_anywhere_gives_nan(self):
+        assert math.isnan(linear_quantile(np.array([1.0, np.nan, 2.0]), 0.5))
 
 
 class TestBootstrap:
