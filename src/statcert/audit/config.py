@@ -2,11 +2,13 @@
 
 One YAML file describes everything an audit run needs: dataset bindings,
 the requirement family with its alpha budget, and the optional check
-sections. Parsing is strict: unknown keys are rejected, every value is
-converted to its field's type (a wrong type is ConfigInvalid naming the
-key), every default is materialized at load time, and the fully resolved
-tree is echoed into the report so a reader never has to guess what a
-missing key meant.
+sections. Parsing is strict: each section's keys are its dataclass's
+fields, so unknown keys are rejected, every value is converted to its
+field's type (a wrong type is ConfigInvalid naming the key), every default
+is materialized at load time, and the fully resolved tree is echoed into
+the report so a reader never has to guess what a missing key meant. Two
+maps are free-form: `sadd.sampling_descriptor`, recorded as written, and
+`ood.params`, whose one key, distance_knn's `k`, is checked here.
 """
 
 from __future__ import annotations
@@ -14,34 +16,19 @@ from __future__ import annotations
 import math
 from collections import abc
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, get_args, get_origin, get_type_hints
 
 import yaml
 
 from ..core import (ATTACKS, DRIFT_METHODS, DUPLICATE_KEYS, FAIRNESS_METRICS, METRICS, NORMS,
-                    OOD_METHODS, ROLES, MprSpec, SaddRecord)
+                    OOD_METHODS, MprSpec, SaddRecord, Schema)
 from ..errors import ConfigInvalid, ValidationError
 from ..stattest import BOOTSTRAP_MIN_B
 from .ledger import sidecars
 
 SHARE_TOL = 1e-9
-
-# YAML keys of the blocks whose keys are not their dataclass's field names
-_SADD_KEYS = {
-    "operating_context": "part1_context",
-    "technical_requirements": "part2_technical",
-    "sampling_strategy": "part3_sampling",
-    "sampling_descriptor": "sampling_descriptor",
-    "version": "version",
-}
-_MPR_KEYS = {
-    "metric": "metric_id",
-    "threshold": "threshold",
-    "direction": "direction",
-    "test": "test_kind",
-    "alpha_share": "alpha_share",
-}
 
 _EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number",
              str: "a string", Path: "a file path", tuple: "a list", dict: "a mapping",
@@ -100,23 +87,18 @@ def _convert(value, kind, where: str, base: Path | None = None):
     raise ConfigInvalid(f"{where}: expected {_EXPECTED[origin]}, got {value!r}")
 
 
-def _build(cls, node, where: str, base: Path | None = None,
-           keys: Mapping[str, str] | None = None, **given):
+def _build(cls, node, where: str, base: Path | None = None, **given):
     """An instance of dataclass `cls` from its YAML mapping, which is the one
     statement of the mapping's keys, defaults and types: each key names a
-    field (through `keys` where the names differ), a field without a default
-    is required, an absent or null key takes the field's default, and each
-    value is converted to its field's type. `given` holds fields whose YAML
-    form is not a key of the mapping."""
+    field, a field without a default is required, an absent or null key
+    takes the field's default, and each value is converted to its field's
+    type. `given` holds fields whose YAML form is not a key of the mapping."""
     hints = get_type_hints(cls)
     declared = {f.name: f for f in fields(cls) if f.name not in given}
-    keys = keys or {name: name for name in declared}
-    required = {key for key, name in keys.items()
-                if declared[name].default is MISSING
-                and declared[name].default_factory is MISSING}
-    node = _require_keys(node, set(keys), required, where)
-    values = {keys[k]: _convert(v, hints[keys[k]], f"{where}.{k}", base)
-              for k, v in node.items()}
+    required = {name for name, f in declared.items()
+                if f.default is MISSING and f.default_factory is MISSING}
+    node = _require_keys(node, set(declared), required, where)
+    values = {k: _convert(v, hints[k], f"{where}.{k}", base) for k, v in node.items()}
     try:
         return cls(**values, **given)
     except ValidationError as e:
@@ -137,12 +119,10 @@ def _plain(value):
     return value
 
 
-def _echo(obj, keys: Mapping[str, str] | None = None) -> dict:
+def _echo(obj) -> dict:
     """Report form of the dataclass `obj`, keyed as its YAML mapping is: each
-    key with its field's value, through `keys` where the names differ (see
-    _build)."""
-    keys = keys or {f.name: f.name for f in fields(obj)}
-    return {key: _plain(getattr(obj, name)) for key, name in keys.items()}
+    field with its value (see _build)."""
+    return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
 
 
 class _Section:
@@ -170,13 +150,23 @@ class DatasetBinding:
 
 
 @dataclass(frozen=True)
-class MprRequirement:
+class MprRequirement(_Section):
     name: str
     dataset: str
-    spec: MprSpec
+    metric: str
+    threshold: float
+    direction: str = "at_least"
+    test: str = "exact_binomial"
+    alpha_share: float = 1.0
 
-    def as_plain(self) -> dict:
-        return {"name": self.name, "dataset": self.dataset, **_echo(self.spec, _MPR_KEYS)}
+    def __post_init__(self):
+        self.spec  # built now, so that MprSpec's checks refuse a config at load
+
+    @cached_property
+    def spec(self) -> MprSpec:
+        """The requirement as `stattest.evaluate_mpr` takes it."""
+        return MprSpec(self.metric, self.threshold, self.direction, self.alpha_share,
+                       self.test)
 
 
 @dataclass(frozen=True)
@@ -264,8 +254,7 @@ class AuditConfig:
     def family_snapshot(self) -> dict:
         """The frozen multiplicity contract: alpha budget, per-entry weights,
         and the within-entry share of every gating requirement."""
-        shares = {r.name: r.spec.alpha_share for r in self.mprs}
-        shares.update({r.name: r.alpha_share for r in self.fairness})
+        shares = {r.name: r.alpha_share for r in (*self.mprs, *self.fairness)}
         return {
             "alpha": self.family_alpha,
             "weights": list(self.family_weights),
@@ -274,17 +263,16 @@ class AuditConfig:
         }
 
     def gating_dataset_names(self) -> list[str]:
-        names = [r.dataset for r in self.mprs] + [r.dataset for r in self.fairness]
-        return sorted(set(names))
+        return sorted({r.dataset for r in (*self.mprs, *self.fairness)})
 
     def as_plain(self) -> dict:
         return {
             "seed": self.seed,
             "model_id": self.model_id,
-            "sadd": _echo(self.sadd, _SADD_KEYS),
+            "sadd": _echo(self.sadd),
             "datasets": {k: v.as_plain() for k, v in sorted(self.datasets.items())},
             "family": self.family_snapshot(),
-            "mprs": [r.as_plain() for r in self.mprs],
+            "mprs": _plain(self.mprs),
             "fairness": _plain(self.fairness),
             "leakage": _plain(self.leakage),
             "drift": _plain(self.drift),
@@ -302,9 +290,10 @@ def _binding(name: str, node, base: Path) -> DatasetBinding:
     columns = _convert(node["columns"], dict[str, str], f"{where}.columns")
     if not columns:
         raise ConfigInvalid(f"{where}.columns: expected a non-empty mapping")
-    for col, role in columns.items():
-        if role not in ROLES:
-            raise ConfigInvalid(f"{where}.columns.{col}: unknown role {role!r}")
+    try:
+        Schema.from_roles(columns)
+    except ValidationError as e:
+        raise ConfigInvalid(f"{where}.columns: {e}") from e
     path = _convert(node["path"], Path, f"{where}.path", base)
     return DatasetBinding(name, path, columns)
 
@@ -370,7 +359,7 @@ def load_config(path: str | Path) -> AuditConfig:
     if _convert(raw.get("version", 1), int, "version") != 1:
         raise ConfigInvalid(f"unsupported config version {raw['version']!r}")
 
-    sadd = _build(SaddRecord, raw["sadd"], "sadd", keys=_SADD_KEYS)
+    sadd = _build(SaddRecord, raw["sadd"], "sadd")
     datasets = {str(k): _binding(str(k), v, base)
                 for k, v in _convert(raw["datasets"], dict, "datasets").items()}
 
@@ -383,18 +372,12 @@ def load_config(path: str | Path) -> AuditConfig:
     if abs(sum(weights) - 1.0) > SHARE_TOL:
         raise ConfigInvalid("family.weights must sum to 1")
 
-    mprs: list[MprRequirement] = []
-    for i, node in enumerate(_convert(raw["mprs"], tuple[dict, ...], "mprs")):
+    mprs = _convert(raw["mprs"], tuple[MprRequirement, ...], "mprs")
+    for i, req in enumerate(mprs):
         where = f"mprs[{i}]"
-        node = _require_keys(node, {"name", "dataset", *_MPR_KEYS}, {"name", "dataset"},
-                             where)
-        binding = _need_dataset(_convert(node.pop("dataset"), str, f"{where}.dataset"),
-                                datasets, where)
-        _need_roles(binding, ("label", "prediction"), where)
-        name = _convert(node.pop("name"), str, f"{where}.name")
-        spec = _build(MprSpec, node, where, keys=_MPR_KEYS)
-        _need_choice(spec.metric_id, METRICS, "metric", f"{where}.metric")
-        mprs.append(MprRequirement(name, binding.name, spec))
+        _need_roles(_need_dataset(req.dataset, datasets, where), ("label", "prediction"),
+                    where)
+        _need_choice(req.metric, METRICS, "metric", f"{where}.metric")
     if not mprs:
         raise ConfigInvalid("at least one MPR is required")
 
@@ -409,15 +392,15 @@ def load_config(path: str | Path) -> AuditConfig:
                     req.max_violation)
         _need_range(req.n_bootstrap >= BOOTSTRAP_MIN_B, f"{where}.n_bootstrap",
                     f">= {BOOTSTRAP_MIN_B}", req.n_bootstrap)
-    names = [m.name for m in mprs] + [f.name for f in fairness]
-    if len(set(names)) != len(names):
+    requirements = {f"{section}[{i}]": req
+                    for section, reqs in (("mprs", mprs), ("fairness", fairness))
+                    for i, req in enumerate(reqs)}
+    if len({req.name for req in requirements.values()}) != len(requirements):
         raise ConfigInvalid("requirement names must be unique")
-
-    shares = [(f"mprs[{i}]", m.spec.alpha_share) for i, m in enumerate(mprs)] + \
-        [(f"fairness[{i}]", f.alpha_share) for i, f in enumerate(fairness)]
-    for where, share in shares:
-        _need_range(0.0 < share <= 1.0, f"{where}.alpha_share", "in (0, 1]", share)
-    share_sum = sum(share for _, share in shares)
+    for where, req in requirements.items():
+        _need_range(0.0 < req.alpha_share <= 1.0, f"{where}.alpha_share", "in (0, 1]",
+                    req.alpha_share)
+    share_sum = sum(req.alpha_share for req in requirements.values())
     if abs(share_sum - 1.0) > SHARE_TOL:
         raise ConfigInvalid(
             f"alpha shares across requirements must sum to 1, got {share_sum}")
@@ -439,12 +422,22 @@ def load_config(path: str | Path) -> AuditConfig:
     drift = None
     if "drift" in raw:
         drift = _build(DriftSettings, raw["drift"], "drift")
-        _need_roles(_need_dataset(drift.reference, datasets, "drift.reference"),
-                    ("feature",), "drift")
+        reference = _need_dataset(drift.reference, datasets, "drift.reference")
+        _need_roles(reference, ("feature",), "drift")
         _need_choice(drift.method, DRIFT_METHODS, "method", "drift.method")
         _need_range(0.0 < drift.alpha < 1.0, "drift.alpha", "in (0, 1)", drift.alpha)
         _need_range(drift.n_permutations >= 1, "drift.n_permutations", ">= 1",
                     drift.n_permutations)
+        # indices into the reference's feature columns, which only the
+        # per-feature tests read
+        if drift.categorical_dims and drift.method != "univariate_bonferroni":
+            raise ConfigInvalid(f"drift.categorical_dims: only univariate_bonferroni "
+                                f"reads it, not {drift.method}")
+        n_features = len(reference.feature_columns())
+        outside = [i for i in drift.categorical_dims if not 0 <= i < n_features]
+        if outside:
+            raise ConfigInvalid(f"drift.categorical_dims: {outside} index no feature column "
+                                f"of {drift.reference!r}, which has {n_features}")
 
     uncertainty = None
     if "uncertainty" in raw:
@@ -470,6 +463,13 @@ def load_config(path: str | Path) -> AuditConfig:
             _need_roles(val, ("score",), "ood")
         if len({s.name for s in ood.scenarios}) != len(ood.scenarios):
             raise ConfigInvalid("ood.scenarios: duplicate names")
+        # the one parameter a method reads: distance_knn's k
+        params = _require_keys(ood.params, {"k"} if ood.method == "distance_knn" else set(),
+                               set(), "ood.params")
+        if "k" in params:
+            params["k"] = _convert(params["k"], int, "ood.params.k")
+            _need_range(params["k"] >= 1, "ood.params.k", ">= 1", params["k"])
+        ood = replace(ood, params=params)
 
     robustness = None
     if "robustness" in raw:
@@ -508,7 +508,7 @@ def load_config(path: str | Path) -> AuditConfig:
         datasets=datasets,
         family_alpha=alpha,
         family_weights=weights,
-        mprs=tuple(mprs),
+        mprs=mprs,
         fairness=fairness,
         leakage=leakage,
         drift=drift,

@@ -59,12 +59,15 @@ from .report import SCHEMA_VERSION
 
 ALPHA_TOL = 1e-12
 
-_REQUIRED_FIELDS = (
-    "index", "timestamp", "kind", "model_id", "family", "dataset_hashes",
-    "gating_hashes", "seed", "test_bearing", "alpha_allocated",
-    "alpha_carried_in", "alpha_carried_out", "decisions", "demonstrated",
-    "verdict", "prev_hash", "entry_hash",
+# the fields an entry records from its writer (see AuditLedger.append); the
+# ledger adds the rest
+_RECORDED_FIELDS = (
+    "kind", "model_id", "family", "dataset_hashes", "gating_hashes", "seed",
+    "test_bearing", "alpha_allocated", "alpha_carried_in", "alpha_carried_out",
+    "decisions", "demonstrated", "verdict",
 )
+_RECORDED = frozenset(_RECORDED_FIELDS)
+_REQUIRED_FIELDS = ("index", "timestamp", *_RECORDED_FIELDS, "prev_hash", "entry_hash")
 _REQUIRED = frozenset(_REQUIRED_FIELDS)
 
 # bump whenever the walk gains a check, so no checkpoint vouches for a
@@ -198,30 +201,25 @@ class AuditLedger:
     def prior_gating_hashes(self) -> set[str]:
         return set(replay_ledger(self).consumed)
 
-    def append(self, *, kind: str, model_id: str, family: Mapping,
-               dataset_hashes: Mapping[str, str], gating_hashes: Iterable[str],
-               seed: int, test_bearing: bool, alpha_allocated: float,
-               alpha_carried_in: float, alpha_carried_out: float,
-               decisions: list[dict], demonstrated: bool | None,
-               verdict: str) -> dict:
+    def append(self, **recorded) -> dict:
+        """Write the entry of the `recorded` fields, which are exactly those
+        _RECORDED_FIELDS names (TypeError otherwise): `family` and
+        `dataset_hashes` are mappings, `gating_hashes` an iterable of
+        strings, the rest JSON values."""
+        if recorded.keys() != _RECORDED:
+            missing = [f for f in _RECORDED_FIELDS if f not in recorded]
+            extra = sorted(recorded.keys() - _RECORDED)
+            raise TypeError(f"append() takes the fields {list(_RECORDED_FIELDS)}; "
+                            f"missing {missing}, unexpected {extra}")
         count, last = self._known_tail()
         entry = {
+            **recorded,
             "index": count,
             "schema_version": SCHEMA_VERSION,
             "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "kind": kind,
-            "model_id": model_id,
-            "family": dict(family),
-            "dataset_hashes": dict(sorted(dataset_hashes.items())),
-            "gating_hashes": sorted(gating_hashes),
-            "seed": seed,
-            "test_bearing": test_bearing,
-            "alpha_allocated": alpha_allocated,
-            "alpha_carried_in": alpha_carried_in,
-            "alpha_carried_out": alpha_carried_out,
-            "decisions": decisions,
-            "demonstrated": demonstrated,
-            "verdict": verdict,
+            "family": dict(recorded["family"]),
+            "dataset_hashes": dict(sorted(recorded["dataset_hashes"].items())),
+            "gating_hashes": sorted(recorded["gating_hashes"]),
             "prev_hash": last["entry_hash"] if last is not None else None,
         }
         entry["entry_hash"] = entry_hash(entry)

@@ -87,10 +87,10 @@ def _requirement_sections(config: AuditConfig, datasets: dict[str, Dataset],
     mpr_rows = []
     for j, req in enumerate(config.mprs):
         metric, test = evaluate_mpr(datasets[req.dataset], req.spec,
-                                    entry_alpha * req.spec.alpha_share,
+                                    entry_alpha * req.alpha_share,
                                     seed=splitmix64(config.seed, 1000 + j))
-        mpr_rows.append(row(req, test, req.spec.metric_id, metric.value,
-                            req.spec.threshold, metric.n, direction=req.spec.direction))
+        mpr_rows.append(row(req, test, req.metric, metric.value, req.threshold, metric.n,
+                            direction=req.direction))
     fairness_rows = []
     if config.fairness:
         from ..fairness import GroupedOutcomes, fairness_mpr_check

@@ -16,6 +16,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -174,25 +175,18 @@ def canonical_cells(column: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Column:
-    name: str
-    role: str
-
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise ValidationError(f"unknown column role {self.role!r}")
-
-
-@dataclass(frozen=True)
 class Schema:
-    """Ordered column declaration. Roles are declared, never inferred."""
+    """Column declaration: each column's name with its role, in declared
+    order. Roles are declared, never inferred: each is one of ROLES, a
+    singleton role has at most one column, and score columns, which form a
+    distribution, are none or at least 2."""
 
-    columns: tuple[Column, ...]
+    roles: Mapping[str, str]  # column name -> role
 
     def __post_init__(self):
-        names = [c.name for c in self.columns]
-        if len(set(names)) != len(names):
-            raise ValidationError("duplicate column names in schema")
+        for name, role in self.roles.items():
+            if role not in ROLES:
+                raise ValidationError(f"unknown role {role!r} of column {name!r}")
         for role in _SINGLETON_ROLES:
             if len(self.names_for(role)) > 1:
                 raise ValidationError(f"multiple columns with role {role!r}")
@@ -201,10 +195,11 @@ class Schema:
 
     @classmethod
     def from_roles(cls, roles: Mapping[str, str]) -> "Schema":
-        return cls(tuple(Column(name, role) for name, role in roles.items()))
+        """A schema of its own copy of `roles`."""
+        return cls(MappingProxyType(dict(roles)))
 
     def names_for(self, role: str) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns if c.role == role)
+        return tuple(name for name, r in self.roles.items() if r == role)
 
     def single(self, role: str) -> str:
         """Name of the unique column with this role, or ValidationError."""
@@ -214,7 +209,7 @@ class Schema:
         return names[0]
 
     def as_plain(self) -> list[list[str]]:
-        return [[c.name, c.role] for c in self.columns]
+        return [[name, role] for name, role in self.roles.items()]
 
 
 class Dataset:
@@ -227,8 +222,7 @@ class Dataset:
     """
 
     def __init__(self, schema: Schema, columns: Mapping[str, np.ndarray]):
-        declared = {c.name for c in schema.columns}
-        if set(columns.keys()) != declared:
+        if set(columns.keys()) != set(schema.roles):
             raise ValidationError("columns do not match schema")
         lengths = {len(v) for v in columns.values()}
         if len(lengths) > 1:
@@ -574,19 +568,24 @@ class SaddRecord:
     """Stochastic application domain definition: the three-part declaration
     that fixes the reference distribution for every statistical claim.
 
-    part1_context describes the data-generating process, part2_technical the
-    input requirements, part3_sampling the sampling strategy in prose plus a
-    machine-readable descriptor.
+    Its fields are the keys of the config's `sadd` section. Part 1,
+    operating_context, describes the data-generating process; part 2,
+    technical_requirements, the input requirements; part 3,
+    sampling_strategy, the sampling strategy in prose, with
+    sampling_descriptor its free-form machine-readable form. The content
+    hash keys the parts "part1" to "part3", so it does not depend on these
+    field names.
     """
 
-    part1_context: str
-    part2_technical: str
-    part3_sampling: str
+    operating_context: str
+    technical_requirements: str
+    sampling_strategy: str
     sampling_descriptor: Mapping[str, object] = field(default_factory=dict)
     version: int = 1
 
     def __post_init__(self):
-        for part in (self.part1_context, self.part2_technical, self.part3_sampling):
+        for part in (self.operating_context, self.technical_requirements,
+                     self.sampling_strategy):
             if not part or not part.strip():
                 raise ValidationError("all three SADD parts must be non-empty")
         if self.version < 1:
@@ -595,9 +594,9 @@ class SaddRecord:
     @property
     def content_hash(self) -> str:
         return sha256_hex(canonical_json({
-            "part1": self.part1_context,
-            "part2": self.part2_technical,
-            "part3": self.part3_sampling,
+            "part1": self.operating_context,
+            "part2": self.technical_requirements,
+            "part3": self.sampling_strategy,
             "descriptor": dict(self.sampling_descriptor),
             "version": self.version,
         }))

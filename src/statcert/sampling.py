@@ -64,22 +64,6 @@ class SamplingDesign:
         if self.strategy in ("cluster", "multistage") and self.cluster_key is None:
             raise ValidationError(f"{self.strategy} design needs cluster_key")
 
-    def as_plain(self) -> dict:
-        out = {"strategy": self.strategy, "seed": self.seed}
-        if self.strata_key:
-            out["strata_key"] = self.strata_key
-        if self.cluster_key:
-            out["cluster_key"] = self.cluster_key
-        if isinstance(self.allocation, str):
-            out["allocation"] = self.allocation
-        else:
-            out["allocation"] = {str(k): int(v) for k, v in self.allocation.items()}
-        if self.with_replacement:
-            out["with_replacement"] = True
-        if self.n_clusters is not None:
-            out["n_clusters"] = self.n_clusters
-        return out
-
 
 @dataclass(frozen=True)
 class DesignEstimate:

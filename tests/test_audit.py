@@ -159,7 +159,7 @@ def build_full_workspace(root: Path) -> Path:
     def transform(raw):
         add_fairness(root, raw)
         raw["leakage"]["proxy_screen"] = True
-        raw["drift"] = {"reference": "test", "n_permutations": 200,
+        raw["drift"] = {"reference": "test", "method": "univariate_bonferroni",
                         "categorical_dims": [1]}
         raw["uncertainty"] = {"ensembles": "data/ensembles.jsonl",
                               "abstain_thresholds": {"total": 0.5, "epistemic": 0.2}}
@@ -180,7 +180,7 @@ class TestConfig:
         assert cfg.seed == 20240901
         assert len(cfg.mprs) == 1
         mpr = cfg.mprs[0]
-        assert (mpr.name, mpr.spec.metric_id, mpr.spec.threshold) == (
+        assert (mpr.name, mpr.metric, mpr.threshold) == (
             "accuracy_floor", "accuracy", 0.9)
         assert cfg.leakage.enabled
         assert cfg.drift.method == "mmd_permutation"
@@ -311,6 +311,15 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match=message):
             load_config(mutate_yaml(build_full_workspace(tmp_path), transform))
 
+    @pytest.mark.parametrize("screen,role", [("group_check", "group_id"),
+                                             ("temporal_check", "timestamp")])
+    def test_leakage_screen_needs_its_role(self, tmp_path, screen, role):
+        path = mutate_yaml(build_workspace(tmp_path),
+                           lambda raw: raw["leakage"].update({screen: True}))
+        message = rf"^leakage\.{screen}: dataset 'train' lacks declared roles \['{role}'\]$"
+        with pytest.raises(ConfigInvalid, match=message):
+            load_config(path)
+
     def test_norm_spelling_is_case_insensitive(self, tmp_path):
         path = mutate_yaml(build_full_workspace(tmp_path),
                            lambda raw: raw["robustness"].update(norm="Linf"))
@@ -336,7 +345,7 @@ FULL_CONFIG_PLAIN = (
     '"path":"data/test.csv"},"train":{"columns":{"label":"label",'
     '"x0":"feature","x1":"feature"},"path":"data/train.csv"}},'
     '"drift":{"alpha":0.05,"categorical_dims":[1],'
-    '"method":"mmd_permutation","n_permutations":200,"reference":"test"},'
+    '"method":"univariate_bonferroni","n_permutations":1000,"reference":"test"},'
     '"fairness":[{"alpha_share":0.5,"dataset":"test","max_violation":0.3,'
     '"metric":"statistical_parity","n_bootstrap":1000,"name":"parity"}],'
     '"family":{"alpha":0.05,"procedure":"fallback",'
@@ -414,6 +423,22 @@ class TestFallbackState:
 
 
 class TestLedgerIntegrity:
+    @pytest.mark.parametrize("change", [
+        lambda fields: fields.pop("verdict"),
+        lambda fields: fields.update(note="extra"),
+        lambda fields: fields.update(index=7),
+    ], ids=["missing", "unknown", "ledger-owned"])
+    def test_append_takes_exactly_the_recorded_fields(self, tmp_path, change):
+        fields = dict(kind="monitor", model_id="m", family=FAMILY, dataset_hashes={},
+                      gating_hashes=[], seed=1, test_bearing=False, alpha_allocated=0.0,
+                      alpha_carried_in=0.0, alpha_carried_out=0.0, decisions=[],
+                      demonstrated=None, verdict="ok")
+        ledger = AuditLedger(tmp_path / "l.jsonl")
+        change(fields)
+        with pytest.raises(TypeError, match="append"):
+            ledger.append(**fields)
+        assert not ledger.path.exists()
+
     def test_fresh_ledger_consistent(self, tmp_path):
         ledger = seed_ledger(tmp_path / "l.jsonl")
         result = verify_ledger(ledger)
@@ -1221,6 +1246,33 @@ class TestRunAudit:
         assert entry["alpha_allocated"] == 0.0
         assert entry["demonstrated"] is None
         assert entry["gating_hashes"] == []
+
+    def test_disabled_leakage_section_is_skipped(self, tmp_path):
+        path = mutate_yaml(build_workspace(tmp_path),
+                           lambda raw: raw["leakage"].update(enabled=False))
+        report = run_audit(load_config(path))
+        assert report.verdict == "pass"
+        assert report.payload["checks"]["leakage"] == {"gate": "skipped", "reports": []}
+
+    def test_group_temporal_and_proxy_screens_run(self, tmp_path):
+        path = build_workspace(tmp_path)
+        for name, prefix, start in (("train.csv", "a", 0), ("test.csv", "b", 10_000)):
+            csv = tmp_path / "data" / name
+            header, *rows = csv.read_text().splitlines()
+            csv.write_text("\n".join([f"{header},gid,ts"] + [
+                f"{row},{prefix}{i % 7},{start + i}" for i, row in enumerate(rows)]) + "\n")
+
+        def transform(raw):
+            for binding in raw["datasets"].values():
+                binding["columns"].update(gid="group_id", ts="timestamp")
+            raw["leakage"].update(group_check=True, temporal_check=True,
+                                  proxy_screen=True)
+        report = run_audit(load_config(mutate_yaml(path, transform)))
+        leakage = report.payload["checks"]["leakage"]
+        assert [(r["check_id"], r["severity"]) for r in leakage["reports"]] == [
+            ("duplicate", "clean"), ("group", "clean"), ("temporal", "clean"),
+            ("target_proxy", "clean")]
+        assert (leakage["gate"], report.verdict) == ("passed", "pass")
 
     def test_rerun_is_idempotent(self, example_copy):
         cfg = load_config(example_copy / "audit.yaml")

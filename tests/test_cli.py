@@ -1189,6 +1189,56 @@ def test_setting_out_of_range_exits_2_at_load(ws, config, transform, message):
     assert {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()} == before
 
 
+def with_ood(method, params):
+    def transform(raw):
+        raw["ood"] = {"method": method, "reference": "train", "validation": "test",
+                      "params": params,
+                      "scenarios": [{"name": "shifted", "path": "data/window_shift.csv"}]}
+    return transform
+
+
+def with_drift(**values):
+    def transform(raw):
+        raw["drift"].update(values)
+    return transform
+
+
+def with_roles(**roles):
+    def transform(raw):
+        raw["datasets"]["test"]["columns"].update(roles)
+    return transform
+
+
+# settings that nothing reads, and bindings whose roles no dataset can
+# take: the first three used to exit 0 with the setting echoed in the
+# report, the rest to exit 2 only after the run had locked the ledger
+REFUSED_AT_LOAD = [
+    (with_ood("density_kde", {"bandwidth": 0.3, "k": 0}),
+     "ood.params: unknown keys ['bandwidth', 'k']"),
+    (with_drift(categorical_dims=[1]),
+     "drift.categorical_dims: only univariate_bonferroni reads it, not mmd_permutation"),
+    (with_drift(method="univariate_bonferroni", categorical_dims=[0, 2, -1]),
+     "drift.categorical_dims: [2, -1] index no feature column of 'test', which has 2"),
+    (with_ood("distance_knn", {"k": 0}), "ood.params.k must be >= 1, got 0"),
+    (with_roles(x1="label"), "datasets.test.columns: multiple columns with role 'label'"),
+    (with_roles(x1="score"),
+     "datasets.test.columns: score columns must form a distribution (need >= 2)"),
+]
+
+
+@pytest.mark.parametrize("transform, message", REFUSED_AT_LOAD,
+                         ids=["ood_params_unread", "categorical_dims_under_mmd",
+                              "categorical_dims_outside", "knn_k_zero", "two_labels",
+                              "one_score_column"])
+def test_unread_setting_or_bad_binding_exits_2_at_load(ws, transform, message):
+    config = mutate(ws, transform)
+    before = {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()}
+    result = invoke("run", ws / config)
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {message}\n"
+    assert {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()} == before
+
+
 def test_report_directory_commits_no_entry(ws):
     # entry 0 used to be committed before the report write crashed
     result = invoke("run", ws / mutate(ws, lambda raw: raw.update(report="data")))

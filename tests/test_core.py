@@ -474,9 +474,9 @@ class TestCanonicalCells:
 class TestSaddRecord:
     def _record(self, **overrides):
         fields = dict(
-            part1_context="Sorting line for cast parts, two colors.",
-            part2_technical="RGB images, 128x128, daylight illumination.",
-            part3_sampling="Stratified by color, equal allocation.",
+            operating_context="Sorting line for cast parts, two colors.",
+            technical_requirements="RGB images, 128x128, daylight illumination.",
+            sampling_strategy="Stratified by color, equal allocation.",
             sampling_descriptor={"strategy": "stratified", "seed": 7},
         )
         fields.update(overrides)
@@ -485,12 +485,12 @@ class TestSaddRecord:
     def test_hash_stable_and_content_sensitive(self):
         a = self._record()
         assert a.content_hash == self._record().content_hash
-        b = self._record(part3_sampling="Simple random sample.")
+        b = self._record(sampling_strategy="Simple random sample.")
         assert b.content_hash != a.content_hash
 
     def test_empty_part_rejected(self):
         with pytest.raises(ValidationError):
-            self._record(part2_technical="   ")
+            self._record(technical_requirements="   ")
 
     def test_version_must_be_positive(self):
         with pytest.raises(ValidationError):

@@ -303,6 +303,17 @@ class TestBootstrap:
         assert a.p_value == b.p_value
         assert a.conf_bound == b.conf_bound
 
+    @pytest.mark.parametrize("direction,q", [("at_least", 0.05), ("at_most", 0.95)])
+    def test_bound_is_the_alpha_side_quantile(self, rng, direction, q):
+        # a lower bound for at_least, an upper one for at_most, from the same
+        # resample means the test's own generator draws
+        values = rng.exponential(size=30)
+        r = bootstrap_test_one_sided(values, 1.0, direction, alpha=0.05, seed=5)
+        ordered = np.sort(values)
+        idx = np.random.default_rng(5).integers(0, 30, size=(BOOTSTRAP_B, 30))
+        assert r.conf_bound == np.quantile(ordered[idx].mean(axis=1), q)
+        assert (r.conf_bound < r.statistic) == (direction == "at_least")
+
     def test_floors_enforced(self):
         with pytest.raises(ValidationError, match="bootstrap needs n >= 20"):
             bootstrap_test_one_sided(np.zeros(19), 0.5, "at_most")
