@@ -8,7 +8,7 @@ field's type (a wrong type is ConfigInvalid naming the key), every default
 is materialized at load time, and the fully resolved tree is echoed into
 the report so a reader never has to guess what a missing key meant. Two
 maps are free-form: `sadd.sampling_descriptor`, recorded as written, and
-`ood.params`, whose one key, distance_knn's `k`, is checked here.
+`ood.params`, checked by the rule OodScorer applies (`core.ood_params`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Mapping, get_args, get_origin, get_type_hints
 import yaml
 
 from ..core import (ATTACKS, DRIFT_METHODS, DUPLICATE_KEYS, FAIRNESS_METRICS, METRICS, NORMS,
-                    OOD_METHODS, MprSpec, SaddRecord, Schema)
+                    OOD_METHODS, MprSpec, SaddRecord, Schema, ood_params)
 from ..errors import ConfigInvalid, ValidationError
 from ..stattest import BOOTSTRAP_MIN_B
 from .ledger import sidecars
@@ -438,6 +438,10 @@ def load_config(path: str | Path) -> AuditConfig:
         if outside:
             raise ConfigInvalid(f"drift.categorical_dims: {outside} index no feature column "
                                 f"of {drift.reference!r}, which has {n_features}")
+        # written, not defaulted: only the MMD permutation test reads it
+        if raw["drift"].get("n_permutations") is not None and drift.method != "mmd_permutation":
+            raise ConfigInvalid(f"drift.n_permutations: only mmd_permutation reads it, "
+                                f"not {drift.method}")
 
     uncertainty = None
     if "uncertainty" in raw:
@@ -463,12 +467,12 @@ def load_config(path: str | Path) -> AuditConfig:
             _need_roles(val, ("score",), "ood")
         if len({s.name for s in ood.scenarios}) != len(ood.scenarios):
             raise ConfigInvalid("ood.scenarios: duplicate names")
-        # the one parameter a method reads: distance_knn's k
-        params = _require_keys(ood.params, {"k"} if ood.method == "distance_knn" else set(),
-                               set(), "ood.params")
-        if "k" in params:
-            params["k"] = _convert(params["k"], int, "ood.params.k")
-            _need_range(params["k"] >= 1, "ood.params.k", ">= 1", params["k"])
+        # echoed as written, less its null entries, which count as absent
+        params = {k: v for k, v in ood.params.items() if v is not None}
+        try:
+            ood_params(ood.method, params)
+        except ValidationError as e:
+            raise ConfigInvalid(f"ood.params: {e}") from e
         ood = replace(ood, params=params)
 
     robustness = None

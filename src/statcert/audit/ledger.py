@@ -22,7 +22,13 @@ Each entry records the report schema version it was written under,
 because its dataset hashes and p-values are only comparable within one
 version (`SCHEMA_CHANGES` says what each version changed). Every read
 streams the file a line at a time, so no command holds the whole ledger
-in memory.
+in memory. A line that is one JSON value from its first byte to its final
+newline, as `append` writes it, is read by one call of the JSON scanner;
+any other line (leading whitespace, a CRLF ending, extra data) is decoded
+again in full, so it reads, or is refused, as the decoder alone would
+read it. The scanner reads float literals through a memo of bounded size,
+emptied when full, since the same alphas, weights and carries recur on
+every line (`canonical.parse_finite_json`).
 
 The commands that write an entry keep two sidecar files beside the ledger,
 neither part of the record: `<ledger>.lock`, which they hold under an
@@ -123,12 +129,12 @@ class _Reader:
         self.path, self.at, self.digest = path, at, digest
 
     def __iter__(self) -> Iterator:
-        offset, entries = self.at
+        (offset, entries), digest = self.at, self.digest
         with self.path.open("rb") as fh:
             fh.seek(offset)
             for line in fh:
-                if self.digest is not None:
-                    self.digest.update(line)
+                if digest is not None:
+                    digest.update(line)
                 try:
                     text = line.decode("utf-8")
                     try:
@@ -325,6 +331,9 @@ def _family_numbers(family) -> tuple[float, tuple[float, ...]]:
     return float(family["alpha"]), tuple(float(w) for w in family["weights"])
 
 
+_HASH_KEY = b',"entry_hash":"'
+
+
 def _hashes_to(line: bytes, recorded) -> bool:
     """Whether the line, without its line ending and its first
     `,"entry_hash":"<recorded>"` member, has the SHA-256 `recorded`. Keys
@@ -334,12 +343,12 @@ def _hashes_to(line: bytes, recorded) -> bool:
     a fixed point of SHA-256."""
     if type(recorded) is not str or len(recorded) != 64 or not recorded.isascii():
         return False
-    member = b',"entry_hash":"' + recorded.encode("ascii") + b'"'
-    at = line.find(member)
-    if at < 0:
+    member = b"".join((_HASH_KEY, recorded.encode("ascii"), b'"'))
+    before, found, after = line.partition(member)
+    if not found:
         return False
-    digest = hashlib.sha256(line[:at])
-    digest.update(line[at + len(member):-2 if line.endswith(b"\r\n") else -1])
+    digest = hashlib.sha256(before)
+    digest.update(after[:-2] if after.endswith(b"\r\n") else after[:-1])
     return digest.hexdigest() == recorded
 
 
@@ -374,10 +383,11 @@ def _walk(lines: Iterable, start: Replay = _EMPTY) -> Replay:
     if first is not None:
         family, (alpha, weights) = first["family"], _family_numbers(first["family"])
         prev_hash = last["entry_hash"]
+    has_fields, isclose = _REQUIRED.issubset, math.isclose
     for i, (line, e) in walk:
         if not isinstance(e, dict):
             return bad(i, "entry is not an object")
-        if not _REQUIRED.issubset(e):
+        if not has_fields(e):
             return bad(i, f"missing fields {[f for f in _REQUIRED_FIELDS if f not in e]}")
         if e["index"] != i:
             return bad(i, f"index {e['index']} at position {i}")
@@ -399,27 +409,30 @@ def _walk(lines: Iterable, start: Replay = _EMPTY) -> Replay:
             carried_out = float(e["alpha_carried_out"])
         except (TypeError, ValueError, OverflowError):
             return bad(i, "non-numeric alpha fields")
-        if e["test_bearing"]:
-            if not math.isclose(carried_in, state.carry, abs_tol=ALPHA_TOL):
+        test_bearing = e["test_bearing"]
+        if test_bearing:
+            if not isclose(carried_in, state.carry, abs_tol=ALPHA_TOL):
                 return bad(i, f"carried-in alpha {carried_in} != replayed {state.carry}")
             expect = state.next_alpha(alpha, weights)
-            if not math.isclose(allocated, expect, abs_tol=ALPHA_TOL):
+            if not isclose(allocated, expect, abs_tol=ALPHA_TOL):
                 return bad(i, f"allocated alpha {allocated} != replayed {expect}")
             state = state.advance(allocated, bool(e["demonstrated"]))
-            if not math.isclose(carried_out, state.carry, abs_tol=ALPHA_TOL):
+            if not isclose(carried_out, state.carry, abs_tol=ALPHA_TOL):
                 return bad(i, f"carried-out alpha {carried_out} != replayed {state.carry}")
         else:
             if allocated != 0.0:
                 return bad(i, "non-test entry spent alpha")
-            if not (math.isclose(carried_in, state.carry, abs_tol=ALPHA_TOL)
-                    and math.isclose(carried_out, state.carry, abs_tol=ALPHA_TOL)):
+            carry = state.carry  # equal floats are close: most entries skip isclose
+            if not (carried_in == carry == carried_out
+                    or (isclose(carried_in, carry, abs_tol=ALPHA_TOL)
+                        and isclose(carried_out, carry, abs_tol=ALPHA_TOL))):
                 return bad(i, "non-test entry altered the alpha carry")
         gating = e["gating_hashes"]
-        if not (isinstance(gating, list) and all(isinstance(h, str) for h in gating)):
-            return bad(i, "gating hashes are not a list of strings")
-        if gating:
+        if type(gating) is not list or gating:  # most entries hold an empty list
+            if not (isinstance(gating, list) and all(isinstance(h, str) for h in gating)):
+                return bad(i, "gating hashes are not a list of strings")
             for h in gating:  # FWER control holds only on fresh data
-                if e["test_bearing"] and h in consumed:
+                if test_bearing and h in consumed:
                     return bad(i, f"gating hash {h[:12]} was consumed by entry {consumed[h]}")
             for h in gating:
                 consumed.setdefault(h, i)

@@ -75,14 +75,51 @@ def _finite_float(text: str) -> float:
     return value
 
 
+class _FiniteFloats(dict):
+    """Float literal -> its value under _finite_float, kept as the scanner
+    meets each literal. The ledger decoder's parse_float is this dict's
+    __getitem__, so a kept literal (alphas, weights and carries recur on
+    every line) is read without a Python call. It keeps at most BOUND
+    literals of at most LONGEST characters each (a float's shortest
+    spelling takes 24 at most) and empties itself when full, so its memory
+    is bounded whatever the ledger holds. A literal that reads as infinity
+    raises NonFiniteNumber and is not kept."""
+
+    BOUND = 1024
+    LONGEST = 32
+
+    def __missing__(self, literal: str) -> float:
+        value = _finite_float(literal)
+        if len(literal) <= self.LONGEST:
+            if len(self) >= self.BOUND:
+                self.clear()
+            self[literal] = value
+        return value
+
+
+_FINITE_FLOATS = _FiniteFloats()
 _FINITE_DECODER = json.JSONDecoder(parse_constant=_refuse_constant,
-                                   parse_float=_finite_float)
+                                   parse_float=_FINITE_FLOATS.__getitem__)
+_scan_finite = _FINITE_DECODER.scan_once
 
 
 def parse_finite_json(text: str):
     """parse_json(text), except that a number literal that reads as
     infinity raises NonFiniteNumber, a ValueError. The ledger reads its
-    lines under this rule."""
+    lines under this rule.
+
+    A line as `append` writes it, one JSON value from the first character
+    to a final newline, is read by one call of the scanner. Any other text
+    (leading whitespace, a CRLF ending, extra data, no newline, no value)
+    is decoded again in full, so it is read, or refused, exactly as the
+    decoder reads it, with its error and message."""
+    try:
+        value, end = _scan_finite(text, 0)
+    except StopIteration:  # no value at the first character
+        pass
+    else:
+        if end == len(text) - 1 and text[end] == "\n":
+            return value
     return _FINITE_DECODER.decode(text)
 
 

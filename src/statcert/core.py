@@ -47,6 +47,9 @@ DUPLICATE_KEYS = ("exact_features", "feature_hash")
 DRIFT_METHODS = ("mmd_permutation", "univariate_bonferroni")
 OOD_METHODS = ("density_histogram", "density_kde", "distance_centroid",
                "distance_knn", "max_softmax")
+# the parameters an OOD method reads, with their defaults: distance_knn's
+# k, the rank of the neighbour whose distance is the score
+OOD_PARAMS = {"distance_knn": {"k": 5}}
 NORMS = ("l1", "l2", "linf")
 ATTACKS = ("random_search", "coordinate_descent", "gradient_free_boundary")
 
@@ -624,6 +627,23 @@ class MprSpec:
             if not lo <= self.threshold <= hi:
                 raise ValidationError(
                     f"threshold {self.threshold} outside codomain of {self.metric_id}")
+
+
+def ood_params(method: str, params: Mapping) -> dict:
+    """The parameters OOD `method` runs with: `params` over the defaults of
+    the ones it reads (OOD_PARAMS). A key it does not read, or a k that is
+    not a positive integer, is ValidationError. OodScorer and the config
+    both check `ood.params` here."""
+    defaults = OOD_PARAMS.get(method, {})
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise ValidationError(f"unknown keys {sorted(map(str, unknown))}")
+    chosen = {**defaults, **params}
+    if "k" in chosen:
+        k = chosen["k"]
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ValidationError(f"k must be a positive integer, got {k!r}")
+    return chosen
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ATTACKS, NORMS, OOD_METHODS, Dataset
+from .core import ATTACKS, NORMS, OOD_METHODS, Dataset, ood_params
 from .errors import ValidationError
 from .sampling import splitmix64
 from .stattest import rank_auroc
@@ -47,13 +47,9 @@ class OodScorer:
         if method not in OOD_METHODS:
             raise ValidationError(f"unknown method {method!r}")
         self.method = method
-        self.params = params
+        self.params = ood_params(method, params)
         self.threshold: float | None = None
         self._fitted = method == "max_softmax"
-        if method == "distance_knn":
-            k = params.get("k", 5)
-            if not isinstance(k, int) or k < 1:
-                raise ValidationError("k must be a positive integer")
 
     def fit(self, reference: Dataset) -> "OodScorer":
         if self.method == "max_softmax":
@@ -73,7 +69,7 @@ class OodScorer:
         elif self.method == "distance_centroid":
             self._fit_mahalanobis(x, reference.by_role("label"))
         elif self.method == "distance_knn":
-            k = self.params.get("k", 5)
+            k = self.params["k"]
             if k > len(x):
                 raise ValidationError(f"k={k} exceeds reference size {len(x)}")
             from scipy.spatial import cKDTree
@@ -132,7 +128,7 @@ class OodScorer:
                 diff = x - mean
                 dists.append(np.sqrt(np.einsum("ij,jk,ik->i", diff, self._precision, diff)))
             return np.min(dists, axis=0)
-        dist, _ = self._tree.query(x, k=self.params.get("k", 5))
+        dist, _ = self._tree.query(x, k=self.params["k"])
         return dist[:, -1] if dist.ndim == 2 else dist
 
 

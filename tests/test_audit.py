@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 import yaml
 
+from statcert import canonical
 from statcert.audit.config import load_config
 from statcert.audit.ledger import (_CHUNK, _REQUIRED_FIELDS, AuditLedger, FallbackState,
                                    _resume_point, entry_hash, replay_ledger, resume_replay,
@@ -760,6 +761,32 @@ class TestStreamedReplay:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
+
+    def test_float_memo_does_not_grow_with_the_ledger(self, tmp_path):
+        # every entry carries p-values that no other entry holds, so the
+        # decoder keeps a new float literal on every line
+        rng = random.Random(29)
+        peaks = []
+        for n in (400, 4000):
+            path = tmp_path / f"{n}.jsonl"
+            ledger = AuditLedger(path)
+            for _ in range(n):
+                ledger.append(kind="monitor", model_id="m", family=FAMILY,
+                              dataset_hashes={}, gating_hashes=[], seed=1,
+                              test_bearing=False, alpha_allocated=0.0,
+                              alpha_carried_in=0.0, alpha_carried_out=0.0,
+                              decisions=[{"name": f"d{j}", "p_value": rng.random()}
+                                         for j in range(3)],
+                              demonstrated=None, verdict="ok")
+            canonical._FINITE_FLOATS.clear()
+            tracemalloc.start()
+            try:
+                assert replay_ledger(path).n_entries == n
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert 0 < len(canonical._FINITE_FLOATS) <= canonical._FiniteFloats.BOUND
         assert peaks[1] <= 2 * peaks[0], peaks
 
     def test_append_refuses_a_last_line_without_its_newline(self, tmp_path):

@@ -4,6 +4,7 @@ bytes as the explicit walk that made every value plain first
 every payload the program emits, and so must every ledger entry hash."""
 
 import hashlib
+import json
 import re
 import shutil
 from pathlib import Path
@@ -15,7 +16,8 @@ from helpers import plain_canonical_json
 from statcert.audit.config import load_config
 from statcert.audit.ledger import AuditLedger, _hashes_to, entry_hash, verify_ledger
 from statcert.audit.runner import monitor_step, run_audit
-from statcert.canonical import FallbackState, canonical_json, sha256_hex
+from statcert import canonical
+from statcert.canonical import FallbackState, canonical_json, parse_finite_json, sha256_hex
 from statcert.core import load_dataset
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "example"
@@ -182,3 +184,66 @@ def test_seeded_ledger_with_numpy_decisions_matches_the_walk(tmp_path):
     assert verify_ledger(ledger)["consistent"]
     assert verify_ledger(path) == {"consistent": True, "first_inconsistency": None,
                                    "detail": None, "n_entries": 50}
+
+
+# the ledger's decoder as it was before one scanner call read a whole line
+# and a lookup kept each float: decode() with a plain parse_float
+DECODE_EVERY_LINE = json.JSONDecoder(parse_constant=canonical._refuse_constant,
+                                     parse_float=canonical._finite_float).decode
+
+
+def respell(literal: bytes):
+    # the family's alpha, a float literal nested two levels down
+    return lambda line: line.replace(b'"family":{"alpha":0.05', b'"family":{"alpha":' + literal)
+
+
+def nested(depth: int):
+    return lambda line: re.sub(rb'"seed":(\d+)',
+                               lambda m: b'"seed":' + b"[" * depth + m[1] + b"]" * depth, line)
+
+
+LINE_EDITS = {
+    "as_written": lambda line: line,
+    "leading_space": lambda line: b" " + line,
+    "trailing_spaces": lambda line: line[:-1] + b"  \n",
+    "crlf": lambda line: line[:-1] + b"\r\n",
+    "lone_cr": lambda line: line[:-1] + b"\r",
+    "cr_joins_two": lambda line: line[:-1] + b"\r" + line,
+    "no_newline": lambda line: line[:-1],
+    "trailing_garbage": lambda line: line[:-1] + b"x\n",
+    "two_values": lambda line: line[:-1] + line,
+    "value_then_newline_then_value": lambda line: line + line,
+    "upper_exponent": respell(b"1E5"),
+    "negative_zero": respell(b"-0.0"),
+    "long_literal": respell(b"0." + b"0" * 40 + b"5"),
+    "infinite_in_family": respell(b"1e999"),
+    "negative_infinite": respell(b"-1e999"),
+    "nan": respell(b"NaN"),
+    "infinity": respell(b"Infinity"),
+    "bom": lambda line: b"\xef\xbb\xbf" + line,
+    "invalid_utf8": lambda line: line.replace(b"fallback", b"fall\xffback"),
+    "deep_nesting": nested(100_000),
+    "shallow_nesting": nested(50),
+    "blank": lambda line: b"\n",
+    "not_an_object": lambda line: b"[1.5, 2.5]\n",
+}
+
+
+def line_outcome(parse, raw: bytes):
+    """What a ledger line reads as under `parse`: its value by repr, so
+    that -0.0 stays apart from 0.0, or the class of what it raises."""
+    try:
+        return "value", repr(parse(raw.decode("utf-8")))
+    except (ValueError, RecursionError) as e:
+        return "raises", type(e)
+
+
+@pytest.mark.parametrize("edit", LINE_EDITS.values(), ids=LINE_EDITS.keys())
+def test_line_parse_matches_decoding_every_line(example_run, edit):
+    _, _, ledgers = example_run
+    line = ledgers[0].path.read_bytes().splitlines(keepends=True)[0]
+    raw = edit(line)
+    expected = line_outcome(DECODE_EVERY_LINE, raw)
+    canonical._FINITE_FLOATS.clear()
+    for _ in range(2):  # its literals read afresh, then as kept
+        assert line_outcome(parse_finite_json, raw) == expected

@@ -1210,8 +1210,8 @@ def with_roles(**roles):
 
 
 # settings that nothing reads, and bindings whose roles no dataset can
-# take: the first three used to exit 0 with the setting echoed in the
-# report, the rest to exit 2 only after the run had locked the ledger
+# take: the first three and the last used to exit 0 with the setting echoed
+# in the report, the rest to exit 2 only after the run had locked the ledger
 REFUSED_AT_LOAD = [
     (with_ood("density_kde", {"bandwidth": 0.3, "k": 0}),
      "ood.params: unknown keys ['bandwidth', 'k']"),
@@ -1219,17 +1219,20 @@ REFUSED_AT_LOAD = [
      "drift.categorical_dims: only univariate_bonferroni reads it, not mmd_permutation"),
     (with_drift(method="univariate_bonferroni", categorical_dims=[0, 2, -1]),
      "drift.categorical_dims: [2, -1] index no feature column of 'test', which has 2"),
-    (with_ood("distance_knn", {"k": 0}), "ood.params.k must be >= 1, got 0"),
+    (with_ood("distance_knn", {"k": 0}), "ood.params: k must be a positive integer, got 0"),
     (with_roles(x1="label"), "datasets.test.columns: multiple columns with role 'label'"),
     (with_roles(x1="score"),
      "datasets.test.columns: score columns must form a distribution (need >= 2)"),
+    # the example writes n_permutations: 500, which the per-feature tests ignore
+    (with_drift(method="univariate_bonferroni"),
+     "drift.n_permutations: only mmd_permutation reads it, not univariate_bonferroni"),
 ]
 
 
 @pytest.mark.parametrize("transform, message", REFUSED_AT_LOAD,
                          ids=["ood_params_unread", "categorical_dims_under_mmd",
                               "categorical_dims_outside", "knn_k_zero", "two_labels",
-                              "one_score_column"])
+                              "one_score_column", "n_permutations_under_bonferroni"])
 def test_unread_setting_or_bad_binding_exits_2_at_load(ws, transform, message):
     config = mutate(ws, transform)
     before = {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()}

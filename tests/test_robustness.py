@@ -83,6 +83,14 @@ class TestOodScorers:
         with pytest.raises(ValidationError, match="k=10 exceeds reference size 3"):
             fit_ood_scorer(ds, "distance_knn", {"k": 10})
 
+    @pytest.mark.parametrize("method, params", [("density_kde", {"bandwidth": 0.3}),
+                                                ("distance_knn", {"k": 3, "leaf_size": 4}),
+                                                ("max_softmax", {"k": 3})])
+    def test_unread_param_rejected(self, rng, method, params):
+        # density_kde used to accept a bandwidth it never read
+        with pytest.raises(ValidationError, match="unknown keys"):
+            fit_ood_scorer(feature_dataset(rng.normal(size=(20, 2))), method, params)
+
     def test_scoring_before_fit_rejected(self, rng):
         with pytest.raises(ValidationError):
             OodScorer("density_kde").score_samples(feature_dataset(np.zeros((1, 2))))
