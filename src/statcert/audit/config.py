@@ -6,9 +6,10 @@ sections. Parsing is strict: each section's keys are its dataclass's
 fields, so unknown keys are rejected, every value is converted to its
 field's type (a wrong type is ConfigInvalid naming the key), every default
 is materialized at load time, and the fully resolved tree is echoed into
-the report so a reader never has to guess what a missing key meant. Two
-maps are free-form: `sadd.sampling_descriptor`, recorded as written, and
-`ood.params`, checked by the rule OodScorer applies (`core.ood_params`).
+the report, each section as its fields (`canonical.plain`), so a reader
+never has to guess what a missing key meant. Two maps are free-form:
+`sadd.sampling_descriptor`, recorded as written, and `ood.params`,
+checked by the rule OodScorer applies (`core.ood_params`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Mapping, get_args, get_origin, get_type_hints
 
 import yaml
 
+from ..canonical import plain
 from ..core import (ATTACKS, DRIFT_METHODS, DUPLICATE_KEYS, FAIRNESS_METRICS, METRICS, NORMS,
                     OOD_METHODS, MprSpec, SaddRecord, Schema, ood_params)
 from ..errors import ConfigInvalid, ValidationError
@@ -105,34 +107,6 @@ def _build(cls, node, where: str, base: Path | None = None, **given):
         raise ConfigInvalid(f"{where}: {e}") from e
 
 
-def _plain(value):
-    """Report form of a settings value: paths as strings, sequences as
-    lists, mappings sorted by key."""
-    if isinstance(value, Path):
-        return str(value)
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return dict(sorted(value.items()))
-    if isinstance(value, _Section):
-        return value.as_plain()
-    return value
-
-
-def _echo(obj) -> dict:
-    """Report form of the dataclass `obj`, keyed as its YAML mapping is: each
-    field with its value (see _build)."""
-    return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
-
-
-class _Section:
-    """A config section: its fields are its YAML keys (see _build), and its
-    report form is its fields, in order."""
-
-    def as_plain(self) -> dict:
-        return _echo(self)
-
-
 @dataclass(frozen=True)
 class DatasetBinding:
     name: str
@@ -150,7 +124,7 @@ class DatasetBinding:
 
 
 @dataclass(frozen=True)
-class MprRequirement(_Section):
+class MprRequirement:
     name: str
     dataset: str
     metric: str
@@ -170,7 +144,7 @@ class MprRequirement(_Section):
 
 
 @dataclass(frozen=True)
-class FairnessRequirement(_Section):
+class FairnessRequirement:
     name: str
     dataset: str
     metric: str
@@ -180,7 +154,7 @@ class FairnessRequirement(_Section):
 
 
 @dataclass(frozen=True)
-class LeakageSettings(_Section):
+class LeakageSettings:
     enabled: bool = True
     train: str = "train"
     test: str = "test"
@@ -191,7 +165,7 @@ class LeakageSettings(_Section):
 
 
 @dataclass(frozen=True)
-class DriftSettings(_Section):
+class DriftSettings:
     reference: str
     method: str = "mmd_permutation"
     alpha: float = 0.05
@@ -200,20 +174,20 @@ class DriftSettings(_Section):
 
 
 @dataclass(frozen=True)
-class UncertaintySettings(_Section):
+class UncertaintySettings:
     ensembles: Path
     abstain_thresholds: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
-class OodScenario(_Section):
+class OodScenario:
     name: str
     path: Path
     narrative: str = ""
 
 
 @dataclass(frozen=True)
-class OodSettings(_Section):
+class OodSettings:
     method: str
     reference: str
     validation: str
@@ -223,7 +197,7 @@ class OodSettings(_Section):
 
 
 @dataclass(frozen=True)
-class RobustnessSettings(_Section):
+class RobustnessSettings:
     dataset: str
     epsilon: float
     norm: str = "linf"
@@ -269,16 +243,16 @@ class AuditConfig:
         return {
             "seed": self.seed,
             "model_id": self.model_id,
-            "sadd": _echo(self.sadd),
-            "datasets": {k: v.as_plain() for k, v in sorted(self.datasets.items())},
+            "sadd": plain(self.sadd),
+            "datasets": plain(self.datasets),
             "family": self.family_snapshot(),
-            "mprs": _plain(self.mprs),
-            "fairness": _plain(self.fairness),
-            "leakage": _plain(self.leakage),
-            "drift": _plain(self.drift),
-            "uncertainty": _plain(self.uncertainty),
-            "ood": _plain(self.ood),
-            "robustness": _plain(self.robustness),
+            "mprs": plain(self.mprs),
+            "fairness": plain(self.fairness),
+            "leakage": plain(self.leakage),
+            "drift": plain(self.drift),
+            "uncertainty": plain(self.uncertainty),
+            "ood": plain(self.ood),
+            "robustness": plain(self.robustness),
             "ledger": str(self.ledger_path),
             "report": str(self.report_path),
         }

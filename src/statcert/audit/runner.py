@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..canonical import FallbackState, canonical_json
+from ..canonical import FallbackState, canonical_json, plain
 from ..core import Dataset, load_dataset
 from ..drift import (ShiftClassification, ShiftVerdict, batch_from_dataset,
                      classify_shift, multivariate_shift_test)
@@ -64,7 +64,7 @@ def _leakage_section(config: AuditConfig, datasets: dict[str, Dataset]):
         reports.append(target_proxy_screen(train, seed=config.seed))
     failed = any(r.severity == "violation" for r in reports)
     return failed, {"gate": "failed" if failed else "passed",
-                    "reports": [r.as_plain() for r in reports]}
+                    "reports": plain(reports)}
 
 
 def _decision(name: str, test) -> dict:
@@ -82,7 +82,7 @@ def _requirement_sections(config: AuditConfig, datasets: dict[str, Dataset],
         tests.append((req.name, test))
         return {"name": req.name, "dataset": req.dataset, "metric": metric, **extra,
                 "observed": observed, "threshold": threshold, "n": n,
-                "demonstrated": test.rejected, "test": test.as_plain()}
+                "demonstrated": test.rejected, "test": plain(test)}
 
     mpr_rows = []
     for j, req in enumerate(config.mprs):
@@ -165,7 +165,7 @@ def _aux_sections(config: AuditConfig, datasets: dict[str, Dataset]) -> dict:
             ev = evaluate_ood(scorer, datasets[config.ood.validation], ood_ds)
             rows.append({"scenario": sc.name, "narrative": sc.narrative,
                          "data_hash": ood_ds.content_hash,
-                         "calibrated_threshold": threshold, **ev.as_plain()})
+                         "calibrated_threshold": threshold, **plain(ev)})
         checks["ood"] = rows
 
     if config.robustness is not None:
@@ -176,7 +176,7 @@ def _aux_sections(config: AuditConfig, datasets: dict[str, Dataset]) -> dict:
         with SubprocessPredictor(command) as predictor:
             result = robust_accuracy(predictor, datasets[rs.dataset], rs.epsilon,
                                      rs.norm, rs.attack, rs.budget, seed=config.seed)
-        checks["robustness"] = result.as_plain()
+        checks["robustness"] = plain(result)
 
     return checks
 
@@ -390,13 +390,13 @@ class MonitorOutcome:
     entry: dict
 
     def as_plain(self) -> dict:
-        out = {"verdict": self.verdict, "shift": self.shift.as_plain(),
+        out = {"verdict": self.verdict, "shift": plain(self.shift),
                "entry_index": self.entry["index"]}
         if self.classification is not None:
             out["point_check"] = {
                 "label": self.classification.label,
                 "observed": self.classification.metric.value,
-                "test": self.classification.test.as_plain(),
+                "test": plain(self.classification.test),
             }
         return out
 

@@ -1,6 +1,6 @@
-"""The serialisation rule shared by reports, the ledger and their hashes,
-the JSON they are read back under, and the fallback alpha recurrence the
-ledger replays.
+"""The report form of a result or a setting (`plain`), the serialisation
+rule shared by reports, the ledger and their hashes, the JSON they are
+read back under, and the fallback alpha recurrence the ledger replays.
 
 Standard library only: `verify-ledger` and `report` run on this module
 without loading numpy.
@@ -11,7 +11,33 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+from collections.abc import Mapping
 from typing import NamedTuple
+
+
+def plain(obj):
+    """The report form of `obj`: its own as_plain() where it has one,
+    checked first so that a named tuple keeps its form; else a dataclass as
+    its fields, a tuple or list as a list, a mapping value by value, and a
+    path as its string, each part in its report form. Anything else, numpy
+    values included, is left for canonical_json to write."""
+    as_plain = getattr(obj, "as_plain", None)
+    if as_plain is not None:
+        return as_plain()
+    if hasattr(type(obj), "__dataclass_fields__"):
+        return plain_fields(obj)
+    if isinstance(obj, (tuple, list)):
+        return [plain(v) for v in obj]
+    if isinstance(obj, Mapping):
+        return {k: plain(v) for k, v in obj.items()}
+    return os.fspath(obj) if isinstance(obj, os.PathLike) else obj
+
+
+def plain_fields(obj) -> dict:
+    """The dataclass `obj` as its fields, in order, each in its report form."""
+    from dataclasses import fields  # loaded already: obj's class is a dataclass
+    return {f.name: plain(getattr(obj, f.name)) for f in fields(obj)}
 
 
 def _numpy_value(obj):

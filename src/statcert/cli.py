@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 from .audit.ledger import verify_ledger
 from .audit.report import render_markdown
 from .canonical import canonical_json, parse_json
-from .errors import (ConfigInvalid, FamilyAlphaExhausted, InconclusiveVerdict, LedgerCorrupt,
-                     StatcertError)
+from .errors import (ConfigInvalid, DataLoadError, FamilyAlphaExhausted, InconclusiveVerdict,
+                     LedgerCorrupt, StatcertError)
 
 # audit.config and core load numpy and yaml, audit.runner the drift test:
 # only the commands that read a config import them
@@ -67,11 +67,6 @@ def _echo(text: str, err: bool = False) -> None:
     else:
         stream.write(text)
         stream.flush()
-
-
-def _fail(code: int, message: str) -> NoReturn:
-    _echo(f"error: {message}", err=True)
-    sys.exit(code)
 
 
 def _execute(config_path: str, action: Callable[[AuditConfig], object]
@@ -134,11 +129,11 @@ def report_cmd(report_path: str, fmt: str) -> NoReturn:
         text = canonical_json(payload)
     # ValueError: not UTF-8, not JSON, NaN, or a number too large for a float
     except (OSError, ValueError, RecursionError) as e:
-        _fail(EXIT_INVALID_INPUT, f"cannot read report: {e}")
+        raise DataLoadError(f"cannot read report: {e}") from e
     try:
         markdown = render_markdown(payload)
     except ValueError as e:
-        _fail(EXIT_INVALID_INPUT, str(e))
+        raise DataLoadError(str(e)) from e
     _echo(markdown if fmt == "markdown" else text)
     sys.exit(EXIT_PASS)
 
@@ -214,7 +209,8 @@ def main(argv: Sequence[str] | None = None) -> NoReturn:
     except Exception as e:
         code = next((code for kind, code in _EXIT_CODES if isinstance(e, kind)), None)
         if code is not None:
-            _fail(code, str(e))
+            _echo(f"error: {e}", err=True)
+            sys.exit(code)
         import traceback  # here, not at the top: only this path needs it
         _echo(f"error: internal: {type(e).__name__}: {e}", err=True)
         _echo(traceback.format_exc().rstrip("\n"), err=True)

@@ -548,14 +548,28 @@ def load_jsonl(path: str | Path, roles: Mapping[str, str]) -> Dataset:
     for name, role in roles.items():
         vals = columns[name]
         if role in ("group_id", "split"):
-            arrays[name] = np.array([str(v) for v in vals], dtype=str)
+            arrays[name] = _text(vals, path, name)
         elif all(isinstance(v, int) and not isinstance(v, bool) for v in vals):
             arrays[name] = _array(vals, np.int64, path, name)
         elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals):
             arrays[name] = _array(vals, np.float64, path, name)
         else:
-            arrays[name] = np.array([str(v) for v in vals], dtype=str)
+            arrays[name] = _text(vals, path, name)
     return Dataset(schema, arrays)
+
+
+def _text(values: list, path: Path, name: str) -> np.ndarray:
+    """JSON values as text cells. A non-finite number, alone or inside a
+    list or object, is refused as in a numeric column: its text (`nan`,
+    `inf`) is no value the file wrote."""
+    for record, value in enumerate(values, 1):
+        if not isinstance(value, str):
+            try:
+                canonical_json(value)
+            except ValueError:
+                raise DataLoadError(f"{path}: record {record} holds a non-finite number "
+                                    f"in column {name!r}") from None
+    return np.array([str(v) for v in values], dtype=str)
 
 
 def load_dataset(path: str | Path, roles: Mapping[str, str]) -> Dataset:

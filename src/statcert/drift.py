@@ -59,16 +59,6 @@ class ShiftVerdict:
     alpha: float = 0.05
     details: dict = field(default_factory=dict)
 
-    def as_plain(self) -> dict:
-        return {
-            "method": self.method,
-            "aggregate": self.aggregate,
-            "severity": self.severity,
-            "alpha": self.alpha,
-            "per_feature": [t.as_plain() for t in self.per_feature],
-            "details": dict(self.details),
-        }
-
 
 def _ecdf_sup_distance(x: np.ndarray, y: np.ndarray) -> float:
     grid = np.concatenate([x, y])

@@ -19,7 +19,7 @@ class ValidationError(StatcertError):
 
 
 class DataLoadError(StatcertError):
-    """A file could not be parsed into a valid dataset."""
+    """A file could not be parsed into a valid dataset or report."""
 
 
 class ConfigInvalid(StatcertError):

@@ -40,14 +40,6 @@ class LeakageReport:
         if (self.severity == "clean") != (len(self.evidence) == 0):
             raise ValidationError("clean reports must have empty evidence and vice versa")
 
-    def as_plain(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "severity": self.severity,
-            "evidence": [dict(e) if isinstance(e, dict) else e for e in self.evidence],
-            "description": self.description,
-        }
-
 
 def _need_rows(train: Dataset, test: Dataset, check: str) -> None:
     """A screen that compared no rows has found nothing: refuse it."""

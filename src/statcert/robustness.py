@@ -166,11 +166,6 @@ class OodEvaluation:
     detection_accuracy: float
     threshold: float
 
-    def as_plain(self) -> dict:
-        return {"auroc": self.auroc, "fpr_at_95_tpr": self.fpr_at_95_tpr,
-                "detection_accuracy": self.detection_accuracy,
-                "threshold": self.threshold}
-
 
 def evaluate_ood(scorer: OodScorer, id_test: Dataset, ood_test: Dataset) -> OodEvaluation:
     """Separation quality of the scorer on held-out ID vs OOD data.

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .canonical import plain_fields
 from .core import METRICS, Dataset, MetricValue, MprSpec, compute_metric
 from .errors import ValidationError
 
@@ -44,16 +45,7 @@ class TestResult:
         return "reject_H0" if self.rejected else "fail_to_reject"
 
     def as_plain(self) -> dict:
-        return {
-            "test_id": self.test_id,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "conf_bound": self.conf_bound,
-            "alpha_used": self.alpha_used,
-            "decision": self.decision,
-            "n": self.n,
-            "params": dict(self.params),
-        }
+        return {**plain_fields(self), "decision": self.decision}
 
 
 # Loader's stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n / e)^n) for n = 0..15;

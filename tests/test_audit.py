@@ -339,7 +339,8 @@ class TestConfig:
 
 
 # build_full_workspace's config as the hand-written as_plain methods
-# rendered it, with the workspace prefix removed from paths
+# rendered it before canonical.plain replaced them, with the workspace
+# prefix removed from paths
 FULL_CONFIG_PLAIN = (
     '{"datasets":{"test":{"columns":{"group":"group","label":"label",'
     '"prediction":"prediction","x0":"feature","x1":"feature"},'
@@ -473,6 +474,23 @@ class TestLedgerIntegrity:
         assert not result["consistent"]
         assert result["first_inconsistency"] == 2
         assert "allocated alpha" in result["detail"]
+
+    @pytest.mark.parametrize("index, edit, detail", [
+        (1, lambda e: [e.pop("seed"), e.pop("verdict")], "missing fields ['seed', 'verdict']"),
+        (2, lambda e: e.update(alpha_carried_in=0.03), "carried-in alpha 0.03 != replayed 0.02"),
+        (2, lambda e: e.update(alpha_carried_out=0.01),
+         "carried-out alpha 0.01 != replayed 0.0"),
+        (1, lambda e: e.update(alpha_carried_out=0.03), "non-test entry altered the alpha carry"),
+    ], ids=["missing_fields", "carried_in", "carried_out", "non_test_carry"])
+    def test_rehashed_edit_flagged(self, tmp_path, index, edit, detail):
+        path = tmp_path / "l.jsonl"
+        seed_ledger(path)
+        entries = load_lines(path)
+        edit(entries[index])
+        rechain(entries, index)
+        rewrite(path, entries)
+        assert verify_ledger(path) == {"consistent": False, "first_inconsistency": index,
+                                       "detail": detail, "n_entries": 3}
 
     def test_edited_payload_without_rehash_flagged(self, tmp_path):
         path = tmp_path / "l.jsonl"

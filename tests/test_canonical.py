@@ -7,6 +7,7 @@ import hashlib
 import json
 import re
 import shutil
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +15,11 @@ import pytest
 
 from helpers import plain_canonical_json
 from statcert.audit.config import load_config
-from statcert.audit.ledger import AuditLedger, _hashes_to, entry_hash, verify_ledger
+from statcert.audit.ledger import AuditLedger, Replay, _hashes_to, entry_hash, verify_ledger
 from statcert.audit.runner import monitor_step, run_audit
 from statcert import canonical
-from statcert.canonical import FallbackState, canonical_json, parse_finite_json, sha256_hex
+from statcert.canonical import (FallbackState, canonical_json, parse_finite_json, plain,
+                                sha256_hex)
 from statcert.core import load_dataset
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "example"
@@ -103,6 +105,27 @@ def test_monitor_outcome_matches_the_walk(example_run):
     assert outcome.verdict == "shift_benign"
     plain = outcome.as_plain()
     assert canonical_json(plain) == plain_canonical_json(plain)
+
+
+@dataclass(frozen=True)
+class Section:
+    path: Path
+    dims: tuple[int, ...]
+    params: dict
+
+
+def test_plain_is_the_report_form():
+    # a named tuple's own as_plain comes first, one without it is a list; a
+    # dataclass is its fields, and a numpy value is left to canonical_json
+    score = np.float64(0.5)
+    value = {"replay": Replay(True, None, None, 3), "state": FallbackState(1, 0.02),
+             "sections": (Section(Path("/d/x.csv"), (1, 2), {"k": (score,)}),)}
+    assert plain(value) == {
+        "replay": {"consistent": True, "first_inconsistency": None, "detail": None,
+                   "n_entries": 3},
+        "state": [1, 0.02],
+        "sections": [{"path": "/d/x.csv", "dims": [1, 2], "params": {"k": [score]}}]}
+    assert plain(value)["sections"][0]["params"]["k"][0] is score
 
 
 def test_verify_result_and_entry_hashes_match_the_walk(example_run):

@@ -676,6 +676,32 @@ def test_dataset_error_names_the_file_once(ws, column, value, message):
     assert result.stderr.count(str(path)) == 1
 
 
+@pytest.mark.parametrize("role, cells", [
+    ("group_id", ['"g1"', "NaN", '"g2"']),
+    ("split", ['"a"', "-Infinity", '"b"']),
+    ("group", ['"a"', "1e999", '"b"']),
+    ("group", ['"a"', '{"x": [1, NaN]}', '"b"']),
+], ids=["group_id_nan", "split_infinity", "mixed_1e999", "mixed_nested_nan"])
+def test_non_finite_number_in_a_text_column_exits_2_without_a_ledger(ws, role, cells):
+    # each used to load as text that spells nan or inf, and certify
+    header, *rows = (ws / "data" / "test_pass.csv").read_text().splitlines()
+    names = header.split(",")
+    path = ws / "data" / "test.jsonl"
+    path.write_text("".join(
+        "{" + ", ".join(f'"{n}": {v}' for n, v in zip(names, row.split(","))) +
+        f', "c": {cells[i % len(cells)]}' + "}\n" for i, row in enumerate(rows)))
+
+    def transform(raw):
+        raw["datasets"]["test"] = {"path": "data/test.jsonl",
+                                   "columns": {**raw["datasets"]["test"]["columns"], "c": role}}
+
+    result = invoke("run", ws / mutate(ws, transform))
+    assert result.exit_code == 2
+    assert result.stderr == (f"error: dataset 'test': {path}: record 2 holds a non-finite "
+                             "number in column 'c'\n")
+    assert not (ws / "audit_ledger.jsonl").exists()
+
+
 def test_text_cell_in_the_label_column_exits_2_without_a_ledger(ws):
     # one `yes` used to turn the label column to text, so that no label
     # equalled its integer prediction: accuracy 0.0, a `fail` entry that
@@ -1155,8 +1181,9 @@ def with_fairness(**values):
     return transform
 
 
-# each used to exit 2 only after the run had locked the ledger and read every
-# data file, leaving <ledger>.lock behind
+# the first seven used to exit 2 only after the run had locked the ledger and
+# read every data file, leaving <ledger>.lock behind; the rest are load_config
+# refusals that no other test reaches
 RANGES_REFUSED_AT_LOAD = [
     ("audit_fairness.yaml", with_fairness(n_bootstrap=500),
      "fairness[0].n_bootstrap must be >= 1000, got 500"),
@@ -1172,13 +1199,34 @@ RANGES_REFUSED_AT_LOAD = [
      "ood.target_tpr must be in (0, 1], got 0.0"),
     ("audit.yaml", with_section("uncertainty", abstain_thresholds={"epistemic": -0.5}),
      "uncertainty.abstain_thresholds.epistemic must be non-negative, got -0.5"),
+    ("audit.yaml", lambda raw: raw.update(leakage=[1]), "leakage: expected a mapping"),
+    ("audit.yaml", lambda raw: raw["drift"].pop("reference"),
+     "drift: missing keys ['reference']"),
+    ("audit.yaml", lambda raw: raw["mprs"][0].update(threshold=1.5),
+     "mprs[0]: threshold 1.5 outside codomain of accuracy"),
+    ("audit.yaml", lambda raw: raw["datasets"]["test"].update(columns={}),
+     "datasets.test.columns: expected a non-empty mapping"),
+    ("audit.yaml", lambda raw: raw["family"].update(weights=[1.5, -0.5]),
+     "family.weights must be non-negative"),
+    ("audit_fairness.yaml", with_fairness(name="accuracy_floor"),
+     "requirement names must be unique"),
+    ("audit.yaml", with_section("uncertainty", abstain_thresholds={"aleatory": 0.1}),
+     "uncertainty.abstain_thresholds: unknown component 'aleatory'"),
+    ("audit.yaml", with_section("ood", scenarios=OOD_SCENARIO["ood"]["scenarios"] * 2),
+     "ood.scenarios: duplicate names"),
+    ("audit.yaml", with_section("robustness", predictor={"command": []}),
+     "robustness.predictor.command must be non-empty"),
 ]
 
 
 @pytest.mark.parametrize("config, transform, message", RANGES_REFUSED_AT_LOAD,
                          ids=["n_bootstrap_below_1000", "max_violation_negative",
                               "epsilon_negative", "budget_zero", "target_tpr_above_one",
-                              "target_tpr_zero", "abstain_threshold_negative"])
+                              "target_tpr_zero", "abstain_threshold_negative",
+                              "section_not_a_mapping", "drift_without_reference",
+                              "threshold_outside_metric", "no_columns", "negative_weight",
+                              "duplicate_requirement_names", "unknown_abstain_component",
+                              "duplicate_scenario_names", "empty_predictor_command"])
 def test_setting_out_of_range_exits_2_at_load(ws, config, transform, message):
     write_auxiliary_inputs(ws)
     config = mutate(ws, transform, src=config)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from statcert import leakage
+from statcert.canonical import plain
 from statcert.errors import ValidationError
 from statcert.leakage import (
     DUPLICATE_KEYS,
@@ -214,8 +215,8 @@ class TestDuplicateOracle:
         severities = set()
         for seed in range(6):
             train, test = oracle_splits(case, seed)
-            got = duplicate_check(train, test, key=key).as_plain()
-            assert got == string_duplicate_check(train, test, key=key).as_plain()
+            got = plain(duplicate_check(train, test, key=key))
+            assert got == plain(string_duplicate_check(train, test, key=key))
             severities.add(got["severity"])
         assert severities == ({"warning"} if case == "within" else {"violation"})
 
@@ -233,8 +234,8 @@ class TestDuplicateOracle:
         monkeypatch.setattr(leakage, "_row_keys", colliding)
         for seed in range(6):
             train, test = oracle_splits(case, seed)
-            assert (duplicate_check(train, test).as_plain()
-                    == string_duplicate_check(train, test).as_plain())
+            assert (plain(duplicate_check(train, test))
+                    == plain(string_duplicate_check(train, test)))
 
 
 class TestGroupLeakage:
@@ -377,7 +378,7 @@ class TestTargetProxyScreen:
         ds = labeled_features(x, y)
         a = target_proxy_screen(ds, seed=21)
         b = target_proxy_screen(ds, seed=21)
-        assert a.as_plain() == b.as_plain()
+        assert plain(a) == plain(b)
 
     def test_real_label_monotone_transform_flagged(self, rng):
         y = rng.normal(size=500)
@@ -417,8 +418,8 @@ class TestReportInvariants:
         with pytest.raises(ValidationError):
             LeakageReport("duplicate", "fatal", (), "bad")
 
-    def test_as_plain_is_json_ready(self):
+    def test_plain_is_json_ready(self):
         import json
 
         report = LeakageReport("group", "violation", ("7", "9"), "2 shared")
-        assert json.dumps(report.as_plain())
+        assert json.dumps(plain(report))
