@@ -163,8 +163,14 @@ def chi2_two_sample(x: np.ndarray, y: np.ndarray, alpha: float = 0.05) -> TestRe
 
 
 # One row block of the pooled distance matrix holds about this many cells
-# (8 MiB of float64); no function here holds more than one block at a time.
+# (8 MiB of float64). A test holds one block of scratch (_scratch), which the
+# bandwidth, the assignment and the kernel pass each reuse; beside it a pass
+# holds only temporaries of a few rows.
 _BLOCK_CELLS = 1 << 20
+# A few rows of a block: the squared row norms are summed into a temporary
+# of at most this many cells, and _pair_distances hands a block out in
+# pieces of at most this many.
+_PIECE_CELLS = _BLOCK_CELLS // 16
 _MAGNITUDE = np.int64(np.iinfo(np.int64).max)  # every bit but the sign
 # A block's columns start at a multiple of this, so that BLAS tiles them as
 # it tiles the full (N x N) product and nearly every distance is the same
@@ -175,59 +181,88 @@ _COLUMN_ALIGN = 64
 _BRACKET_SE = 5.0
 
 
-def _upper_blocks(pooled: np.ndarray, norms: np.ndarray):
+def _scratch(cells: int) -> np.ndarray:
+    """`cells` doubles of uninitialised memory. Every uninitialised buffer
+    of the passes below comes from here, and each is written before it is
+    read."""
+    return np.empty(cells)
+
+
+def _scratch_cells(total: int, dim: int, n_perm: int = 1) -> int:
+    """The size of the one scratch block for `total` pooled rows of `dim`
+    features and `n_perm` permutations: the largest of a row block of
+    distances, a column block of permutation keys and a batch of sampled
+    pairs. That is at most _BLOCK_CELLS, unless one row of distances or
+    one pair of rows is longer."""
+    per_row = max(1, _BLOCK_CELLS // max(total, 1))
+    return max(total * min(max(total, n_perm), per_row), 2 * dim)
+
+
+def _upper_blocks(pooled: np.ndarray, norms: np.ndarray, scratch: np.ndarray):
     """The upper triangle of the pooled squared-distance matrix, one row
-    block at a time: (lo, hi, D[lo:hi, lo:]), with D = |a|^2 + |b|^2 - 2 a.b
+    block at a time: (lo, hi, D[lo:hi, lo:]), with D = (|a|^2 + |b|^2) - 2 a.b
     clipped at 0 from the squared row norms. The block's leading square
     D[lo:hi, lo:hi] is whole, its diagonal and lower half included.
 
-    Every block is written over the one before it, so a caller must be done
-    with a block before it asks for the next."""
+    Every block is built in `scratch`, over the one before it, so a caller
+    must be done with a block before it asks for the next. The Gram product
+    is doubled in place, and the norm sums are formed a few rows at a time
+    in a temporary of _PIECE_CELLS and subtracted from it."""
     total = len(pooled)
     rows = min(total, max(1, _BLOCK_CELLS // total))
-    gram_cells, out_cells = np.empty(rows * total), np.empty(rows * total)
+    step = min(rows, max(1, _PIECE_CELLS // total))
+    sums = _scratch(step * total)
     for lo in range(0, total, rows):
         hi = min(lo + rows, total)
         start = lo - lo % _COLUMN_ALIGN
-        cells = (hi - lo) * (total - start)
-        gram = gram_cells[:cells].reshape(hi - lo, total - start)
-        out = out_cells[:cells].reshape(gram.shape)
-        np.matmul(pooled[lo:hi], pooled[start:].T, out=gram)
-        gram *= 2.0
-        np.add(norms[lo:hi, None], norms[None, start:], out=out)
-        out -= gram
+        width = total - start
+        out = scratch[:(hi - lo) * width].reshape(hi - lo, width)
+        np.matmul(pooled[lo:hi], pooled[start:].T, out=out)
+        out *= 2.0
+        for r in range(0, hi - lo, step):
+            part = out[r:r + step]
+            norm_sum = sums[:part.size].reshape(part.shape)
+            np.add(norms[lo + r:lo + r + len(part), None], norms[None, start:], out=norm_sum)
+            np.subtract(norm_sum, part, out=part)
         np.maximum(out, 0.0, out=out)
         yield lo, hi, out[:, lo - start:]
 
 
-def _pair_distances(pooled: np.ndarray, norms: np.ndarray):
-    """The squared distances of all pairs i < j, in two arrays per row block:
-    the strict upper half of the block's leading square, then the rest."""
-    for lo, hi, sq in _upper_blocks(pooled, norms):
+def _pair_distances(pooled: np.ndarray, norms: np.ndarray, scratch: np.ndarray):
+    """The squared distances of all pairs i < j, per row block: the strict
+    upper half of the block's leading square (a copy), then the rest of the
+    block in views of at most _PIECE_CELLS cells, a few rows each."""
+    for lo, hi, sq in _upper_blocks(pooled, norms, scratch):
         rows = hi - lo
         yield sq[:, :rows][np.arange(rows) > np.arange(rows)[:, None]]
-        yield sq[:, rows:]
+        rest = sq[:, rows:]
+        step = max(1, _PIECE_CELLS // max(1, rest.shape[1]))
+        for r in range(0, rows, step):
+            yield rest[r:r + step]
 
 
-def _pair_distance_bits(pooled: np.ndarray, norms: np.ndarray):
+def _pair_distance_bits(pooled: np.ndarray, norms: np.ndarray, scratch: np.ndarray):
     """The squared distances of all pairs i < j, a piece at a time, as 1-d
     int64 bit patterns with the sign bit cleared (so -0.0 reads as 0.0).
     Non-negative doubles order exactly as these integers do."""
-    for part in _pair_distances(pooled, norms):
-        yield (part.view(np.int64) & _MAGNITUDE).ravel()
+    for part in _pair_distances(pooled, norms, scratch):
+        bits = part.view(np.int64)
+        bits &= _MAGNITUDE  # in place: no piece of the block is read twice
+        yield bits.ravel()
 
 
 def _select_pair_sq_distances(pooled: np.ndarray, norms: np.ndarray,
-                              ranks: list[int], count: int, prefix: int = 0,
-                              shift: int = 63) -> list[float]:
+                              ranks: list[int], count: int, scratch: np.ndarray,
+                              prefix: int = 0, shift: int = 63) -> list[float]:
     """The squared distances at `ranks` (ascending) among the `count` pairs
     whose bit patterns satisfy bits >> shift == prefix (at shift 63: all).
 
     Exact radix selection, one pass over the pairs per call. A set that
-    fits in one block is collected and sorted. A larger one is histogrammed
-    on its next 16 bits (2^16 bins) and each rank recurses into its bin;
-    if every value in the set is equal, that value is the answer. Typical
-    and heavily tied data take two passes; no rank takes more than four.
+    fits in one block is collected into an array of its own and sorted. A
+    larger one is histogrammed on its next 16 bits (2^16 bins) and each
+    rank recurses into its bin; if every value in the set is equal, that
+    value is the answer. Typical and heavily tied data take two passes; no
+    rank takes more than four.
     """
     def chosen(bits):
         return bits if shift == 63 else bits[(bits >> shift) == prefix]
@@ -235,13 +270,18 @@ def _select_pair_sq_distances(pooled: np.ndarray, norms: np.ndarray,
     if shift == 0:  # one bit pattern left
         return [float(np.int64(prefix).view(np.float64))] * len(ranks)
     if count <= _BLOCK_CELLS:
-        values = np.concatenate([chosen(b) for b in _pair_distance_bits(pooled, norms)])
+        values = _scratch(count).view(np.int64)
+        held = 0
+        for bits in _pair_distance_bits(pooled, norms, scratch):
+            sel = chosen(bits)
+            values[held:held + sel.size] = sel
+            held += sel.size
         values.sort()
         return [float(values[r].view(np.float64)) for r in ranks]
     width = min(16, shift)
     hist = np.zeros(1 << width, np.int64)
     lo, hi = int(_MAGNITUDE), -1
-    for bits in _pair_distance_bits(pooled, norms):
+    for bits in _pair_distance_bits(pooled, norms, scratch):
         sel = chosen(bits)
         if sel.size:
             hist += np.bincount((sel >> (shift - width)) & ((1 << width) - 1),
@@ -254,43 +294,58 @@ def _select_pair_sq_distances(pooled: np.ndarray, norms: np.ndarray,
     out = []
     for digit in sorted(set(digits.tolist())):
         within = [r - int(below[digit]) for r, d in zip(ranks, digits) if d == digit]
-        out += _select_pair_sq_distances(pooled, norms, within, int(hist[digit]),
+        out += _select_pair_sq_distances(pooled, norms, within, int(hist[digit]), scratch,
                                          (prefix << width) | digit, shift - width)
     return out
 
 
-def _bracketed_pair_sq_distances(pooled: np.ndarray, norms: np.ndarray,
-                                 ranks: list[int], count: int) -> list[float] | None:
-    """The squared distances at `ranks` (ascending, near count / 2) among
-    all `count` pairs, from one pass; None when that pass cannot tell.
-
-    A seeded sample of random pairs brackets the ranks by value, [a, b];
-    the pass counts the pairs below a and collects those in [a, b]. When
-    both ranks fall among the collected pairs, sorting them gives the exact
-    answer. The sample is sized for a bracket of about a quarter block; a
-    bracket that misses the ranks (odds below 1e-6) or holds more than one
-    block (heavy ties) gives None.
-    """
+def _sampled_bracket(pooled: np.ndarray, ranks: list[int], count: int,
+                     scratch: np.ndarray) -> tuple[float, float]:
+    """A value bracket [a, b] that holds the squared distances at `ranks`
+    among all `count` pairs unless the odds (below 1e-6) are against it,
+    from a seeded sample of random pairs sized so that the bracket holds
+    about a quarter block of pairs. The pairs' differences are taken in
+    `scratch`."""
     total, dim = pooled.shape
     size = int(np.clip((4.0 * _BRACKET_SE * count / _BLOCK_CELLS) ** 2,
                        1 << 14, _BLOCK_CELLS))
     rng = np.random.default_rng(0)
     first = rng.integers(0, total, size)
     second = (first + rng.integers(1, total, size)) % total  # never first
-    sample = np.empty(size)
-    step = max(1, _BLOCK_CELLS // (2 * max(dim, 1)))
+    sample = _scratch(size)
+    step = len(scratch) // (2 * max(dim, 1))
+    left = scratch[:step * dim].reshape(step, dim)
+    right = scratch[step * dim:2 * step * dim].reshape(step, dim)
     for lo in range(0, size, step):
-        diff = pooled[first[lo:lo + step]]
-        diff -= pooled[second[lo:lo + step]]
+        diff, other = left[:size - lo], right[:size - lo]
+        # the indices are in range; mode "raise" would copy through a buffer
+        np.take(pooled, first[lo:lo + step], axis=0, out=diff, mode="clip")
+        np.take(pooled, second[lo:lo + step], axis=0, out=other, mode="clip")
+        diff -= other
         sample[lo:lo + step] = np.einsum("ij,ij->i", diff, diff)
     sample.sort()
     half = _BRACKET_SE * np.sqrt(size) / 2.0
     a, b = sample[[max(0, int(size * ranks[0] / count - half)),
                    min(size - 1, int(size * ranks[-1] / count + half) + 1)]]
+    return a, b
 
-    inside = np.empty(_BLOCK_CELLS)
+
+def _bracketed_pair_sq_distances(pooled: np.ndarray, norms: np.ndarray,
+                                 ranks: list[int], count: int,
+                                 scratch: np.ndarray) -> list[float] | None:
+    """The squared distances at `ranks` (ascending, near count / 2) among
+    all `count` pairs, from one pass; None when that pass cannot tell.
+
+    A sampled bracket [a, b] (_sampled_bracket) is laid over the pairs: the
+    pass counts the pairs below a and collects those in [a, b], about a
+    quarter block, in a second block. When both ranks fall among the
+    collected pairs, sorting them gives the exact answer. A bracket that
+    misses the ranks or holds more than one block (heavy ties) gives None.
+    """
+    a, b = _sampled_bracket(pooled, ranks, count, scratch)
+    inside = _scratch(_BLOCK_CELLS)
     below = held = 0
-    for part in _pair_distances(pooled, norms):
+    for part in _pair_distances(pooled, norms, scratch):
         below += int(np.count_nonzero(part < a))
         sel = part[(part >= a) & (part <= b)]
         if held + sel.size > _BLOCK_CELLS:
@@ -304,9 +359,10 @@ def _bracketed_pair_sq_distances(pooled: np.ndarray, norms: np.ndarray,
     return [float(values[r - below]) for r in ranks]
 
 
-def _median_pair_distance(pooled: np.ndarray) -> float:
+def _median_pair_distance(pooled: np.ndarray, scratch: np.ndarray) -> float:
     """Median pairwise Euclidean distance of a sample scaled by
-    _scaled_bandwidth; 0.0 when every pair coincides (or there is none)."""
+    _scaled_bandwidth, its passes run in `scratch`; 0.0 when every pair
+    coincides (or there is none)."""
     if not np.all(np.isfinite(pooled)):
         raise ValidationError("non-finite entries in pooled sample")
     pairs = len(pooled) * (len(pooled) - 1) // 2
@@ -317,9 +373,9 @@ def _median_pair_distance(pooled: np.ndarray) -> float:
     ranks = sorted({(pairs - 1) // 2, pairs // 2})
     middle = None
     if pairs > _BLOCK_CELLS:
-        middle = _bracketed_pair_sq_distances(pooled, norms, ranks, pairs)
+        middle = _bracketed_pair_sq_distances(pooled, norms, ranks, pairs, scratch)
     if middle is None:
-        middle = _select_pair_sq_distances(pooled, norms, ranks, pairs)
+        middle = _select_pair_sq_distances(pooled, norms, ranks, pairs, scratch)
     return float(np.sqrt(np.mean(np.array(middle))))
 
 
@@ -333,16 +389,19 @@ def median_heuristic_bandwidth(pooled: np.ndarray) -> float:
     sorted; otherwise one pass collects the pairs inside a bracket drawn
     from a seeded sample of pairs and sorts those, and radix selection
     takes over if the bracket misses. Time O(N^2) (one pass on typical
-    data, at most five), memory O(N + block) for N pooled rows. The
+    data, at most five) for N pooled rows. Memory: one 8 MiB block of
+    scratch that every pass builds its distances in, and a second block
+    that holds the pairs collected for sorting. The
     distances are taken on the sample scaled by a power of two
     (_scaled_bandwidth) and scaled back, so the result does not depend on
     the features' unit. Falls back to 1.0 when every pair coincides, so
     the kernel stays defined on degenerate data.
     """
-    return _scaled_bandwidth(np.array(pooled, dtype=float, ndmin=2))[1]
+    pooled = np.array(pooled, dtype=float, ndmin=2)
+    return _scaled_bandwidth(pooled, _scratch(_scratch_cells(*pooled.shape)))[1]
 
 
-def _scaled_bandwidth(pooled: np.ndarray) -> tuple[float, float]:
+def _scaled_bandwidth(pooled: np.ndarray, scratch: np.ndarray) -> tuple[float, float]:
     """Scale the pooled sample in place by 2^-e, e the binary exponent of
     its largest |x|, and return (h, bandwidth): its median pair distance
     on the scaled sample and in the features' own unit, both 1.0 when
@@ -351,33 +410,38 @@ def _scaled_bandwidth(pooled: np.ndarray) -> tuple[float, float]:
     distances do not all underflow to 0, whatever the features' unit.
     Scaling by a power of two is exact: where the unscaled sums neither
     overflow nor underflow, the kernel is the same doubles as on the
-    unscaled sample."""
+    unscaled sample. The median's passes run in `scratch`."""
     e = int(np.frexp(max(pooled.max(initial=0.0), -pooled.min(initial=0.0)))[1])
     np.ldexp(pooled, -e, out=pooled)
-    med = _median_pair_distance(pooled)
+    med = _median_pair_distance(pooled, scratch)
     return (med, float(np.ldexp(med, e))) if med > 0 else (1.0, 1.0)
 
 
-def _assignment(keys: np.ndarray, n: int) -> np.ndarray:
+def _assignment(keys: np.ndarray, n: int, scratch: np.ndarray) -> np.ndarray:
     """The 0/1 matrix whose column p marks the n rows with the smallest
     keys in column p of `keys` (rows x permutations), built in `keys`.
 
-    Each column's n-th smallest key is its threshold, found a block of
-    columns at a time; the rows at or below it are the n smallest unless
-    another key ties it. Then argpartition breaks the tie, which picks the
-    same rows as always.
+    Each column's n-th smallest key is its threshold, found by partitioning
+    a block of columns at a time, transposed into `scratch` so that each
+    column is contiguous. The rows at or below the threshold are the n
+    smallest unless a key past the n-th in its partitioned column equals
+    it. Then argpartition breaks the tie, which picks the same rows as
+    always. No memory but `keys` and `scratch` is held beyond a few
+    numbers a column.
     """
     total, n_perm = keys.shape
-    threshold = np.empty(n_perm)
-    step = max(1, _BLOCK_CELLS // total)
+    threshold = _scratch(n_perm)
+    tied = False
+    step = len(scratch) // total
     for lo in range(0, n_perm, step):
-        cols = keys[:, lo:lo + step].T.copy()  # contiguous, so partitions run fast
+        hi = min(lo + step, n_perm)
+        cols = scratch[:(hi - lo) * total].reshape(hi - lo, total)
+        np.copyto(cols, keys[:, lo:hi].T)
         cols.partition(n - 1, axis=1)
-        threshold[lo:lo + step] = cols[:, n - 1]
-        del cols  # before the next copy
-    chosen = keys <= threshold
-    if np.all(np.count_nonzero(chosen, axis=0) == n):
-        np.copyto(keys, chosen)
+        threshold[lo:hi] = cols[:, n - 1]
+        tied = tied or bool(np.any(cols[:, n:].min(axis=1, initial=np.inf) == threshold[lo:hi]))
+    if not tied:
+        np.less_equal(keys, threshold, out=keys)
         return keys
     take = np.argpartition(keys, n - 1, axis=0)[:n]
     keys.fill(0.0)
@@ -400,8 +464,12 @@ def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
     symmetric, so it is built only over its upper triangle, one row block
     at a time, and never held whole: each block's leading square
     is used as it is and the rest counts for itself and its mirror image,
-    so the products cover half the kernel. Time O((n+m)^2 * n_perm),
-    memory O((n+m) * (block + n_perm)).
+    so the products cover half the kernel. Time O((n+m)^2 * n_perm).
+    Memory: the float64 assignment, 8 (n+m) n_perm bytes (22.9 MiB at
+    6000 rows and 500 permutations), plus one 8 MiB block of scratch that
+    the bandwidth, the assignment and the kernel pass each reuse. The
+    bandwidth runs before the assignment exists; it adds a second block,
+    for the pairs it sorts.
     p-value = (r + 1) / (n_perm + 1).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -415,10 +483,11 @@ def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
         raise ValidationError("n_perm must be >= 1")
     pooled = np.vstack([x, y])
     total = n + m
-    h, bandwidth = _scaled_bandwidth(pooled)
+    scratch = _scratch(_scratch_cells(total, pooled.shape[1], n_perm))
+    h, bandwidth = _scaled_bandwidth(pooled, scratch)
 
     # column p labels x the n rows it draws
-    assign = _assignment(np.random.default_rng(seed).random((total, n_perm)), n)
+    assign = _assignment(np.random.default_rng(seed).random((total, n_perm)), n, scratch)
     v = np.zeros(total)
     v[:n] = 1.0
 
@@ -427,7 +496,7 @@ def mmd_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 1000,
     colsum = np.zeros(total)
     v_k = np.zeros(total)  # v'K, the kernel summed over the rows labelled x
     v_kv = np.zeros(n_perm)
-    for lo, hi, kb in _upper_blocks(pooled, norms):
+    for lo, hi, kb in _upper_blocks(pooled, norms, scratch):
         np.divide(kb, -(2.0 * h * h), out=kb)  # the same doubles as -kb / (2 h^2)
         np.exp(kb, out=kb)
         # K[lo:hi, lo:hi] and K[lo:hi, hi:], which also stands for K[hi:, lo:]

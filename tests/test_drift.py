@@ -253,6 +253,27 @@ class TestMmd:
         assert rate >= 0.9
 
 
+MEMORY_SLACK = 4 << 20  # bytes: a row block's products with the assignment, a few vectors
+
+
+def mmd_peak(n, m, d, n_perm):
+    """tracemalloc peak, in bytes, of one seeded MMD test on n + m normal rows."""
+    g = np.random.default_rng(77)
+    x, y = g.normal(size=(n, d)), g.normal(size=(m, d))
+    tracemalloc.start()
+    try:
+        mmd_permutation_test(x, y, n_perm=n_perm, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assignment_and_one_block(total, n_perm):
+    """What the kernel pass may hold, in bytes: the float64 assignment,
+    one block of scratch and some slack."""
+    return 8 * total * n_perm + 8 * drift._BLOCK_CELLS + MEMORY_SLACK
+
+
 class TestBlockedMatchesFullMatrix:
     """The blocked kernel and the streaming median against the full-matrix
     implementation they replace (`helpers.full_matrix_*`)."""
@@ -295,17 +316,25 @@ class TestBlockedMatchesFullMatrix:
             assert got == want  # one block: the same floating-point operations
 
     def test_memory_below_half_a_kernel(self):
-        # the full-matrix version peaks near 305 MiB here
-        n = 2000
-        g = np.random.default_rng(77)
-        x, y = g.normal(size=(n, 8)), g.normal(size=(n, 8))
+        # the full-matrix version peaks near 305 MiB here, two block buffers
+        # at 28 MiB; now the bandwidth's two blocks, 17 MiB, are the peak
+        assert mmd_peak(2000, 2000, 8, n_perm=200) < assignment_and_one_block(4000, 200)
+
+    def test_memory_is_the_assignment_and_one_block(self):
+        # 22.9 MiB of assignment and one 8 MiB block; two blocks peaked at 40.7 MiB
+        assert mmd_peak(3000, 3000, 8, n_perm=500) < assignment_and_one_block(6000, 500)
+
+    def test_bandwidth_memory_is_two_blocks(self):
+        # two block buffers and a block of bracketed pairs peaked at 32 MiB
+        pooled = np.random.default_rng(6).normal(size=(6000, 8))
         tracemalloc.start()
         try:
-            mmd_permutation_test(x, y, n_perm=200, seed=1)
+            median_heuristic_bandwidth(pooled)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (2 * n) ** 2 * 8 / 2
+        # the scratch block and the block that collects the bracketed pairs
+        assert peak < 2 * 8 * drift._BLOCK_CELLS + MEMORY_SLACK
 
 
 class TestMultivariateShiftTest:
@@ -527,7 +556,8 @@ class TestUpperTriangle:
         pairs = 2049 * 2048 // 2
         norms = np.sum(pooled * pooled, axis=1)
         ranks = [(pairs - 1) // 2, pairs // 2]
-        assert drift._bracketed_pair_sq_distances(pooled, norms, ranks, pairs) is None
+        scratch = drift._scratch(drift._scratch_cells(2049, 4))
+        assert drift._bracketed_pair_sq_distances(pooled, norms, ranks, pairs, scratch) is None
         assert median_heuristic_bandwidth(pooled) == full_matrix_bandwidth(pooled)
         assert selections
 
@@ -565,13 +595,53 @@ class TestUpperTriangle:
         # 800 permutations of 3000 rows take three column blocks
         keys = np.random.default_rng(total).random((total, n_perm))
         want = argpartition_assignment(keys, n)
-        np.testing.assert_array_equal(drift._assignment(keys.copy(), n), want)
+        scratch = drift._scratch(drift._scratch_cells(total, 1, n_perm))
+        np.testing.assert_array_equal(drift._assignment(keys.copy(), n, scratch), want)
 
     def test_tied_threshold_falls_back_to_argpartition(self):
         keys = np.random.default_rng(8).integers(0, 4, size=(50, 7)).astype(float)
         n = 20
         threshold = np.sort(keys, axis=0)[n - 1]
         assert np.any(np.count_nonzero(keys <= threshold, axis=0) != n)  # a tie
-        got = drift._assignment(keys.copy(), n)
+        got = drift._assignment(keys.copy(), n, drift._scratch(drift._scratch_cells(50, 1, 7)))
         np.testing.assert_array_equal(got, argpartition_assignment(keys, n))
         assert np.all(got.sum(axis=0) == n)
+
+
+def stale_scratch(cells):
+    """Work memory that reads as NaN wherever it is read before it is written."""
+    return np.full(cells, np.nan)
+
+
+class TestScratch:
+    """Every kernel pass writes its one block of scratch before it reads it,
+    so memory left over from anything before cannot reach a result."""
+
+    # one block, several blocks, and 2500 + 900 rows, whose last block has
+    # fewer rows than one sum of norms
+    SHAPES = [(150, 100, 8), (512, 512, 3), (1500, 1201, 6), (2500, 900, 7)]
+
+    @pytest.mark.parametrize("n,m,d", SHAPES)
+    def test_permutation_test_ignores_stale_scratch(self, monkeypatch, n, m, d):
+        g = np.random.default_rng(n + m)
+        x, y = g.normal(size=(n, d)), g.normal(size=(m, d)) + 0.1
+        want = mmd_permutation_test(x, y, n_perm=200, seed=d)
+        monkeypatch.setattr(drift, "_scratch", stale_scratch)
+        assert mmd_permutation_test(x, y, n_perm=200, seed=d) == want
+
+    @pytest.mark.parametrize("decimals", [None, 0])
+    @pytest.mark.parametrize("n,m,d", SHAPES)
+    def test_bandwidth_ignores_stale_scratch(self, monkeypatch, n, m, d, decimals):
+        # rounded data sends the median to radix selection
+        pooled = np.random.default_rng(n * m).normal(size=(n + m, d))
+        if decimals is not None:
+            pooled = np.round(pooled, decimals)
+        want = median_heuristic_bandwidth(pooled)
+        monkeypatch.setattr(drift, "_scratch", stale_scratch)
+        assert median_heuristic_bandwidth(pooled) == want
+
+    def test_tied_assignment_ignores_stale_scratch(self, monkeypatch):
+        keys = np.random.default_rng(8).integers(0, 4, size=(50, 7)).astype(float)
+        monkeypatch.setattr(drift, "_scratch", stale_scratch)
+        got = drift._assignment(keys.copy(), 20, drift._scratch(drift._scratch_cells(50, 1, 7)))
+        np.testing.assert_array_equal(got, argpartition_assignment(keys, 20))
